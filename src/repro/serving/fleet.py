@@ -1,57 +1,47 @@
-"""Sharded gateway fleet: multi-core serving over one shared FlatTree.
+"""Sharded gateway fleet: multi-core serving over shared policy epochs.
 
-The asyncio gateway (:mod:`repro.serving.gateway`) is a single event
-loop pinned to one core.  This module runs **N gateway worker
-processes** behind a :class:`FleetDispatcher` that consistent-hashes
-every submission by the user's *cloak* — the same key the coalescing
-batcher windows on — so identical (cloak, payload) requests always land
-on the same worker and keep collapsing into shared provider rounds.
-The dispatch invariant:
+The asyncio gateway (:mod:`repro.serving.gateway`) is one event loop on
+one core.  This module runs **N gateway worker processes** behind a
+:class:`FleetDispatcher` that consistent-hashes every submission by the
+user's *cloak* — the key the coalescing batcher windows on.  The
+dispatch invariant: **one cloak key → one worker**, so sharding never
+splits a coalescing opportunity and queries/request match the single
+gateway's.
 
-    **one cloak key → one worker** — sharding never splits a
-    coalescing opportunity across processes, so fleet amortization
-    (queries/request) matches the single-gateway batcher's.
+The policy has one owner, the dispatcher's
+:class:`~repro.streaming.epoch.EpochManager` (``publish_shared=True``):
+it fits the first epoch, repairs it incrementally on every
+:meth:`FleetDispatcher.advance_epoch`, and publishes each promoted epoch
+as a :class:`~repro.trees.flat.SharedFlatTree` segment whose block table
+carries every user's id, coordinates and extracted cloak.  Workers map
+it read-only and adopt the policy without solving, so they serve the
+sync oracle's cloaks, and the epoch message on the pipe is a fixed-size
+handle however many users there are.
 
-The compiled spatial structure crosses the process boundary exactly
-once: the dispatcher publishes the payload-carrying
-:class:`~repro.trees.flat.FlatTree` into a
-:class:`~repro.trees.flat.SharedFlatTree` segment, and every worker maps
-the numpy blocks read-only (zero copies, zero pickling) and re-derives
-the policy with the deterministic level-batched DP — bit-identical to
-the dispatcher's own, so every worker serves the *same* cloaks as the
-single-process sync oracle.
+Retirement is pin-held.  The dispatcher holds an
+:class:`~repro.streaming.epoch.EpochPin` on the epoch its workers are
+attached to.  ``advance_epoch`` runs ``manager.advance(moves)``, pins the
+promoted epoch and broadcasts its spec; each worker drains its in-flight
+submissions on the old epoch (a request admitted under epoch N is served
+with epoch-N cloaks), attaches the new segment and acks.  Once every
+live worker has acked — or been respawned onto the new epoch, which is
+an ack — the old pin is released and the manager's reap unlinks the
+retired segment; the fleet never unlinks one itself.  A swap the manager
+does not promote raises and leaves every worker on the prior epoch.
 
-Policy churn rides the PR-8 streaming idiom: :meth:`FleetDispatcher
-.advance_epoch` applies a move batch, recompiles, publishes a **fresh**
-segment, and broadcasts the new epoch spec to every worker.  Each worker
-finishes its in-flight submissions on the old epoch (worker-level epoch
-pinning — a request admitted under epoch N is served with epoch-N
-cloaks), re-attaches the new segment read-only, and acks; the dispatcher
-unlinks the retired segment only after every live worker has acked (or
-died and been respawned straight onto the new epoch — a respawn *is* an
-ack), so no reader is ever left mapping a vanished segment and RS001
-stays clean.  Serving never waits on the swap: requests keep flowing to
-whichever epoch their worker is on.
+Workers talk over per-worker :func:`multiprocessing.Pipe` queues, drain
+gracefully at close, and are respawned in place when they die (EOF or
+poll timeout): the replacement attaches the current epoch and re-serves
+exactly the unanswered submissions.  A slot out of respawn budget fails
+its in-flight submissions **closed**
+(:class:`~repro.core.errors.ServiceUnavailableError`,
+``reason="worker-lost"``) and leaves the ring.
 
-Worker lifecycle rides the PR-3 quarantine idiom: per-worker SPSC
-message queues over :func:`multiprocessing.Pipe`, graceful drain at
-close, and dead-worker detection (EOF / poll-timeout on the pipe) with
-in-place respawn — the replacement worker re-adopts the shared segment
-and re-serves exactly the submissions its predecessor left unanswered.
-A slot that exhausts its respawn budget fails its in-flight submissions
-**closed** (:class:`~repro.core.errors.ServiceUnavailableError`,
-``reason="worker-lost"``) and leaves the ring — never a weaker cloak,
-never a silent drop.
-
-Execution modes mirror :mod:`repro.parallel.engine`:
-
-* ``mode="process"`` — real worker processes, end-to-end plumbing;
-* ``mode="simulated"`` — the share-nothing idealization: each worker's
-  share runs sequentially through :func:`~repro.serving.gateway
-  .run_gateway` (attaching the published segment in-process) and is
-  timed individually, so ``FleetStats.wall_seconds`` is the slowest
-  worker — the same accounting ``ParallelResult`` uses for jurisdiction
-  servers, and the right model on hosts with fewer cores than workers.
+``mode="process"`` runs real workers; ``mode="simulated"`` runs each
+worker's share sequentially through
+:func:`~repro.serving.gateway.run_gateway` (attaching the segment
+in-process) and times it alone, so ``FleetStats.wall_seconds`` is the
+slowest worker — the share-nothing model ``ParallelResult`` uses.
 """
 
 from __future__ import annotations
@@ -63,11 +53,14 @@ import hashlib
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection
 from typing import (
     Any,
+    Awaitable,
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -80,15 +73,15 @@ from typing import (
 )
 
 from ..core import errors as _errors
-from ..core.errors import ReproError, ServiceUnavailableError
-from ..core.flat_dp import extract_cloaks, solve_arrays
+from ..core.errors import ReproError, ServiceUnavailableError, TreeError
 from ..core.geometry import Rect
 from ..core.locationdb import LocationDatabase
 from ..core.policy import CloakingPolicy
 from ..robustness.chaos import kill_current_process
+from ..streaming.epoch import EpochManager, EpochPin
+from ..trajectory.constraint import ContinuityConstraint
 from ..trajectory.ledger import TrajectoryLedger
-from ..trees.binarytree import BinaryTree
-from ..trees.flat import FlatTree, SharedFlatTree, SharedTreeHandle
+from ..trees.flat import SharedFlatTree, SharedTreeHandle
 from .gateway import AsyncGateway, GatewayConfig, GatewayStats, run_gateway
 
 __all__ = [
@@ -191,8 +184,8 @@ class FleetConfig:
     #: many submissions.  Respawned workers are *not* re-armed.
     kill_after: Optional[Mapping[int, int]] = None
     #: chaos hook: worker index → epoch serial; the worker SIGKILLs
-    #: itself on *receiving* that epoch broadcast, after the old segment
-    #: is retired dispatcher-side but before it re-attaches and acks —
+    #: itself on *receiving* that epoch broadcast, after the manager
+    #: promoted the epoch but before the worker re-attaches and acks —
     #: the respawn must complete the swap.  Not re-armed on respawn.
     kill_on_epoch: Optional[Mapping[int, int]] = None
     #: trajectory-continuity defense: every worker CSP enforces the
@@ -257,7 +250,7 @@ class FleetStats:
     lost_workers: int = 0
     #: dispatcher-side wall clock across all serve() calls.
     dispatch_wall_seconds: float = 0.0
-    #: epoch swaps completed by :meth:`FleetDispatcher.advance_epoch`.
+    #: epochs promoted by :meth:`FleetDispatcher.advance_epoch`.
     epochs: int = 0
 
     @property
@@ -294,60 +287,65 @@ class FleetStats:
 class _FleetSpec:
     """Everything a worker needs to rebuild its CSP, in picklable terms.
 
-    The spatial structure itself is *not* here — only the
-    :class:`SharedTreeHandle` naming the published segment.
+    Nothing here grows with the user count: the users, their
+    coordinates and their cloaks live in the epoch segment that
+    ``handle`` names.
     """
 
     region: Tuple[float, float, float, float]
     k: int
-    rows: Tuple[Tuple[str, float, float], ...]
     provider: Any
     handle: SharedTreeHandle
     use_cache: bool
     max_depth: int
-    #: which policy generation this spec describes; bumped by every
-    #: :meth:`FleetDispatcher.advance_epoch`, echoed in the worker ack.
+    #: the manager serial of the epoch ``handle`` publishes, echoed in
+    #: the worker ack.
     epoch: int = 0
     #: trajectory-continuity defense switch; when set the worker CSP
-    #: enforces the linking constraint over a ledger seeded from
-    #: ``trajectory_state`` (the dispatcher's mirror shard for the users
-    #: this slot owns — ``None`` means start empty).
+    #: enforces the linking constraint over a ledger seeded from the
+    #: dispatcher's mirror shard for the users this slot owns.
     trajectory: bool = False
     trajectory_window: int = 16
-    trajectory_state: Optional[Mapping[str, object]] = None
 
 
-def _build_worker_csp(spec: _FleetSpec) -> Any:
-    """Attach the published tree and derive this worker's CSP.
+#: a slot's mirror ledger shard (``None``: start empty / defense off).
+_ShardState = Optional[Mapping[str, object]]
 
-    The DP is deterministic, so solving over the mapped (read-only)
-    arrays yields exactly the policy the dispatcher extracted — every
-    worker adopts bit-identical cloaks without a single array crossing
-    the pipe.  Views are dropped before the segment is closed.
+
+def _build_worker_csp(spec: _FleetSpec, trajectory_state: _ShardState) -> Any:
+    """Attach the epoch segment and adopt its policy as this worker's CSP.
+
+    The segment carries every user's id, coordinates and cloak, so the
+    worker copies three columns out and serves exactly the manager's
+    policy without solving.  Views are dropped before the segment is
+    closed.
     """
     from ..lbs.pipeline import CSP
 
     shared = SharedFlatTree.attach(spec.handle)
     try:
         flat = shared.tree
-        vecs = solve_arrays(flat, spec.k)
-        cloaks = extract_cloaks(flat, vecs, spec.k)
-        del flat, vecs
+        if flat.coords is None or flat.cloaks is None:
+            raise TreeError(f"{spec.handle.segment!r} is not an epoch segment")
+        user_ids = flat.user_ids or []
+        coords = flat.coords.tolist()
+        cloaks = flat.cloaks.tolist()
+        del flat
     finally:
         shared.close()
-    db = LocationDatabase(list(spec.rows))
+    db = LocationDatabase(
+        (uid, x, y) for uid, (x, y) in zip(user_ids, coords)
+    )
     policy = CloakingPolicy(
-        {uid: Rect(*tup) for uid, tup in cloaks.items()},
+        {uid: Rect(*box) for uid, box in zip(user_ids, cloaks)},
         db,
         name="fleet-worker",
     )
     trajectory = None
     if spec.trajectory:
-        from ..trajectory.constraint import ContinuityConstraint
-
         ledger = TrajectoryLedger(window=spec.trajectory_window)
-        if spec.trajectory_state is not None:
-            ledger.adopt_state(spec.trajectory_state)
+        if trajectory_state is not None:
+            ledger.adopt_state(trajectory_state)
         trajectory = ContinuityConstraint(spec.k, ledger=ledger)
     return CSP(
         Rect(*spec.region),
@@ -359,6 +357,10 @@ def _build_worker_csp(spec: _FleetSpec) -> Any:
         policy=policy,
         trajectory=trajectory,
     )
+
+
+#: the worker's ordered, non-blocking pipe writer.
+_Reply = Callable[[Tuple[Any, ...]], Awaitable[None]]
 
 
 def _encode_error(exc: BaseException) -> Tuple[str, str, Optional[str]]:
@@ -385,34 +387,32 @@ def _decode_error(encoded: Tuple[str, str, Optional[str]]) -> ReproError:
     return ServiceUnavailableError(message, reason=reason or "worker")
 
 
-def _send_failure(conn: Connection, seq: int, exc: BaseException) -> None:
+async def _send_failure(reply: _Reply, seq: int, exc: BaseException) -> None:
     """Propagate a typed failure to the dispatcher's waiter — the
     cross-process analogue of ``Future.set_exception``."""
-    with contextlib.suppress(BrokenPipeError, OSError):
-        conn.send(("res", seq, None, _encode_error(exc)))
+    await reply(("res", seq, None, _encode_error(exc)))
 
 
 async def _serve_one(
-    gateway: AsyncGateway, conn: Connection, seq: int, user_id: str, payload: Any
+    gateway: AsyncGateway, reply: _Reply, seq: int, user_id: str, payload: Any
 ) -> None:
     try:
         served = await gateway.submit(user_id, payload)
     except asyncio.CancelledError:
         raise
     except ReproError as exc:
-        _send_failure(conn, seq, exc)
+        await _send_failure(reply, seq, exc)
         return
     except Exception as exc:
-        _send_failure(
-            conn,
+        await _send_failure(
+            reply,
             seq,
             ServiceUnavailableError(
                 f"gateway worker failed unexpectedly: {exc}", reason="worker"
             ),
         )
         return
-    with contextlib.suppress(BrokenPipeError, OSError):
-        conn.send(("res", seq, served, None))
+    await reply(("res", seq, served, None))
 
 
 async def _worker_serve(
@@ -425,7 +425,7 @@ async def _worker_serve(
     """One worker's event loop: pipe submissions → the unchanged
     :class:`AsyncGateway` → pipe results, then stats at drain.
 
-    An ``("epoch", spec)`` message swaps the serving structure: the
+    An ``("epoch", spec, shard)`` message swaps the epoch: the
     worker first lets every in-flight submission finish on the *old*
     gateway (worker-level epoch pinning — admitted under epoch N,
     served with epoch-N cloaks), then attaches the new segment, builds
@@ -435,6 +435,17 @@ async def _worker_serve(
     """
     gateway = AsyncGateway(csp, config)
     loop = asyncio.get_running_loop()
+    # One sender thread writes every reply, in order, so a full pipe
+    # stalls only that thread and the loop keeps reading submissions;
+    # the dispatcher sends under its slot lock, so a loop blocked on a
+    # send could leave both ends waiting on each other.
+    sender = ThreadPoolExecutor(max_workers=1)
+
+    async def reply(msg: Tuple[Any, ...]) -> None:
+        # A broken pipe: the dispatcher hung up or is respawning us.
+        with contextlib.suppress(BrokenPipeError, OSError):
+            await loop.run_in_executor(sender, conn.send, msg)
+
     tasks: Set["asyncio.Task[None]"] = set()
     retired_stats = GatewayStats()
     received = 0
@@ -450,7 +461,7 @@ async def _worker_serve(
         if msg[0] == "drain":
             break
         if msg[0] == "epoch":
-            spec = msg[1]
+            __, spec, shard = msg
             if kill_on_epoch is not None and spec.epoch >= kill_on_epoch:
                 # Chaos hook: die between the broadcast and the ack —
                 # the dispatcher's respawn must complete the swap.
@@ -461,9 +472,8 @@ async def _worker_serve(
                 await asyncio.gather(*tasks, return_exceptions=True)
             await gateway.close()
             retired_stats = merge_gateway_stats(retired_stats, gateway.stats)
-            gateway = AsyncGateway(_build_worker_csp(spec), config)
-            with contextlib.suppress(BrokenPipeError, OSError):
-                conn.send(("epoch-ok", spec.epoch))
+            gateway = AsyncGateway(_build_worker_csp(spec, shard), config)
+            await reply(("epoch-ok", spec.epoch))
             continue
         __, seq, user_id, payload = msg
         received += 1
@@ -472,7 +482,7 @@ async def _worker_serve(
             # exactly what the dispatcher must recover.
             kill_current_process()
         task = asyncio.ensure_future(
-            _serve_one(gateway, conn, seq, user_id, payload)
+            _serve_one(gateway, reply, seq, user_id, payload)
         )
         tasks.add(task)
         task.add_done_callback(tasks.discard)
@@ -480,29 +490,33 @@ async def _worker_serve(
         await asyncio.gather(*tasks, return_exceptions=True)
     await gateway.close()
     serve_seconds = time.perf_counter() - started
-    with contextlib.suppress(BrokenPipeError, OSError):
-        conn.send(
-            (
-                "stats",
-                merge_gateway_stats(retired_stats, gateway.stats),
-                serve_seconds,
-            )
-        )
+    stats = merge_gateway_stats(retired_stats, gateway.stats)
+    await reply(("stats", stats, serve_seconds))
+    sender.shutdown()
     conn.close()
 
 
 def _fleet_worker_main(
     spec: _FleetSpec,
+    shard: _ShardState,
     config: GatewayConfig,
     conn: Connection,
     kill_after: Optional[int],
     kill_on_epoch: Optional[int],
 ) -> None:
-    csp = _build_worker_csp(spec)
+    csp = _build_worker_csp(spec, shard)
     asyncio.run(_worker_serve(csp, config, conn, kill_after, kill_on_epoch))
 
 
 # -- dispatcher side ---------------------------------------------------------
+
+
+def _handle_of(pin: EpochPin) -> SharedTreeHandle:
+    """The segment handle of a pinned epoch (published by the manager)."""
+    shared = pin.epoch.shared
+    if shared is None:
+        raise TreeError(f"epoch {pin.epoch.serial} has no published segment")
+    return shared.handle
 
 
 class _WorkerSlot:
@@ -532,15 +546,16 @@ class _WorkerSlot:
 
 
 class FleetDispatcher:
-    """Consistent-hash front of N gateway workers over one shared tree.
+    """Consistent-hash front of N gateway workers over shared epochs.
 
-    Construction publishes the compiled FlatTree (the dispatcher is the
-    segment owner and unlinks it in :meth:`close` on every path) and
-    solves the policy once for routing.  :meth:`serve` routes a workload
-    by cloak key and blocks until every submission has a result — a
-    :class:`~repro.lbs.pipeline.ServedRequest` or the typed error that
-    rejected it, aligned with the input.  :meth:`close` drains workers
-    gracefully and returns the aggregated :class:`FleetStats`.
+    Construction fits the first epoch through the fleet's
+    :class:`~repro.streaming.epoch.EpochManager`, which publishes it and
+    unlinks every segment it published in :meth:`close` on every path.
+    :meth:`serve` routes a workload by cloak key and blocks until every
+    submission has a result — a :class:`~repro.lbs.pipeline.ServedRequest`
+    or the typed error that rejected it, aligned with the input.
+    :meth:`close` drains workers gracefully and returns the aggregated
+    :class:`FleetStats`.
     """
 
     def __init__(
@@ -558,12 +573,11 @@ class FleetDispatcher:
         self.config.validate()
         self.region = region
         self.k = k
-        self.db = db
-        tree = BinaryTree.build(region, db, k, max_depth=max_depth)
-        flat = FlatTree.compile(tree, with_payload=True)
-        #: uid → cloak tuple, the routing key table (and the oracle the
-        #: workers independently re-derive from the shared arrays).
-        self._cloaks = extract_cloaks(flat, solve_arrays(flat, k), k)
+        #: the fleet's one policy owner: fit, incremental repair,
+        #: publication and pin-counted retirement of epoch segments.
+        self._manager = EpochManager(
+            region, k, db, max_depth=max_depth, publish_shared=True
+        )
         #: dispatcher-side mirror of every worker ledger: fed from serve
         #: results, it is the source of truth for the shard a respawned
         #: or epoch-swapped worker is seeded with.  Fold order does not
@@ -574,31 +588,15 @@ class FleetDispatcher:
             if self.config.trajectory
             else None
         )
-        #: serializes the routing-group / containment caches against
-        #: reader threads folding results into the mirror while an
-        #: epoch swap rebuilds the grouping.
+        #: the workers' candidate-set rule, folding serves into the
+        #: mirror; reader threads share its caches under _mirror_lock.
+        self._continuity: Optional[ContinuityConstraint] = (
+            ContinuityConstraint(k, ledger=self._mirror)
+            if self._mirror is not None
+            else None
+        )
         self._mirror_lock = threading.Lock()
-        self._groups: Dict[Tuple[float, ...], Tuple[str, ...]] = {}  # guarded-by: self._mirror_lock
-        self._containment: Dict[  # guarded-by: self._mirror_lock
-            Tuple[int, Tuple[float, ...]], FrozenSet[str]
-        ] = {}
-        self.shared = SharedFlatTree.publish(flat)
         try:
-            rows = tuple(
-                (uid, db.location_of(uid).x, db.location_of(uid).y)
-                for uid in db.user_ids()
-            )
-            self._spec = _FleetSpec(
-                region=region.as_tuple(),
-                k=k,
-                rows=rows,
-                provider=provider,
-                handle=self.shared.handle,
-                use_cache=use_cache,
-                max_depth=max_depth,
-                trajectory=self.config.trajectory,
-                trajectory_window=self.config.trajectory_window,
-            )
             self.ring = HashRing(
                 range(self.config.n_workers),
                 replicas=self.config.ring_replicas,
@@ -607,20 +605,50 @@ class FleetDispatcher:
             self._slots = [
                 _WorkerSlot(i) for i in range(self.config.n_workers)
             ]
-            self._routing = self._build_routing()
+            pin = self._manager.pin()
+            self._spec = _FleetSpec(
+                region=region.as_tuple(),
+                k=k,
+                provider=provider,
+                handle=_handle_of(pin),
+                use_cache=use_cache,
+                max_depth=max_depth,
+                epoch=pin.epoch.serial,
+                trajectory=self.config.trajectory,
+                trajectory_window=self.config.trajectory_window,
+            )
+            self._adopt(pin)
         except BaseException:
-            self.shared.unlink()
-            self.shared.close()
+            self._manager.close()
             raise
         self._seq = 0
         self._results: Dict[int, object] = {}  # guarded-by: self._cv
         self._cv = threading.Condition()
         self._respawn_total = 0  # guarded-by: self._cv
-        self._epoch_swaps = 0  # guarded-by: self._cv
         self._dispatch_wall = 0.0
         self._started = False
         self._closed = False
         self._final_stats: Optional[FleetStats] = None
+
+    @property
+    def db(self) -> LocationDatabase:
+        """The snapshot of the epoch the workers are attached to."""
+        return self._pin.epoch.db
+
+    def _adopt(self, pin: EpochPin) -> None:
+        """Route, mirror and spawn on ``pin``'s epoch from now on; the
+        pin keeps its segment alive until no worker can attach it."""
+        self._pin = pin
+        #: uid → cloak tuple, the routing key table.
+        self._cloaks: Dict[str, Tuple[float, ...]] = {
+            uid: cloak.as_tuple()
+            for uid, cloak in pin.epoch.policy.items()
+            if isinstance(cloak, Rect)
+        }
+        self._spec = replace(
+            self._spec, handle=_handle_of(pin), epoch=pin.epoch.serial
+        )
+        self._routing = self._build_routing()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -644,6 +672,7 @@ class FleetDispatcher:
         for slot in self._slots:
             conn, proc = self._launch(
                 self._spec,
+                None,
                 kill_plan.get(slot.index),
                 epoch_plan.get(slot.index),
             )
@@ -660,6 +689,7 @@ class FleetDispatcher:
     def _launch(
         self,
         spec: _FleetSpec,
+        shard: _ShardState,
         kill_after: Optional[int],
         kill_on_epoch: Optional[int] = None,
     ) -> Tuple[Connection, Process]:
@@ -668,6 +698,7 @@ class FleetDispatcher:
             target=_fleet_worker_main,
             args=(
                 spec,
+                shard,
                 self.config.gateway,
                 child,
                 kill_after,
@@ -680,7 +711,7 @@ class FleetDispatcher:
         return parent, proc
 
     def close(self) -> FleetStats:
-        """Drain every worker, join, unlink the segment, aggregate."""
+        """Drain every worker, join, retire every epoch, aggregate."""
         if self._final_stats is not None:
             return self._final_stats
         self._closed = True
@@ -708,11 +739,10 @@ class FleetDispatcher:
                     if slot.conn is not None:
                         slot.conn.close()
         finally:
-            self.shared.unlink()
-            self.shared.close()
+            # Shutdown unlinks every epoch segment, pinned or not.
+            self._manager.close()
         with self._cv:
             respawns = self._respawn_total
-            epochs = self._epoch_swaps
         self._final_stats = FleetStats(
             n_workers=self.config.n_workers,
             mode=self.config.mode,
@@ -724,22 +754,23 @@ class FleetDispatcher:
             respawns=respawns,
             lost_workers=sum(1 for slot in self._slots if slot.lost),
             dispatch_wall_seconds=self._dispatch_wall,
-            epochs=epochs,
+            epochs=sum(1 for swap in self._manager.swaps if swap.promoted),
         )
         return self._final_stats
 
     # -- epoch churn ---------------------------------------------------------
 
     def advance_epoch(self, moves: Mapping[str, Any]) -> int:
-        """Publish a fresh policy epoch and re-attach every worker.
+        """Promote the next policy epoch and re-attach every worker.
 
-        Applies ``moves`` (uid → :class:`~repro.core.locationdb.Point`)
-        to the fleet's snapshot, recompiles tree + policy, publishes a
-        **new** shared segment, and broadcasts the epoch spec.  The
-        retired segment is unlinked only after every live worker has
-        acked the re-attach — or died and been respawned straight onto
-        the new spec, which counts as the ack because the replacement
-        never mapped the old segment.  Returns the new epoch serial.
+        ``moves`` (uid → :class:`~repro.core.locationdb.Point`) go
+        through ``manager.advance``; a swap it does not promote raises
+        :class:`ServiceUnavailableError` and leaves every worker on the
+        prior epoch.  The old epoch's pin is released only after every
+        live worker has acked the new one — or died and been respawned
+        straight onto it, which counts as the ack because the
+        replacement never mapped the old segment.  Returns the new
+        epoch serial.
 
         Serving never blocks on this call: submissions racing the
         broadcast are served by whichever epoch their worker is on
@@ -747,42 +778,33 @@ class FleetDispatcher:
         """
         if self._closed:
             raise ReproError("fleet dispatcher is closed")
-        db = self.db.with_moves(moves)
-        tree = BinaryTree.build(
-            self.region, db, self.k, max_depth=self._spec.max_depth
-        )
-        flat = FlatTree.compile(tree, with_payload=True)
-        cloaks = extract_cloaks(flat, solve_arrays(flat, self.k), self.k)
-        new_shared = SharedFlatTree.publish(flat)
-        serial = self._spec.epoch + 1
-        try:
-            rows = tuple(
-                (uid, db.location_of(uid).x, db.location_of(uid).y)
-                for uid in db.user_ids()
+        # Refuse what the repair cannot apply before the manager sees it.
+        bad = [
+            uid for uid, point in moves.items()
+            if str(uid) not in self.db or not self.region.contains(point)
+        ]
+        if bad:
+            raise ReproError(f"cannot move unknown or off-map users: {bad[:5]!r}")
+        report = self._manager.advance(moves)
+        if not report.promoted:
+            raise ServiceUnavailableError(
+                f"epoch swap {report.serial} was not promoted "
+                f"({report.reason}); every worker stays on epoch "
+                f"{self._spec.epoch}",
+                reason="swap",
             )
-            new_spec = replace(
-                self._spec,
-                rows=rows,
-                handle=new_shared.handle,
-                epoch=serial,
-            )
-        except BaseException:
-            new_shared.unlink()
-            new_shared.close()
-            raise
-        old_shared = self.shared
+        process = self.config.mode == "process" and self._started
+        if process and self._mirror is not None:
+            # Ledger hand-off needs the mirror complete: every in-flight
+            # serve must land, against its own epoch, before shards are
+            # cut for the new one.
+            self._quiesce()
+        retired = self._pin
         # Spec first: a worker dying anywhere past this point respawns
         # onto the new epoch, so the swap completes through the crash.
-        self._spec = new_spec
-        self.shared = new_shared
-        self.db = db
-        self._cloaks = cloaks
-        self._routing = self._build_routing()
-        if self.config.mode == "process" and self._started:
-            if self._mirror is not None:
-                # Ledger hand-off needs the mirror complete: every
-                # in-flight serve must land before shards are cut.
-                self._quiesce()
+        self._adopt(self._manager.pin())
+        serial = self._spec.epoch
+        if process:
             for slot in self._slots:
                 # ``_cv`` is never taken inside ``slot.lock``: the
                 # fleet's single lock order is _cv → slot.lock (CC002),
@@ -790,20 +812,14 @@ class FleetDispatcher:
                 sent = False
                 with slot.lock:
                     if not slot.lost and slot.conn is not None:
-                        slot_spec = new_spec
-                        if self._mirror is not None:
-                            slot_spec = replace(
-                                new_spec,
-                                trajectory_state=self._shard_state(
-                                    slot.index
-                                ),
-                            )
                         with contextlib.suppress(BrokenPipeError, OSError):
                             # A broken pipe means the reader thread is
                             # about to respawn the slot onto the new
                             # spec — that respawn is the ack this
                             # broadcast wanted.
-                            slot.conn.send(("epoch", slot_spec))
+                            slot.conn.send(
+                                ("epoch", self._spec, self._shard_state(slot.index))
+                            )
                         sent = True
                 if not sent:
                     with self._cv:
@@ -824,12 +840,9 @@ class FleetDispatcher:
                             "epoch swap timed out waiting for worker "
                             "re-attach acks"
                         )
-        # Every surviving reader has re-attached: the retired segment
-        # can vanish without orphaning a mapped view (RS001).
-        old_shared.unlink()
-        old_shared.close()
-        with self._cv:
-            self._epoch_swaps += 1
+        # Every surviving worker has left the retired epoch: dropping
+        # its last pin lets the manager's reap unlink the segment.
+        retired.release()
         return serial
 
     # -- routing -------------------------------------------------------------
@@ -853,12 +866,6 @@ class FleetDispatcher:
         groups: Dict[Tuple[float, ...], List[str]] = {}
         for uid, cloak in self._cloaks.items():
             groups.setdefault(cloak, []).append(uid)
-        # The mirror ledger's candidate tables ride the same grouping;
-        # reader threads fold serve results through these caches, so the
-        # rebuild must not interleave with their lookups.
-        with self._mirror_lock:
-            self._groups = {c: tuple(uids) for c, uids in groups.items()}
-            self._containment = {}
         with self._ring_lock:
             workers = sorted(self.ring.workers)
             if not workers:
@@ -899,43 +906,26 @@ class FleetDispatcher:
     def _record_mirror(self, user_id: str, cloak: Rect) -> None:
         """Fold one served cloak into the dispatcher's mirror ledger.
 
-        Candidate semantics match :class:`ContinuityConstraint`: the
-        user's fine policy cloak → its exact anonymity group; any other
-        rectangle → every user whose fine cloak it contains (a
-        trajectory widening).  Reader threads race here; the ledger's
-        own lock serializes the folds and ∩ commutes, so interleaving
-        cannot corrupt the mirror.
+        Candidates come from :meth:`ContinuityConstraint.candidates`
+        under the policy of the epoch the workers are attached to — the
+        rule each worker CSP applies.  Reader threads race here;
+        ``_mirror_lock`` serializes the constraint's caches, the
+        ledger's own lock serializes the folds and ∩ commutes, so
+        interleaving cannot corrupt the mirror.
         """
-        if self._mirror is None:
+        if self._continuity is None:
             return
-        key = cloak.as_tuple()
-        fine = self._cloaks.get(user_id)
-        if fine is not None and fine == key:
-            with self._mirror_lock:
-                candidates: FrozenSet[str] = frozenset(
-                    self._groups.get(key, ())
-                )
-            widened = False
-        else:
-            cache_key = (self._spec.epoch, key)
-            with self._mirror_lock:
-                cached = self._containment.get(cache_key)
-                if cached is None:
-                    cached = frozenset(
-                        uid
-                        for group, uids in self._groups.items()
-                        if cloak.contains_rect(Rect(*group))
-                        for uid in uids
-                    )
-                    self._containment[cache_key] = cached
-            candidates = cached
-            widened = True
-        self._mirror.record(
+        with self._mirror_lock:
+            epoch = self._pin.epoch
+            candidates = self._continuity.candidates(
+                epoch.policy, user_id, cloak
+            )
+        self._continuity.ledger.record(
             user_id,
             cloak,
             candidates,
-            serial=self._spec.epoch,
-            widened=widened,
+            serial=epoch.serial,
+            widened=cloak != epoch.policy.cloak_for(user_id),
         )
 
     def _quiesce(self) -> None:
@@ -1053,18 +1043,15 @@ class FleetDispatcher:
         for index in sorted(shares):
             share = shares[index]
             slot = self._slots[index]
-            # Worker startup (attach + deterministic policy derivation)
-            # is charged separately from serving, like partition_seconds
-            # in the parallel engine.
-            spec = self._spec
+            # Worker startup (attach + policy adoption) is charged
+            # separately from serving, like partition_seconds in the
+            # parallel engine.
+            shard: _ShardState = None
             if self._mirror is not None:
-                spec = replace(
-                    spec,
-                    trajectory_state=self._mirror.subset_state(
-                        [user_id for __, user_id, ___ in share]
-                    ),
+                shard = self._mirror.subset_state(
+                    [user_id for __, user_id, ___ in share]
                 )
-            csp = _build_worker_csp(spec)
+            csp = _build_worker_csp(self._spec, shard)
             started = time.perf_counter()
             share_results, stats = run_gateway(
                 csp,
@@ -1183,20 +1170,18 @@ class FleetDispatcher:
             if slot.conn is not None:
                 with contextlib.suppress(OSError):
                     slot.conn.close()
-            # The replacement re-adopts the shared segment and re-serves
+            # The replacement attaches the current epoch and re-serves
             # exactly the unanswered ledger (kill chaos is not re-armed).
             # The spec is read under the slot lock the epoch broadcast
             # also takes, so any swap landing after this read reaches
-            # the replacement as an ordinary ``epoch`` message.
+            # the replacement as an ordinary ``epoch`` message.  Ledger
+            # hand-off: the replacement resumes from the mirror shard
+            # for this slot's routed users, so prior serves keep
+            # constraining it across the respawn.
             spec = self._spec
-            if self._mirror is not None:
-                # Ledger hand-off: the replacement resumes from the
-                # mirror shard for this slot's routed users, so prior
-                # serves keep constraining it across the respawn.
-                spec = replace(
-                    spec, trajectory_state=self._shard_state(slot.index)
-                )
-            conn, proc = self._launch(spec, None)
+            conn, proc = self._launch(
+                spec, self._shard_state(slot.index), None
+            )
             slot.conn = conn
             slot.process = proc
             with contextlib.suppress(BrokenPipeError, OSError):
@@ -1209,7 +1194,7 @@ class FleetDispatcher:
         with self._cv:
             # Respawn-as-ack: the replacement was built from ``spec``,
             # so it attached epoch ``spec.epoch``'s segment and never
-            # mapped the retired one a pending swap wants unlinked.
+            # mapped the retired one a pending swap wants to release.
             slot.epoch_serial = max(slot.epoch_serial, spec.epoch)
             self._cv.notify_all()
         return True
@@ -1228,9 +1213,9 @@ def run_fleet(
 ) -> Tuple[List[object], FleetStats]:
     """Sync façade: one workload through a fresh fleet to completion.
 
-    Builds the dispatcher (publishing the shared tree), serves the
-    workload, drains, and returns ``(results, stats)`` — segment
-    unlinked on every exit path.
+    Builds the dispatcher (fitting and publishing the first epoch),
+    serves the workload, drains, and returns ``(results, stats)`` —
+    every epoch segment unlinked on every exit path.
     """
     dispatcher = FleetDispatcher(
         region,

@@ -7,7 +7,8 @@ DES blackout rung).  This module retires that blackout.  An
 
 * the **active epoch** — an immutable `(serial, policy, db)` triple that
   serving reads; optionally published as a read-only
-  :class:`~repro.trees.flat.SharedFlatTree` segment for fleet workers;
+  :class:`~repro.trees.flat.SharedFlatTree` segment carrying every
+  user's id, coordinates and cloak, which fleet workers adopt as is;
 * the **shadow** — the single :class:`IncrementalAnonymizer` carrying the
   tree and DP state forward.  Moves stream into a
   :class:`~repro.streaming.ingest.DirtyAccumulator`; each
@@ -55,7 +56,10 @@ from typing import (
     Optional,
     Tuple,
     Union,
+    cast,
 )
+
+import numpy as np
 
 from ..core.anonymizer import IncrementalAnonymizer, PolicyAwareAnonymizer
 from ..core.errors import (
@@ -420,7 +424,11 @@ class EpochManager:
     ) -> Epoch:
         shared: Optional[SharedFlatTree] = None
         if self.publish_shared:
+            # Readers get the extracted cloaks beside the ids and
+            # coordinates, so attaching an epoch never re-solves it.
             flat = FlatTree.compile(self._shadow.tree, with_payload=True)
+            boxes = [cast(Rect, policy.cloak_for(u)).as_tuple() for u in flat.user_ids or ()]
+            flat.cloaks = np.array(boxes, dtype=np.float64).reshape(-1, 4)
             shared = SharedFlatTree.publish(flat)
         epoch = Epoch(serial, policy, self._shadow.current_db, origin, shared)
         with self._lock:

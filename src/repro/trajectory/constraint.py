@@ -79,45 +79,44 @@ class ContinuityConstraint:
             window=window
         )
         # One-slot candidate caches: policies are per-snapshot objects,
-        # so caching against the current policy identity amortizes the
-        # O(n) group scans across the requests of one snapshot.
+        # so caching against the current policy identity amortizes one
+        # O(n) grouping across the requests of one snapshot.
         self._cached_policy: Optional[CloakingPolicy] = None
-        self._exact: Dict[Rect, FrozenSet[str]] = {}
+        self._groups: Dict[Rect, FrozenSet[str]] = {}
         self._within: Dict[Rect, FrozenSet[str]] = {}
 
     # -- candidate sets ------------------------------------------------------
 
-    def _sync_cache(self, policy: CloakingPolicy) -> None:
+    def candidates(
+        self, policy: CloakingPolicy, user_id: str, cloak: Rect
+    ) -> FrozenSet[str]:
+        """The attacker's candidate senders of ``cloak`` served to
+        ``user_id`` under ``policy``.
+
+        The user's fine policy cloak maps to its exact anonymity group;
+        any other rectangle (a widening) to every user whose fine cloak
+        it contains — its group under the group-wide coarsening
+        override.  Not thread-safe: concurrent callers serialize.
+        """
         if self._cached_policy is not policy:
             self._cached_policy = policy
-            self._exact = {}
+            self._groups = {
+                region: frozenset(uids)
+                for region, uids in policy.groups().items()
+                if isinstance(region, Rect)
+            }
             self._within = {}
-
-    def _exact_group(
-        self, policy: CloakingPolicy, cloak: Rect
-    ) -> FrozenSet[str]:
-        """The attacker's candidate set for an unmodified policy cloak."""
-        cached = self._exact.get(cloak)
-        if cached is None:
-            cached = frozenset(
-                uid for uid, region in policy.items() if region == cloak
-            )
-            self._exact[cloak] = cached
-        return cached
-
-    def _contained_group(
-        self, policy: CloakingPolicy, rect: Rect
-    ) -> FrozenSet[str]:
-        """The attacker's candidate set for a widened ancestor ``rect``:
-        the group of ``rect`` under the group-wide coarsening override."""
-        cached = self._within.get(rect)
+        if cloak == policy.cloak_for(str(user_id)):
+            return self._groups.get(cloak, frozenset())
+        cached = self._within.get(cloak)
         if cached is None:
             cached = frozenset(
                 uid
-                for uid, region in policy.items()
-                if isinstance(region, Rect) and rect.contains_rect(region)
+                for region, uids in self._groups.items()
+                if cloak.contains_rect(region)
+                for uid in uids
             )
-            self._within[rect] = cached
+            self._within[cloak] = cached
         return cached
 
     # -- solving -------------------------------------------------------------
@@ -139,7 +138,6 @@ class ContinuityConstraint:
         further, so earlier rungs' k-safety is preserved.
         """
         uid = str(user_id)
-        self._sync_cache(policy)
         fine = policy.cloak_for(uid)
         start = cloak if cloak is not None else fine
         if not isinstance(start, Rect) or not isinstance(fine, Rect):
@@ -147,12 +145,7 @@ class ContinuityConstraint:
                 "trajectory continuity needs rectangular hierarchy cloaks",
                 reason="trajectory",
             )
-        if start == fine:
-            base = self._exact_group(policy, start)
-        else:
-            # Already coarsened group-wide: the attacker's set is every
-            # user whose fine cloak the override rectangle contains.
-            base = self._contained_group(policy, start)
+        base = self.candidates(policy, uid, start)
         prior = self.ledger.surviving(uid)
         if prior is None or len(prior & base) >= self.k:
             after = base if prior is None else prior & base
@@ -174,7 +167,7 @@ class ContinuityConstraint:
         # first admissible one is the smallest (cheapest) widening.
         for idx in range(len(chain) - 2, -1, -1):
             ancestor = chain[idx]
-            candidates = self._contained_group(policy, ancestor)
+            candidates = self.candidates(policy, uid, ancestor)
             surviving = prior & candidates
             if len(surviving) >= self.k:
                 return ContinuityDecision(
@@ -184,7 +177,7 @@ class ContinuityConstraint:
                     levels=len(chain) - 1 - idx,
                     surviving=len(surviving),
                 )
-        alive = len(prior & self._contained_group(policy, region))
+        alive = len(prior & self.candidates(policy, uid, region))
         raise ServiceUnavailableError(
             f"no cloak preserves trajectory {self.k}-anonymity for user "
             f"{uid!r}: only {alive} prior candidates remain in the system; "

@@ -48,9 +48,10 @@ class FlatTree:
     indices, −1 at leaves.
 
     The payload block (``rects``/``leaf_ptr``/``leaf_rows``/
-    ``user_ids``) is attached only when the flat tree must stand alone
-    — i.e. when it is shipped to a worker process that has no object
-    tree to fall back on for policy extraction.
+    ``user_ids``/``coords``) is attached only when the flat tree must
+    stand alone — i.e. when it is shipped to a worker process that has
+    no object tree to fall back on.  ``cloaks`` is set by a publisher
+    that has already extracted the policy, so readers need no solve.
     """
 
     ids: np.ndarray            # (n,) int64
@@ -66,6 +67,8 @@ class FlatTree:
     leaf_ptr: Optional[np.ndarray] = None   # (n+1,) int64 CSR offsets
     leaf_rows: Optional[np.ndarray] = None  # (#points,) int64 local rows
     user_ids: Optional[List[str]] = None    # local row -> user id
+    coords: Optional[np.ndarray] = None     # (#points, 2) local row -> x, y
+    cloaks: Optional[np.ndarray] = None     # (#points, 4) local row -> cloak
 
     @property
     def n_nodes(self) -> int:
@@ -166,6 +169,7 @@ class FlatTree:
             flat.leaf_ptr = ptr
             flat.leaf_rows = local
             flat.user_ids = [tree.user_ids[r] for r in order]
+            flat.coords = np.ascontiguousarray(tree.coords[order], np.float64)
         return flat
 
     # -- incremental maintenance ----------------------------------------------
@@ -201,7 +205,7 @@ _SHM_ALIGN = 64
 _SHM_CORE_FIELDS = (
     "ids", "left", "right", "count", "area", "depth", "level_offsets",
 )
-_SHM_PAYLOAD_FIELDS = ("rects", "leaf_ptr", "leaf_rows")
+_SHM_PAYLOAD_FIELDS = ("rects", "leaf_ptr", "leaf_rows", "coords")
 #: pseudo-field carrying ``user_ids`` as UTF-8 JSON bytes (uint8 block).
 _SHM_USER_FIELD = "__user_ids_json__"
 
@@ -307,6 +311,8 @@ class SharedFlatTree:
                         "compile(with_payload=True) before publishing"
                     )
                 arrays.append((name, np.ascontiguousarray(column)))
+            if flat.cloaks is not None:
+                arrays.append(("cloaks", np.ascontiguousarray(flat.cloaks)))
             encoded = json.dumps(flat.user_ids or []).encode("utf-8")
             arrays.append((_SHM_USER_FIELD, np.frombuffer(encoded, np.uint8)))
         blocks: List[Tuple[str, str, Tuple[int, ...], int]] = []
@@ -416,6 +422,8 @@ class SharedFlatTree:
                 leaf_ptr=views.get("leaf_ptr"),
                 leaf_rows=views.get("leaf_rows"),
                 user_ids=user_ids,
+                coords=views.get("coords"),
+                cloaks=views.get("cloaks"),
             )
         return self._tree
 
