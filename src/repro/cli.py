@@ -8,7 +8,7 @@ Operational front door for the library:
 * ``cloak``      — look up one user's cloak in a saved policy;
 * ``experiment`` — run one of the paper's tables/figures and print it;
 * ``slo-report`` — the closed-loop SLO artifact (durability MTTR,
-  capacity sweep, DES cross-validation);
+  capacity sweep on virtual time, wall-clock cross-validation);
 * ``churn``      — the zero-blackout churn artifact (stop-the-world
   repair vs double-buffered epoch swap, DES + live, oracle gates);
 * ``trajectory`` — the linking-attack artifact (undefended erosion vs
@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo = sub.add_parser(
         "slo-report",
         help="closed-loop SLO report: quorum durability MTTR, "
-        "static-vs-adaptive capacity sweep, DES cross-validation",
+        "static-vs-adaptive capacity sweep on virtual time, "
+        "wall-clock cross-validation",
     )
     slo.add_argument(
         "--scale",

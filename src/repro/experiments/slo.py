@@ -8,15 +8,20 @@ Ties the robustness spine together into a single, committable artifact:
    replica), the recovered policy is verified bit-identical, and loss
    of quorum is verified to fail closed (``RecoveryError``, no coarse
    serving).
-2. **Capacity sweep** — the gateway-aware DES replays one Poisson
-   schedule across admission operating points, once with static
-   fail-closed thresholds and once with the AIMD controller, recording
-   availability, latency, and per-cause shed counters — and checking
-   the containment invariant (adaptive ⊆ static) on every point.
-3. **Cross-validation** — a subset of the swept points is replayed
-   against the *real* event-loop gateway with the same schedule; the
-   DES's predicted shed rate is scored against the measured one (the
-   acceptance bar: within 15% on at least two points).
+2. **Capacity sweep** — the real :class:`~repro.serving.gateway.AsyncGateway`
+   replays one Poisson schedule on a
+   :class:`~repro.robustness.aio.VirtualTimeLoop` across admission
+   operating points, once with static fail-closed thresholds and once
+   with the AIMD controller, recording availability, latency, and
+   per-cause shed counters — and checking the containment invariant
+   (adaptive ⊆ static) on every point.  Virtual time makes the sweep
+   exact and reproducible: rerunning it gives identical rows.
+3. **Cross-validation** — a subset of the swept points is replayed on
+   the wall-clock event loop with the same schedule; the virtual run's
+   shed rate is scored against the measured one (the acceptance bar:
+   within 15% on at least two points).  The two runs share every line
+   of serving code; what differs is CPU time (free on virtual time)
+   and event-loop jitter.
 
 Everything lands in ``bench_results/slo.json`` (machine-readable) and
 ``bench_results/slo.txt`` (human-readable), so capacity planning has
@@ -29,7 +34,9 @@ import json
 import os
 import tempfile
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.errors import RecoveryError, ReproError
 from ..core.geometry import Rect
@@ -38,30 +45,26 @@ from ..lbs.mobility import random_moves
 from ..lbs.pipeline import CSP
 from ..lbs.poi import generate_pois
 from ..lbs.provider import LBSProvider
-from ..lbs.simulation import (
-    GatewaySimulation,
-    ServiceTimes,
-    poisson_schedule,
-)
+from ..lbs.simulation import poisson_schedule
+from ..robustness.aio import VirtualTimeLoop
 from ..robustness.chaos import ReplicaKillPlan, destroy_replica
 from ..robustness.recovery import QuorumJournal
 from ..serving.admission import AdmissionConfig, AdmissionController
-from ..serving.gateway import GatewayConfig, run_gateway_scheduled
+from ..serving.gateway import (
+    AsyncGateway,
+    GatewayConfig,
+    GatewayStats,
+    run_gateway_scheduled,
+    serve_scheduled,
+)
 
 __all__ = ["SLO_SCALES", "build_slo_report", "render_slo_report", "write_slo_report"]
 
 REGION = Rect(0, 0, 4096, 4096)
 K = 8
 
-#: DES service-time model for cross-validation runs: the live twin's
-#: provider compute is microseconds (latency lives on the simulated
-#: wire), so the model must not charge the paper's 2 ms per query.
-_LIVE_TIMES = ServiceTimes(
-    cloak_lookup=0.00005, lbs_query=0.00005, cache_lookup=0.00002
-)
-
-#: (rtt, max_wait) operating points; every scale sweeps these in the
-#: DES, and validates the listed prefix against the live gateway.
+#: (rtt, max_wait) operating points; every scale sweeps these on
+#: virtual time, and validates the listed ones on the wall clock.
 _POINTS: Tuple[Tuple[float, float], ...] = (
     (0.03, 0.005),
     (0.05, 0.008),
@@ -172,19 +175,40 @@ def _durability_section(n_users: int) -> Dict[str, object]:
         }
 
 
-def _report_row(report) -> Dict[str, object]:
+def _shed_rate(stats: GatewayStats) -> float:
+    """Fraction of submissions refused at admission (all causes)."""
+    if not stats.submitted:
+        return 0.0
+    return (stats.shed + stats.throttled) / stats.submitted
+
+
+def _report_row(stats: GatewayStats) -> Dict[str, object]:
+    latencies = stats.latencies or [0.0]
     return {
-        "submitted": report.submitted,
-        "served": report.served,
-        "availability": report.availability,
-        "shed_rate": report.shed_rate,
-        "shed_by_cause": report.shed_by_cause,
-        "errors": report.errors,
-        "provider_rounds": report.provider_rounds,
-        "provider_queries": report.provider_queries,
-        "mean_latency_ms": 1e3 * report.mean_latency,
-        "p99_latency_ms": 1e3 * report.latency_percentile(99),
+        "submitted": stats.submitted,
+        "served": stats.served,
+        "availability": stats.availability,
+        "shed_rate": _shed_rate(stats),
+        "shed_by_cause": stats.shed_by_cause,
+        "errors": stats.errors,
+        "provider_rounds": stats.provider_rounds,
+        "provider_queries": stats.provider_queries,
+        "mean_latency_ms": 1e3 * float(np.mean(latencies)),
+        "p99_latency_ms": 1e3 * float(np.percentile(latencies, 99)),
     }
+
+
+def _run_virtual(
+    n_users: int,
+    requests: Sequence[Tuple[float, str, object]],
+    config: GatewayConfig,
+    admission: Optional[AdmissionController] = None,
+) -> GatewayStats:
+    """One capacity-sweep run: a fresh CSP behind the real gateway,
+    replaying ``requests`` on virtual time."""
+    gateway = AsyncGateway(_make_csp(n_users), config, admission=admission)
+    VirtualTimeLoop().run(serve_scheduled(gateway, requests))
+    return gateway.stats
 
 
 def build_slo_report(scale: str = "default", seed: int = 7) -> Dict[str, object]:
@@ -201,24 +225,24 @@ def build_slo_report(scale: str = "default", seed: int = 7) -> Dict[str, object]
 
     durability = _durability_section(min(n_users, 120))
 
-    csp = _make_csp(n_users)
-    users = csp.anonymizer.current_db.user_ids()
+    users = _make_csp(n_users).anonymizer.current_db.user_ids()
     schedule = poisson_schedule(users, rate, duration, seed=seed)
+    requests = [
+        (t, user, [("poi", category)]) for t, user, category in schedule
+    ]
 
     sweep: List[Dict[str, object]] = []
+    static_runs: List[GatewayStats] = []
     containment_ok = True
     for rtt, max_wait in _POINTS:
         config = _point_config(rtt, max_wait)
-        static = GatewaySimulation(
-            csp.policy, config, times=_LIVE_TIMES
-        ).run(schedule)
+        static = _run_virtual(n_users, requests, config)
+        static_runs.append(static)
         controller = AdmissionController(
             config.queue_high_water,
             AdmissionConfig(rtt_target=_RTT_SLO, ewma_alpha=0.5),
         )
-        adaptive = GatewaySimulation(
-            csp.policy, config, times=_LIVE_TIMES, admission=controller
-        ).run(schedule)
+        adaptive = _run_virtual(n_users, requests, config, controller)
         point_contained = (
             adaptive.served <= static.served
             and adaptive.shed + adaptive.throttled
@@ -238,38 +262,27 @@ def build_slo_report(scale: str = "default", seed: int = 7) -> Dict[str, object]
         )
 
     validation: List[Dict[str, object]] = []
-    live_schedule = [
-        (t, user, [("poi", category)]) for t, user, category in schedule
-    ]
-    for rtt, max_wait in (_POINTS[i] for i in validate_points):
+    for index in validate_points:
+        rtt, max_wait = _POINTS[index]
         config = _point_config(rtt, max_wait)
-        predicted = GatewaySimulation(
-            csp.policy, config, times=_LIVE_TIMES
-        ).run(schedule)
-        live_csp = _make_csp(n_users)
-        __, stats = run_gateway_scheduled(live_csp, live_schedule, config)
-        measured = (
-            (stats.shed + stats.throttled) / stats.submitted
-            if stats.submitted
-            else 0.0
-        )
+        virtual = static_runs[index]
+        __, stats = run_gateway_scheduled(_make_csp(n_users), requests, config)
+        measured = _shed_rate(stats)
         error: Optional[float] = (
-            abs(predicted.shed_rate - measured) / measured
-            if measured
-            else None
+            abs(_shed_rate(virtual) - measured) / measured if measured else None
         )
         validation.append(
             {
                 "rtt": rtt,
                 "max_wait": max_wait,
-                "predicted_shed_rate": predicted.shed_rate,
+                "virtual_shed_rate": _shed_rate(virtual),
                 "measured_shed_rate": measured,
                 "relative_error": error,
                 "within_15pct": error is not None and error <= 0.15,
-                # Queue-pressure gauges, prediction vs measurement: what
-                # a fleet dispatcher would use to size per-worker queues.
-                "predicted_queue_depth_high_water": (
-                    predicted.queue_depth_high_water
+                # Queue-pressure gauges, virtual vs wall clock: what a
+                # fleet dispatcher would use to size per-worker queues.
+                "virtual_queue_depth_high_water": (
+                    virtual.queue_depth_high_water
                 ),
                 "measured_queue_depth_high_water": (
                     stats.queue_depth_high_water
@@ -277,7 +290,6 @@ def build_slo_report(scale: str = "default", seed: int = 7) -> Dict[str, object]
                 "measured_inflight_high_water": stats.inflight_high_water,
             }
         )
-
     return {
         "scale": scale,
         "seed": seed,
@@ -315,7 +327,8 @@ def render_slo_report(report: Dict[str, object]) -> str:
     )
     lines.append("")
     lines.append(
-        "-- capacity sweep (DES, static vs adaptive admission, "
+        "-- capacity sweep (gateway on virtual time, static vs adaptive "
+        "admission, "
         f"RTT SLO {1e3 * report['rtt_slo']:.0f} ms) --"
     )
     for point in report["capacity_sweep"]:
@@ -338,20 +351,20 @@ def render_slo_report(report: Dict[str, object]) -> str:
         f"{invariant['adaptive_subset_of_static']}"
     )
     lines.append("")
-    lines.append("-- cross-validation (DES prediction vs live gateway) --")
+    lines.append("-- cross-validation (virtual time vs wall clock) --")
     within = 0
     for point in report["cross_validation"]:
         error = point["relative_error"]
         error_text = f"{error:.1%}" if error is not None else "n/a"
         lines.append(
-            f"rtt={point['rtt']:g}s: predicted shed "
-            f"{point['predicted_shed_rate']:.1%}, measured "
+            f"rtt={point['rtt']:g}s: virtual shed "
+            f"{point['virtual_shed_rate']:.1%}, measured "
             f"{point['measured_shed_rate']:.1%}, error {error_text} "
             f"({'within' if point['within_15pct'] else 'outside'} 15%)"
         )
         lines.append(
-            f"  queue depth high-water: predicted "
-            f"{point['predicted_queue_depth_high_water']}, measured "
+            f"  queue depth high-water: virtual "
+            f"{point['virtual_queue_depth_high_water']}, measured "
             f"{point['measured_queue_depth_high_water']} "
             f"(inflight high-water "
             f"{point['measured_inflight_high_water']})"

@@ -18,8 +18,6 @@ from .pipeline import (
 )
 from .poi import POI, POIDatabase, generate_pois
 from .simulation import (
-    GatewaySimulation,
-    GatewaySimulationReport,
     LBSSimulation,
     ServiceTimes,
     SimulationReport,
@@ -32,8 +30,6 @@ __all__ = [
     "AsyncAnswerCache",
     "CSP",
     "CacheStats",
-    "GatewaySimulation",
-    "GatewaySimulationReport",
     "PreparedRequest",
     "LBSProvider",
     "LocationDatabase",

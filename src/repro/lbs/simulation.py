@@ -43,8 +43,6 @@ if TYPE_CHECKING:  # runtime import happens lazily in the constructor
     from ..trajectory.constraint import ContinuityConstraint
 
 __all__ = [
-    "GatewaySimulation",
-    "GatewaySimulationReport",
     "LBSSimulation",
     "ServiceTimes",
     "SimulationReport",
@@ -638,7 +636,7 @@ class LBSSimulation:
                 report.provider_retries += 1
 
 
-# -- gateway-aware DES ---------------------------------------------------------
+# -- arrival schedules ---------------------------------------------------------
 
 
 def poisson_schedule(
@@ -650,12 +648,10 @@ def poisson_schedule(
 ) -> List[Tuple[float, str, str]]:
     """A deterministic Poisson arrival schedule: (time, user, category).
 
-    One schedule, two consumers: :class:`GatewaySimulation` replays it
-    under virtual time and
-    :func:`repro.serving.gateway.serve_scheduled` replays it against the
-    real event loop — feeding both the *same* arrivals is what makes
-    the DES's capacity predictions falsifiable against ``bench_gateway``
-    measurements instead of merely plausible.
+    Map each entry to ``(time, user, [("poi", category)])`` and
+    :func:`repro.serving.gateway.serve_scheduled` replays it through the
+    real gateway — on a :class:`~repro.robustness.aio.VirtualTimeLoop`
+    for capacity sweeps, on the wall-clock loop to measure them.
     """
     if rate_per_user <= 0:
         raise WorkloadError("rate_per_user must be > 0")
@@ -673,329 +669,3 @@ def poisson_schedule(
         schedule.append((t, user, category))
         t += float(rng.exponential(1.0 / global_rate))
     return schedule
-
-
-@dataclass
-class GatewaySimulationReport:
-    """Predicted serving outcome of one simulated gateway run.
-
-    Field names deliberately mirror
-    :class:`repro.serving.gateway.GatewayStats` so a cross-validation
-    can diff prediction against measurement counter by counter.
-    """
-
-    duration: float
-    submitted: int = 0
-    served: int = 0
-    #: shed before queueing (fail-closed), total and by cause.
-    shed: int = 0
-    shed_high_water: int = 0
-    shed_adaptive: int = 0
-    shed_breaker: int = 0
-    throttled: int = 0
-    #: admitted but failed past admission (provider round errors).
-    errors: int = 0
-    cache_hits: int = 0
-    coalesced: int = 0
-    provider_queries: int = 0
-    provider_rounds: int = 0
-    #: predicted high-water mark of queued-but-unfinished requests —
-    #: mirrors ``GatewayStats.queue_depth_high_water`` so capacity plans
-    #: can size per-worker queues before a fleet exists.
-    queue_depth_high_water: int = 0
-    latencies: List[float] = field(repr=False, default_factory=list)
-
-    @property
-    def availability(self) -> float:
-        done = self.served + self.shed + self.throttled + self.errors
-        return self.served / done if done else 1.0
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of submissions refused at admission (all causes)."""
-        if not self.submitted:
-            return 0.0
-        return (self.shed + self.throttled) / self.submitted
-
-    @property
-    def shed_by_cause(self) -> Dict[str, int]:
-        return {
-            "high_water": self.shed_high_water,
-            "adaptive": self.shed_adaptive,
-            "breaker": self.shed_breaker,
-            "throttle": self.throttled,
-        }
-
-    def latency_percentile(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(self.latencies, q))
-
-    @property
-    def mean_latency(self) -> float:
-        return float(np.mean(self.latencies)) if self.latencies else 0.0
-
-    def slo_summary(self) -> str:
-        """Human-readable SLO block with attributable shed causes."""
-        lines = [
-            f"submitted {self.submitted}, served {self.served} "
-            f"(availability {self.availability:.1%}), mean latency "
-            f"{1e3 * self.mean_latency:.2f} ms, p99 "
-            f"{1e3 * self.latency_percentile(99):.2f} ms",
-            f"provider: {self.provider_rounds} rounds carrying "
-            f"{self.provider_queries} queries, {self.cache_hits} cache "
-            f"hits, {self.coalesced} coalesced",
-            f"queue depth high-water {self.queue_depth_high_water}",
-        ]
-        causes = ", ".join(
-            f"{cause}={count}"
-            for cause, count in self.shed_by_cause.items()
-            if count
-        )
-        if causes:
-            lines.append(
-                f"shed {self.shed + self.throttled}/{self.submitted} "
-                f"({self.shed_rate:.1%}) by cause: {causes}"
-            )
-        if self.errors:
-            lines.append(f"errors past admission: {self.errors}")
-        return "\n".join(lines)
-
-
-# Gateway-DES event kinds: round completions free pool slots and pending
-# counts before a same-instant flush or arrival observes them.
-_G_ROUND, _G_FLUSH, _G_ARRIVAL = 0, 1, 2
-
-
-class GatewaySimulation:
-    """Virtual-time twin of :class:`repro.serving.gateway.AsyncGateway`.
-
-    Replays an arrival schedule through a model of the gateway's
-    admission and amortization machinery so capacity sweeps over
-    admission knobs run in milliseconds of wall time.  The *decision
-    logic* is not re-modelled where it matters: the
-    :class:`~repro.serving.admission.AdmissionController` stepped here
-    is the very class the live gateway runs, and the circuit breaker is
-    the real :class:`~repro.robustness.retry.CircuitBreaker` re-clocked
-    onto virtual time — only the event loop and the wire are simulated.
-
-    Mirrored semantics, in gateway order: static queue high-water shed →
-    breaker-open shed (controller mode) → adaptive AIMD limit shed →
-    per-user token bucket throttle → answer cache (single-flight: later
-    arrivals for an in-flight key coalesce onto its round) → coalescing
-    batch window (``max_batch`` distinct keys or ``max_wait`` seconds)
-    → pooled provider rounds (``pool_size`` concurrent, one RTT each).
-
-    Deliberately not modelled: the ``max_inflight`` semaphore (size the
-    operating point so ``queue_high_water ≤ max_inflight`` and it never
-    binds — the validator enforces this) and retry scheduling (rounds
-    fail atomically via ``fail_rounds``, charging the breaker exactly
-    one failure, like the gateway's round-level retry wrapper).
-    """
-
-    def __init__(
-        self,
-        policy,
-        config,
-        *,
-        times: Optional[ServiceTimes] = None,
-        admission=None,
-        breaker=None,
-        fail_rounds: Tuple[int, ...] = (),
-        use_cache: bool = True,
-    ):
-        from ..robustness.retry import ManualClock
-
-        config.validate()
-        if config.queue_high_water > config.max_inflight:
-            raise WorkloadError(
-                "the gateway DES does not model the inflight semaphore: "
-                f"queue_high_water ({config.queue_high_water}) must be "
-                f"≤ max_inflight ({config.max_inflight}) so it never binds"
-            )
-        if admission is not None and (
-            admission.static_high_water != config.queue_high_water
-        ):
-            raise WorkloadError(
-                "admission controller static high-water "
-                f"({admission.static_high_water}) must equal the config's "
-                f"queue_high_water ({config.queue_high_water})"
-            )
-        self.policy = policy
-        self.config = config
-        self.times = times or ServiceTimes()
-        self.times.validate()
-        self.admission = admission
-        self.clock = ManualClock()
-        self.breaker = breaker
-        if breaker is not None:
-            # Re-clock the real breaker onto virtual time: its open →
-            # half-open transitions then happen at simulated instants.
-            breaker.clock = self.clock
-        #: 0-based provider round indexes that fail (chaos injection).
-        self.fail_rounds = frozenset(int(r) for r in fail_rounds)
-        self.use_cache = use_cache
-
-    def run(
-        self, schedule: List[Tuple[float, str, str]]
-    ) -> GatewaySimulationReport:
-        """Replay one arrival schedule; returns the predicted outcome."""
-        if not schedule:
-            raise WorkloadError("schedule must contain at least one arrival")
-        config = self.config
-        times = self.times
-        events: List[Tuple[float, int, int, object]] = []
-        serial = 0
-
-        def push(t: float, kind: int, payload: object = None) -> None:
-            nonlocal serial
-            heapq.heappush(events, (t, kind, serial, payload))
-            serial += 1
-
-        for arrival, user, category in schedule:
-            push(float(arrival), _G_ARRIVAL, (str(user), str(category)))
-
-        duration = max(arrival for arrival, __, ___ in schedule)
-        report = GatewaySimulationReport(duration=duration)
-        pending = 0
-        cache: Dict[object, bool] = {}
-        #: key → arrival times waiting on an already-flushed round.
-        inflight: Dict[object, List[float]] = {}
-        #: the open batch window: key → arrival times.
-        window: Dict[object, List[float]] = {}
-        window_generation = 0
-        busy_rounds = 0
-        round_index = 0
-        #: flushed batches waiting for a pool slot.
-        ready: List[Tuple[Dict[object, List[float]], float]] = []
-        buckets: Dict[str, Tuple[float, float]] = {}
-
-        def start_round(
-            batch: Dict[object, List[float]], now: float
-        ) -> None:
-            nonlocal busy_rounds, round_index
-            busy_rounds += 1
-            failed = round_index in self.fail_rounds
-            round_index += 1
-            rtt_cost = config.rtt + len(batch) * times.lbs_query
-            push(now + rtt_cost, _G_ROUND, (batch, now, failed))
-
-        def flush(now: float) -> None:
-            nonlocal window, window_generation
-            if not window:
-                return
-            batch, window = window, {}
-            window_generation += 1
-            for key in batch:
-                inflight[key] = batch[key]
-            if busy_rounds < config.pool_size:
-                start_round(batch, now)
-            else:
-                ready.append((batch, now))
-
-        while events:
-            now, kind, __, payload = heapq.heappop(events)
-            self.clock.now = max(self.clock.now, now)
-
-            if kind == _G_ROUND:
-                batch, started, failed = payload
-                busy_rounds -= 1
-                report.provider_rounds += 1
-                report.provider_queries += len(batch)
-                if self.breaker is not None:
-                    if failed:
-                        self.breaker.record_failure()
-                    else:
-                        self.breaker.record_success()
-                if self.admission is not None:
-                    self.admission.observe_round(
-                        now - started,
-                        failed=failed,
-                        breaker_open=self.breaker is not None
-                        and self.breaker.state != "closed",
-                    )
-                for key, arrivals in batch.items():
-                    inflight.pop(key, None)
-                    if failed:
-                        report.errors += len(arrivals)
-                        pending -= len(arrivals)
-                        continue
-                    if self.use_cache:
-                        cache[key] = True
-                    for arrival in arrivals:
-                        report.served += 1
-                        report.latencies.append(now - arrival)
-                        pending -= 1
-                if ready:
-                    batch, __ = ready.pop(0)
-                    start_round(batch, now)
-                continue
-
-            if kind == _G_FLUSH:
-                if payload == window_generation:
-                    flush(now)
-                continue
-
-            # Arrival.
-            user, category = payload
-            report.submitted += 1
-            if pending >= config.queue_high_water:
-                report.shed += 1
-                report.shed_high_water += 1
-                continue
-            if self.admission is not None:
-                if (
-                    self.breaker is not None
-                    and self.breaker.state == "open"
-                ):
-                    report.shed += 1
-                    report.shed_breaker += 1
-                    continue
-                if not self.admission.admit(pending):
-                    report.shed += 1
-                    report.shed_adaptive += 1
-                    continue
-            if config.rate_per_user != float("inf"):
-                tokens, stamp = buckets.get(
-                    user, (config.burst_per_user, now)
-                )
-                tokens = min(
-                    config.burst_per_user,
-                    tokens + (now - stamp) * config.rate_per_user,
-                )
-                if tokens < 1.0:
-                    buckets[user] = (tokens, now)
-                    report.throttled += 1
-                    continue
-                buckets[user] = (tokens - 1.0, now)
-            pending += 1
-            if pending > report.queue_depth_high_water:
-                report.queue_depth_high_water = pending
-            key = (self.policy.cloak_for(user), category)
-            base = times.cloak_lookup
-            if self.use_cache:
-                base += times.cache_lookup
-                if cache.get(key):
-                    report.cache_hits += 1
-                    report.served += 1
-                    report.latencies.append(base)
-                    pending -= 1
-                    continue
-            if key in inflight:
-                inflight[key].append(now)
-                report.coalesced += 1
-                continue
-            if key in window:
-                window[key].append(now)
-                report.coalesced += 1
-                continue
-            window[key] = [now]
-            if len(window) >= config.max_batch:
-                flush(now)
-            elif len(window) == 1:
-                push(now + config.max_wait, _G_FLUSH, window_generation)
-
-        # No post-loop drain is needed: every open window holds a live
-        # _G_FLUSH event and every started round a _G_ROUND event, so an
-        # empty heap means window, ready queue, and pool are all drained.
-        return report

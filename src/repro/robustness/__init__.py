@@ -7,6 +7,7 @@ from .aio import (
     AsyncClock,
     LoopClock,
     VirtualClock,
+    VirtualTimeLoop,
     breaker_clock,
     retry_call_async,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "RetryPolicy",
     "SystemClock",
     "VirtualClock",
+    "VirtualTimeLoop",
     "breaker_clock",
     "destroy_replica",
     "flat_structure_digest",

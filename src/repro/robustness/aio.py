@@ -12,6 +12,11 @@ under the same budgets:
   loop's clock; :class:`VirtualClock` advances simulated time instantly
   (tests and benches stay wall-clock free, exactly like
   :class:`~repro.robustness.retry.ManualClock`).
+* :class:`VirtualTimeLoop` — a whole event loop on virtual time: every
+  ``asyncio.sleep``/``call_later`` in unmodified production code
+  (provider RTTs, batch windows, token buckets) fires in order, but an
+  idle loop jumps straight to its next timer instead of waiting.
+  Capacity sweeps run the real gateway on it.
 * :func:`retry_call_async` — :func:`~repro.robustness.retry.retry_call`
   for coroutines.  It reuses the *same* :class:`RetryPolicy` (delays are
   bit-identical, deterministic jitter included) and the *same*
@@ -30,7 +35,8 @@ oracle and the async gateway count against the same threshold.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Optional, Tuple, Type
+import selectors
+from typing import Any, Awaitable, Callable, Optional, Tuple, Type, TypeVar
 
 from ..core.errors import (
     CircuitOpenError,
@@ -43,6 +49,7 @@ __all__ = [
     "AsyncClock",
     "LoopClock",
     "VirtualClock",
+    "VirtualTimeLoop",
     "breaker_clock",
     "retry_call_async",
 ]
@@ -95,6 +102,63 @@ class VirtualClock(AsyncClock):
     def advance(self, seconds: float) -> None:
         """Move time forward without counting it as backoff."""
         self.now += seconds
+
+
+_T = TypeVar("_T")
+
+
+class _VirtualSelector(selectors.DefaultSelector):
+    """The OS selector, polled without blocking; an idle wait becomes a
+    jump of the virtual clock ``now`` by the loop's own timeout (the
+    distance to its next timer)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.now = 0.0
+
+    def select(self, timeout: Optional[float] = None) -> Any:
+        ready = super().select(0)
+        if ready or timeout == 0:
+            return ready
+        if timeout is None:
+            raise ReproError(
+                "virtual-time loop is idle with no timer pending: every "
+                "task waits on something only another thread could do"
+            )
+        self.now += timeout
+        return ready
+
+
+class VirtualTimeLoop(asyncio.SelectorEventLoop):
+    """An asyncio event loop whose clock is virtual seconds.
+
+    ``time()`` starts at 0 and moves only while the loop is idle:
+    ready callbacks and I/O run first, then time jumps to the next timer.
+    So code that waits with ``asyncio.sleep``/``call_later`` and reads
+    the loop clock (:class:`LoopClock`) runs unchanged, in schedule
+    order, with no wall-clock waiting — and reruns are identical.  An
+    idle loop with no timers can never wake, so it raises
+    :class:`~repro.core.errors.ReproError` instead of spinning.  Work
+    handed to other threads (executors) does not advance the clock.
+    """
+
+    def __init__(self) -> None:
+        self._virtual = _VirtualSelector()
+        super().__init__(self._virtual)
+
+    def time(self) -> float:
+        return self._virtual.now
+
+    def run(self, main: Awaitable[_T]) -> _T:
+        """Run ``main`` to completion and close the loop — ``asyncio.run``
+        for this loop (``asyncio.Runner``'s ``loop_factory`` is 3.11+)."""
+        try:
+            return self.run_until_complete(main)
+        finally:
+            try:
+                self.run_until_complete(self.shutdown_asyncgens())
+            finally:
+                self.close()
 
 
 class _BreakerClock(Clock):

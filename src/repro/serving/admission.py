@@ -22,10 +22,10 @@ construction*, not by tuning:
     admitted too.
 
 The controller is deliberately synchronous, allocation-free plain
-arithmetic: the DES (:class:`repro.lbs.simulation.GatewaySimulation`)
-steps the identical object under virtual time to tune the knobs
-offline, and the live gateway then runs the very same class — what was
-simulated is what ships.
+arithmetic, stepped from the gateway's provider-round wrapper.  Capacity
+sweeps run that same gateway on a
+:class:`~repro.robustness.aio.VirtualTimeLoop` to tune the knobs
+offline, so what was simulated is what ships.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class AdmissionController:
     ``queue_high_water``; the dynamic limit starts there and lives in
     ``[min_limit, static_high_water]`` forever after.  Feed it one
     :meth:`observe_round` per completed provider round (the gateway
-    does this from its round wrapper; the DES does it from virtual
-    time), then gate submissions on :meth:`admit`.
+    does this from its round wrapper, on wall-clock or virtual time),
+    then gate submissions on :meth:`admit`.
     """
 
     def __init__(

@@ -228,6 +228,7 @@ def merge_gateway_stats(a: GatewayStats, b: GatewayStats) -> GatewayStats:
             a.queue_depth_high_water, b.queue_depth_high_water
         ),
         inflight_high_water=max(a.inflight_high_water, b.inflight_high_water),
+        latencies=a.latencies + b.latencies,
     )
 
 

@@ -141,6 +141,9 @@ class GatewayStats:
     #: high-water mark of requests concurrently past the in-flight
     #: semaphore (how much of ``max_inflight`` was actually used).
     inflight_high_water: int = 0
+    #: loop-clock seconds from arrival to answer of each served request,
+    #: in completion order (recorded by :func:`serve_scheduled`).
+    latencies: List[float] = field(default_factory=list, repr=False)
 
     @property
     def queries_per_request(self) -> float:
@@ -458,19 +461,28 @@ async def serve_scheduled(
     """Submit a timed workload: each ``(arrival, user_id, payload)`` is
     submitted at its arrival offset (seconds from the first submission).
 
-    This is the live twin of the DES's arrival schedule — replaying the
-    *same* schedule here and in
-    :class:`~repro.lbs.simulation.GatewaySimulation` is what makes the
-    offline capacity model falsifiable against the real event loop.
+    Each served request's latency, read on the loop clock, is appended
+    to ``gateway.stats.latencies``.  On a
+    :class:`~repro.robustness.aio.VirtualTimeLoop` this is the capacity
+    model: the production gateway replays the schedule on virtual time,
+    and the same schedule on the wall-clock loop measures it.
     """
     loop = asyncio.get_running_loop()
+    latencies = gateway.stats.latencies
+
+    async def timed(user_id: str, payload: Any) -> "ServedRequest":
+        arrived = loop.time()
+        served = await gateway.submit(user_id, payload)
+        latencies.append(loop.time() - arrived)
+        return served
+
     start = loop.time()
     tasks: List[asyncio.Future] = []
     for arrival, user_id, payload in schedule:
         delay = start + arrival - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        tasks.append(asyncio.ensure_future(gateway.submit(user_id, payload)))
+        tasks.append(asyncio.ensure_future(timed(user_id, payload)))
     results = await asyncio.gather(*tasks, return_exceptions=True)
     await gateway.close()
     return list(results)
@@ -503,8 +515,8 @@ def run_gateway(
     """Sync façade: run a workload through a fresh gateway to completion.
 
     Builds the gateway, drives the event loop, and returns
-    ``(results, stats)`` — the entry point for benches, the DES, and any
-    caller that is not already inside an event loop
+    ``(results, stats)`` — the entry point for benches and any caller
+    that is not already inside an event loop
     (:meth:`repro.lbs.pipeline.CSP.serve_async` delegates here).
     """
     gateway = AsyncGateway(csp, config, admission=admission)

@@ -561,6 +561,9 @@ class EpochManager:
         takes the serving lock.  Every failure mode leaves the prior
         epoch intact and staleness grown:
 
+        * moves the shadow can never apply (unknown user, off the map)
+          → dropped with one ``"invalid-move"`` event, and the rest of
+          the batch repairs and swaps as usual;
         * injected/raised repair fault → batch restored to the
           accumulator (no movement lost), no promote;
         * quorum-failed journal commit → repair kept on the shadow but
@@ -575,7 +578,7 @@ class EpochManager:
             with self._lock:
                 self._world_serial += 1
                 serial = self._world_serial
-            batch = self.accumulator.drain()
+            batch = self._applicable(self.accumulator.drain())
             started = time.perf_counter()
             if self.injector is not None:
                 try:
@@ -621,6 +624,29 @@ class EpochManager:
             )
             self.swaps.append(swap)
             return swap
+
+    def _applicable(self, batch: Dict[str, Point]) -> Dict[str, Point]:
+        """``batch`` without the moves no repair can ever apply.
+
+        Re-queueing such a move would fail every later repair too, so it
+        is dropped here, before the shadow is touched, with one event
+        naming the users."""
+        users = self._shadow.tree.user_row
+        bad = [
+            uid for uid, point in batch.items()
+            if uid not in users or not self.region.contains(point)
+        ]
+        if not bad:
+            return batch
+        self.events.append(
+            DegradationEvent(
+                level="rejected",
+                reason="invalid-move",
+                detail=f"dropped moves of unknown or off-map users: {bad!r}",
+            )
+        )
+        dropped = set(bad)
+        return {uid: p for uid, p in batch.items() if uid not in dropped}
 
     def _swap_failed(
         self, serial: int, batch: Mapping[str, Point], reason: str,

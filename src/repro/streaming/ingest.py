@@ -8,7 +8,9 @@ two swaps cost exactly one dirty leaf.  :meth:`DirtyAccumulator.drain`
 hands the batch to the shadow repair atomically; if that repair fails
 (injected fault, tree error) :meth:`DirtyAccumulator.restore` puts the
 batch back without clobbering anything newer that arrived meanwhile, so
-no movement is ever silently dropped while staleness grows.
+no movement is ever silently dropped while staleness grows.  (Moves no
+repair can ever apply — unknown users, off-map points — are dropped
+by the epoch manager before the repair, with an event.)
 """
 
 from __future__ import annotations

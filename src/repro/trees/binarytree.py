@@ -339,8 +339,11 @@ class BinaryTree:
         count or structure changed (ancestors of any change included),
         i.e. exactly the nodes whose DP entries must be recomputed.
         Removed nodes are not reported — they no longer exist.
+
+        The batch is atomic: a move of an unknown or off-map user raises
+        :class:`TreeError` before any user has moved.
         """
-        dirty: Set[int] = set()
+        rows = []
         for user_id, new_point in moves.items():
             row = self.user_row.get(str(user_id))
             if row is None:
@@ -349,6 +352,9 @@ class BinaryTree:
                 raise TreeError(
                     f"user {user_id!r} moved outside the map: {new_point}"
                 )
+            rows.append((row, new_point))
+        dirty: Set[int] = set()
+        for row, new_point in rows:
             old_leaf = self._leaf_of[row]
             old_leaf.point_index.discard(row)
             for node in old_leaf.path_to_root():

@@ -11,14 +11,23 @@ from repro.data import uniform_users
 from repro.lbs.pipeline import CSP
 from repro.lbs.poi import generate_pois
 from repro.lbs.provider import LBSProvider
-from repro.lbs.simulation import (
-    GatewaySimulation,
-    ServiceTimes,
-    poisson_schedule,
+from repro.lbs.simulation import poisson_schedule
+from repro.robustness import (
+    FaultInjector,
+    FaultPlan,
+    FaultRule,
+    LoopClock,
+    VirtualTimeLoop,
+    breaker_clock,
 )
 from repro.robustness.retry import CircuitBreaker, ManualClock
 from repro.serving.admission import AdmissionConfig, AdmissionController
-from repro.serving.gateway import AsyncGateway, GatewayConfig, run_gateway
+from repro.serving.gateway import (
+    AsyncGateway,
+    GatewayConfig,
+    run_gateway,
+    serve_scheduled,
+)
 
 REGION = Rect(0, 0, 4096, 4096)
 K = 8
@@ -30,6 +39,15 @@ def make_csp(n_users=120, seed=5, **kwargs):
         generate_pois(REGION, {"rest": 40, "groc": 30}, seed=3)
     )
     return CSP(REGION, K, db, provider, **kwargs)
+
+
+def run_virtual(csp, config, schedule, admission=None):
+    """Replay ``(time, user, category)`` arrivals through the real
+    gateway on virtual time; returns its stats."""
+    gateway = AsyncGateway(csp, config, admission=admission)
+    requests = [(t, user, [("poi", cat)]) for t, user, cat in schedule]
+    VirtualTimeLoop().run(serve_scheduled(gateway, requests))
+    return gateway.stats
 
 
 # One observation of one provider round, as hypothesis generates them.
@@ -208,17 +226,14 @@ class TestGatewayIntegration:
 
 class TestControllerInDES:
     def test_des_adaptive_contained_in_static(self):
-        """Replay one schedule twice through the DES — static-only and
-        controller-mode — and check the controller only ever refuses
-        MORE: every adaptive-admitted arrival count stays within the
-        static run's, and adaptive sheds are attributed."""
-        csp = make_csp(n_users=200)
-        users = csp.anonymizer.current_db.user_ids()
+        """Replay one schedule twice through the gateway on virtual
+        time — static-only and controller-mode — and check the
+        controller only ever refuses MORE: every adaptive-admitted
+        arrival count stays within the static run's, and adaptive sheds
+        are attributed."""
+        users = make_csp(n_users=200).anonymizer.current_db.user_ids()
         schedule = poisson_schedule(
             users, rate_per_user=8.0, duration=1.0, seed=3
-        )
-        times = ServiceTimes(
-            cloak_lookup=0.00005, lbs_query=0.00005, cache_lookup=0.00002
         )
         config = GatewayConfig(
             queue_high_water=8,
@@ -228,15 +243,13 @@ class TestControllerInDES:
             max_batch=8,
             pool_size=2,
         )
-        static = GatewaySimulation(csp.policy, config, times=times).run(
-            schedule
-        )
+        static = run_virtual(make_csp(n_users=200), config, schedule)
         controller = AdmissionController(
             8, AdmissionConfig(rtt_target=0.04, ewma_alpha=0.5)
         )
-        adaptive = GatewaySimulation(
-            csp.policy, config, times=times, admission=controller
-        ).run(schedule)
+        adaptive = run_virtual(
+            make_csp(n_users=200), config, schedule, controller
+        )
         assert adaptive.submitted == static.submitted
         assert adaptive.served <= static.served
         assert adaptive.shed + adaptive.throttled >= (
@@ -247,8 +260,7 @@ class TestControllerInDES:
         assert controller.high_water <= 8
 
     def test_des_breaker_sheds_with_cause(self):
-        csp = make_csp(n_users=200)
-        users = csp.anonymizer.current_db.user_ids()
+        users = make_csp(n_users=200).anonymizer.current_db.user_ids()
         schedule = poisson_schedule(
             users, rate_per_user=8.0, duration=1.0, seed=4
         )
@@ -260,17 +272,21 @@ class TestControllerInDES:
             max_batch=8,
             pool_size=2,
         )
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=30.0)
-        controller = AdmissionController(32)
-        sim = GatewaySimulation(
-            csp.policy,
-            config,
-            admission=controller,
-            breaker=breaker,
-            fail_rounds=(0,),  # first round fails → breaker opens
+        breaker = CircuitBreaker(
+            failure_threshold=1,
+            reset_timeout=30.0,
+            clock=breaker_clock(LoopClock()),
         )
-        report = sim.run(schedule)
+        # The first round carries request 1, so it fails → breaker opens.
+        injector = FaultInjector(
+            FaultPlan(rules=(FaultRule("provider", "error", match="1"),))
+        )
+        csp = make_csp(
+            n_users=200, circuit_breaker=breaker, injector=injector
+        )
+        report = run_virtual(
+            csp, config, schedule, AdmissionController(32)
+        )
         assert report.errors > 0  # the failed round's waiters
         assert report.shed_breaker > 0  # arrivals during the open window
         assert report.shed_by_cause["breaker"] == report.shed_breaker
-        assert "breaker" in report.slo_summary()

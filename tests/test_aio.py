@@ -1,5 +1,5 @@
-"""Async robustness primitives: retry/backoff port, clocks, and the
-single-flight answer cache.
+"""Async robustness primitives: retry/backoff port, clocks, the
+virtual-time event loop, and the single-flight answer cache.
 
 The async ports must be semantically identical to their sync twins —
 same policies, same delays (deterministic jitter included), shareable
@@ -8,6 +8,7 @@ the gateway overlaps I/O.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.robustness import (
     ManualClock,
     RetryPolicy,
     VirtualClock,
+    VirtualTimeLoop,
     breaker_clock,
     retry_call,
     retry_call_async,
@@ -79,6 +81,108 @@ class TestVirtualClock:
         assert sync_view.monotonic() == 3.0
         with pytest.raises(ReproError):
             sync_view.sleep(1.0)
+
+
+class TestVirtualTimeLoop:
+    def test_an_hour_of_sleep_takes_no_wall_time(self):
+        async def nap():
+            await asyncio.sleep(3600)
+            return asyncio.get_running_loop().time()
+
+        started = time.perf_counter()
+        assert VirtualTimeLoop().run(nap()) == 3600
+        assert time.perf_counter() - started < 1.0
+
+    def test_time_advances_only_while_idle(self):
+        seen = []
+
+        async def busy():
+            loop = asyncio.get_running_loop()
+            loop.call_later(5.0, lambda: seen.append(("timer", loop.time())))
+            for __ in range(50):
+                seen.append(("busy", loop.time()))
+                await asyncio.sleep(0)  # ready again: no idle gap
+            await asyncio.sleep(10.0)
+            return loop.time()
+
+        assert VirtualTimeLoop().run(busy()) == 10.0
+        assert seen[:50] == [("busy", 0.0)] * 50
+        assert seen[50:] == [("timer", 5.0)]
+
+    def test_idle_loop_without_timers_raises(self):
+        async def forever():
+            await asyncio.get_running_loop().create_future()
+
+        with pytest.raises(ReproError, match="idle"):
+            VirtualTimeLoop().run(forever())
+
+
+class TestGatewayOnVirtualTime:
+    """The production gateway on a virtual-time loop is the capacity
+    model: reruns agree exactly and every cloak is the policy's."""
+
+    def _csp(self):
+        from repro import Rect
+        from repro.data import uniform_users
+        from repro.lbs import CSP, LBSProvider, generate_pois
+
+        region = Rect(0, 0, 4096, 4096)
+        provider = LBSProvider(
+            generate_pois(region, {"rest": 40, "groc": 30}, seed=3)
+        )
+        return CSP(region, 8, uniform_users(150, region, seed=5), provider)
+
+    def _run(self, schedule):
+        from repro.serving.gateway import (
+            AsyncGateway,
+            GatewayConfig,
+            serve_scheduled,
+        )
+
+        csp = self._csp()
+        config = GatewayConfig(
+            queue_high_water=8, rtt=0.05, max_wait=0.008,
+            max_batch=8, pool_size=2,
+        )
+        gateway = AsyncGateway(csp, config)
+        results = VirtualTimeLoop().run(serve_scheduled(gateway, schedule))
+        return csp, results, gateway.stats
+
+    def _schedule(self):
+        from repro.lbs import poisson_schedule
+
+        users = self._csp().anonymizer.current_db.user_ids()
+        return [
+            (t, user, [("poi", category)])
+            for t, user, category in poisson_schedule(
+                users, 8.0, 0.5, categories=("rest", "groc"), seed=7
+            )
+        ]
+
+    @staticmethod
+    def _outcome(result):
+        if isinstance(result, BaseException):
+            return (type(result).__name__, getattr(result, "reason", None))
+        return result
+
+    def test_reruns_agree_exactly(self):
+        schedule = self._schedule()
+        __, first, first_stats = self._run(schedule)
+        __, second, second_stats = self._run(schedule)
+        assert first_stats == second_stats
+        assert first_stats.shed > 0 and first_stats.served > 0
+        assert [self._outcome(r) for r in first] == [
+            self._outcome(r) for r in second
+        ]
+
+    def test_served_cloaks_are_the_policys(self):
+        schedule = self._schedule()
+        csp, results, stats = self._run(schedule)
+        served = [r for r in results if not isinstance(r, BaseException)]
+        assert len(served) == stats.served > 0
+        for result in served:
+            user = result.request.user_id
+            assert result.anonymized.cloak == csp.policy.cloak_for(user)
 
 
 class TestRetryCallAsync:

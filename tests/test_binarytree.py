@@ -169,6 +169,27 @@ class TestMoves:
         with pytest.raises(TreeError, match="unknown"):
             tree.apply_moves({"ghost": Point(1, 1)})
 
+    def test_rejected_batch_moves_nobody(self, region):
+        """A bad move mid-batch must leave coords, counts and the
+        snapshot view exactly as they were — no half-applied batch."""
+        db = dense_db(region)
+        tree = BinaryTree.build(region, db, k=10)
+        coords = tree.coords.copy()
+        counts = {nid: node.count for nid, node in tree.nodes.items()}
+        snapshot = tree.db
+        first, second = db.user_ids()[:2]
+        moves = {
+            first: Point(63, 63),
+            "ghost": Point(1, 1),
+            second: Point(1, 63),
+        }
+        with pytest.raises(TreeError, match="unknown"):
+            tree.apply_moves(moves)
+        assert np.array_equal(tree.coords, coords)
+        assert {nid: node.count for nid, node in tree.nodes.items()} == counts
+        assert tree.db is snapshot
+        tree.check_invariants()
+
     def test_dirty_set_covers_both_paths(self, region):
         db = dense_db(region)
         tree = BinaryTree.build(region, db, k=10)

@@ -227,7 +227,7 @@ class TestProcessRestart:
 
 
 class TestGatewaySimulation:
-    """The virtual-time twin of the async gateway."""
+    """The real async gateway replaying a schedule on virtual time."""
 
     REGION = Rect(0, 0, 4096, 4096)
     K = 8
@@ -247,10 +247,20 @@ class TestGatewaySimulation:
         )
         return CSP(self.REGION, self.K, db, provider)
 
-    def times(self):
-        return ServiceTimes(
-            cloak_lookup=0.00005, lbs_query=0.00005, cache_lookup=0.00002
+    @staticmethod
+    def requests(schedule):
+        return [(t, user, [("poi", cat)]) for t, user, cat in schedule]
+
+    def run_virtual(self, config, schedule):
+        """A fresh CSP behind the real gateway, on virtual time."""
+        from repro.robustness import VirtualTimeLoop
+        from repro.serving.gateway import AsyncGateway, serve_scheduled
+
+        gateway = AsyncGateway(self.make(), config)
+        VirtualTimeLoop().run(
+            serve_scheduled(gateway, self.requests(schedule))
         )
+        return gateway.stats
 
     def test_schedule_is_deterministic(self):
         from repro.lbs import poisson_schedule
@@ -266,7 +276,7 @@ class TestGatewaySimulation:
             poisson_schedule(users, 0.0, 5.0)
 
     def test_run_is_deterministic(self):
-        from repro.lbs import GatewaySimulation, poisson_schedule
+        from repro.lbs import poisson_schedule
         from repro.serving.gateway import GatewayConfig
 
         csp = self.make()
@@ -277,18 +287,14 @@ class TestGatewaySimulation:
             queue_high_water=8, rtt=0.03, max_wait=0.005,
             max_batch=8, pool_size=2,
         )
-        first = GatewaySimulation(csp.policy, config, times=self.times()).run(
-            schedule
-        )
-        second = GatewaySimulation(csp.policy, config, times=self.times()).run(
-            schedule
-        )
+        first = self.run_virtual(config, schedule)
+        second = self.run_virtual(config, schedule)
         assert first.served == second.served
         assert first.shed_by_cause == second.shed_by_cause
         assert first.latencies == second.latencies
 
     def test_accounting_balances(self):
-        from repro.lbs import GatewaySimulation, poisson_schedule
+        from repro.lbs import poisson_schedule
         from repro.serving.gateway import GatewayConfig
 
         csp = self.make()
@@ -299,9 +305,7 @@ class TestGatewaySimulation:
             queue_high_water=8, rtt=0.03, max_wait=0.005,
             max_batch=8, pool_size=2,
         )
-        report = GatewaySimulation(
-            csp.policy, config, times=self.times()
-        ).run(schedule)
+        report = self.run_virtual(config, schedule)
         assert report.submitted == len(schedule)
         assert (
             report.submitted
@@ -319,12 +323,9 @@ class TestGatewaySimulation:
         assert 0 < report.provider_queries < report.served
         assert report.provider_rounds <= report.provider_queries
         assert len(report.latencies) == report.served
-        assert "shed" in report.slo_summary()
         assert report.queue_depth_high_water >= 1
-        assert "queue depth high-water" in report.slo_summary()
 
     def test_token_bucket_throttles_chatty_user(self):
-        from repro.lbs import GatewaySimulation
         from repro.serving.gateway import GatewayConfig
 
         csp = self.make()
@@ -339,19 +340,17 @@ class TestGatewaySimulation:
             rtt=0.01,
             max_wait=0.001,
         )
-        report = GatewaySimulation(
-            csp.policy, config, times=self.times()
-        ).run(schedule)
+        report = self.run_virtual(config, schedule)
         assert report.throttled >= 30
         assert report.shed_by_cause["throttle"] == report.throttled
 
     def test_des_within_15pct_of_live_gateway(self):
         """The acceptance cross-validation: replay one Poisson schedule
-        through the DES and the real event-loop gateway at three
-        operating points; the predicted shed rate must land within 15%
-        of the measured rate on at least two of them (one point may be
-        lost to wall-clock jitter on a loaded host)."""
-        from repro.lbs import GatewaySimulation, poisson_schedule
+        through the gateway on virtual time and on the wall-clock event
+        loop at three operating points; the virtual shed rate must land
+        within 15% of the measured rate on at least two of them (one
+        point may be lost to wall-clock jitter on a loaded host)."""
+        from repro.lbs import poisson_schedule
         from repro.serving.gateway import (
             GatewayConfig,
             run_gateway_scheduled,
@@ -370,20 +369,15 @@ class TestGatewaySimulation:
         within = 0
         observed = []
         for config in points:
-            predicted = GatewaySimulation(
-                csp.policy, config, times=self.times()
-            ).run(schedule)
-            live_csp = self.make()
-            live_schedule = [
-                (t, user, [("poi", cat)]) for t, user, cat in schedule
-            ]
+            virtual = self.run_virtual(config, schedule)
+            predicted = (virtual.shed + virtual.throttled) / virtual.submitted
             __, stats = run_gateway_scheduled(
-                live_csp, live_schedule, config
+                self.make(), self.requests(schedule), config
             )
             measured = (stats.shed + stats.throttled) / stats.submitted
             assert measured > 0.0, "operating point must actually shed"
-            error = abs(predicted.shed_rate - measured) / measured
-            observed.append((config.rtt, predicted.shed_rate, measured, error))
+            error = abs(predicted - measured) / measured
+            observed.append((config.rtt, predicted, measured, error))
             if error <= 0.15:
                 within += 1
-        assert within >= 2, f"DES disagreed with the live gateway: {observed}"
+        assert within >= 2, f"virtual run disagreed with the live gateway: {observed}"

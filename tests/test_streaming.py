@@ -303,6 +303,32 @@ class TestStalenessLadder:
         for uid, point in moves.items():
             assert manager.active.db.location_of(uid) == point
 
+    def test_invalid_moves_are_dropped_not_requeued(self, db):
+        """Moves no repair can apply (unknown user, off-map point) must
+        not block later swaps: they are dropped with one event naming
+        them, the rest of the batch repairs, and the next tick
+        promotes."""
+        manager = EpochManager(REGION, K, db)
+        mover, off_map = db.user_ids()[:2]
+        target = Point(10.0, 10.0)
+        first = manager.advance(
+            {"ghost": Point(1.0, 1.0), off_map: Point(-5.0, 1.0),
+             mover: target}
+        )
+        second = manager.advance(moves_for(db, 0.05))
+        assert second.promoted
+        assert first.promoted and first.moved_users == 1
+        assert manager.staleness == 0
+        assert manager.stats()["pending_moves"] == 0
+        assert manager.active.db.location_of(mover) == target
+        assert manager.active.db.location_of(off_map) == db.location_of(
+            off_map
+        )
+        dropped = [e for e in manager.events if e.reason == "invalid-move"]
+        assert len(dropped) == 1
+        assert "ghost" in dropped[0].detail and off_map in dropped[0].detail
+        assert_oracle_identical(manager)
+
     def test_rung_is_fixed_at_admission(self, db):
         """A request admitted fresh stays fresh even if swaps fail (and
         staleness grows) while it is in flight."""
