@@ -447,12 +447,12 @@ def solve_best_orientation(
 
     if pool is not None and engine == "flat":
         from ..trees.flat import FlatTree
-        from .flat_dp import solution_from_vecs, solve_arrays
+        from .flat_dp import rehydrate_solution, solve_arrays
 
         flats = [FlatTree.compile(t) for t in trees]
         futures = [pool.submit(solve_arrays, f, k, prune) for f in flats]
         candidates = [
-            solution_from_vecs(tree, flat, fut.result(), k, prune)
+            rehydrate_solution(tree, flat, fut.result(), k, prune)
             for tree, flat, fut in zip(trees, flats, futures)
         ]
     else:

@@ -24,21 +24,23 @@ at *which* points are where, only how many per node of what area), so
 identical subtrees — ubiquitous in uniform regions, and re-materialized
 constantly by ``resolve_dirty`` — are solved once and shared.
 
-The module also provides standalone (object-tree-free) extraction so a
-parallel worker can turn a payload-carrying flat tree straight into a
-``{user: cloak}`` mapping — the zero-copy sharding path of
-:mod:`repro.parallel.engine`.
+Extraction (§IV, Lemma 1) runs over the arrays too: a payload-carrying
+flat tree turns straight into a ``{user: cloak}`` mapping.  Every
+production policy comes out of :func:`extract_cloaks` — parallel
+workers call it on their shipped subtrees, and
+:meth:`FlatTreeSolution.policy` on a payload compile of its own tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..trees.flat import FlatTree
-from .binary_dp import NodeSolution, TreeSolution, _split_scan
+from .binary_dp import NodeSolution, TreeSolution
 from .errors import NoFeasiblePolicyError, ReproError
+from .policy import CloakingPolicy
 
 __all__ = [
     "SubtreeMemo",
@@ -46,7 +48,6 @@ __all__ = [
     "solve_flat",
     "resolve_dirty_flat",
     "solve_arrays",
-    "solution_from_vecs",
     "rehydrate_solution",
     "extract_cloaks",
     "is_binary_tree",
@@ -347,7 +348,10 @@ class FlatTreeSolution(TreeSolution):
 
     Fully API-compatible (extraction, cost queries) — it carries the
     compiled arrays and the subtree memo so incremental repair can keep
-    batching and keep sharing across snapshots.
+    batching and keep sharing across snapshots.  Extraction runs
+    :func:`extract_cloaks` over the arrays; the object walk of
+    :meth:`TreeSolution.configuration` stays the ``engine="object"``
+    oracle.
     """
 
     def __init__(
@@ -365,37 +369,44 @@ class FlatTreeSolution(TreeSolution):
         self.memo = memo
         self.tokens = tokens
 
+    def extract(
+        self, name: str = "policy-aware-optimal"
+    ) -> Tuple[CloakingPolicy, FlatTree]:
+        """The optimal policy, plus the payload compile of the tree it
+        was extracted from, whose ``cloaks`` column holds every row's
+        cloak — what an epoch publisher ships to readers.
 
-def solution_from_vecs(
-    tree, flat: FlatTree, vecs: Sequence[np.ndarray], k: int, prune: bool
-) -> FlatTreeSolution:
-    """Wrap pool-computed cost vectors (``solve_arrays`` output) into a
-    full :class:`FlatTreeSolution` — used by the orientation pool path,
-    where fingerprint tokens never crossed the process boundary."""
-    solutions = {
-        int(flat.ids[i]): NodeSolution(int(flat.ids[i]), int(flat.count[i]), vecs[i])
-        for i in range(flat.n_nodes)
-    }
-    return FlatTreeSolution(
-        tree, k, prune, solutions, flat, SubtreeMemo(k, prune), {}
-    )
+        Each cloak is the object tree's own node rectangle, so the
+        policy equals the object walk's cloak for cloak.
+        """
+        flat = FlatTree.compile(self.tree, with_payload=True)
+        ids = flat.ids.tolist()
+        vecs = [self.solutions[nid].vec for nid in ids]
+        nodes = self.tree.nodes
+        cloaks = extract_cloaks(
+            flat, vecs, self.k, rect_of=lambda i: nodes[ids[i]].rect
+        )
+        return CloakingPolicy(cloaks, self.tree.db, name=name), flat
+
+    def policy(self, name: str = "policy-aware-optimal") -> CloakingPolicy:
+        return self.extract(name)[0]
 
 
 def rehydrate_solution(
     tree, flat: FlatTree, vecs: Sequence[np.ndarray], k: int, prune: bool
 ) -> FlatTreeSolution:
-    """Rebuild a full :class:`FlatTreeSolution` from persisted vectors.
+    """Rebuild a full :class:`FlatTreeSolution` from cost vectors
+    computed elsewhere.
 
-    The warm-restart path of the recovery subsystem: a restarted process
-    has the cost vectors (journalled to disk) but neither the subtree
-    memo nor the fingerprint tokens, which only ever lived in memory.
-    Unlike :func:`solution_from_vecs` (whose empty memo is fine for a
-    throwaway extraction but would let distinct clean subtrees alias
-    under a shared ``None`` token during repair), this recomputes every
-    node's fingerprint bottom-up exactly as ``_solve_levels`` would and
-    seeds the memo with the persisted vectors — so a subsequent
+    Two callers hold vectors without the subtree memo or the fingerprint
+    tokens, which only ever live in the solving process: a restarted
+    process reading its journalled vectors (the recovery subsystem's
+    warm restart), and the orientation pool getting ``solve_arrays``
+    output back from its workers.  This recomputes every node's
+    fingerprint bottom-up exactly as ``_solve_levels`` would and seeds
+    the memo with the given vectors — so a subsequent
     :func:`resolve_dirty_flat` batches and shares exactly as if the
-    process had never died.
+    vectors had been solved here.
     """
     memo = SubtreeMemo(k, prune)
     caps = _caps_for(flat, k, prune)
@@ -495,30 +506,7 @@ def resolve_dirty_flat(
     )
 
 
-# -- standalone extraction (worker side) ---------------------------------------
-
-
-def _domain(vec: np.ndarray, d: int) -> Tuple[np.ndarray, np.ndarray]:
-    js = np.concatenate([np.arange(len(vec)), [d]]).astype(np.int64)
-    costs = np.concatenate([vec, [0.0]])
-    return js, costs
-
-
-def _choose_split_arrays(
-    u: int,
-    va: np.ndarray,
-    da: int,
-    vb: np.ndarray,
-    db: int,
-    area: float,
-    k: int,
-) -> Tuple[int, int]:
-    """Split re-derivation over raw vectors (workers have no
-    :class:`NodeSolution` objects) — same suffix-minima scan as the
-    object extraction path."""
-    ja, ca = _domain(va, da)
-    jb, cb = _domain(vb, db)
-    return _split_scan(u, ja, ca, jb, cb, area, k)
+# -- extraction over arrays -----------------------------------------------------
 
 
 def _pad_domains(
@@ -610,19 +598,30 @@ def _batch_split_scan(
 
 
 def extract_cloaks(
-    flat: FlatTree, vecs: Sequence[np.ndarray], k: int
-) -> Dict[str, Tuple[float, float, float, float]]:
-    """Extract one optimal ``{user: cloak rect tuple}`` from flat state.
+    flat: FlatTree,
+    vecs: Sequence[np.ndarray],
+    k: int,
+    rect_of: Optional[Callable[[int], Any]] = None,
+) -> Dict[str, Any]:
+    """Extract one optimal ``{user: cloak}`` policy from flat state.
 
-    Mirrors ``TreeSolution.configuration()`` + Lemma-1 materialization
-    (lowest rows first) without ever touching an object tree — this is
-    what jurisdiction workers run.  Requires a payload-carrying flat
-    tree (rects + leaf rows + user ids).
+    The §IV extraction over arrays: re-derive each node's pass-up count
+    top-down (``TreeSolution.configuration()``), then materialize it by
+    Lemma 1, cloaking the lowest rows first.  The mapping equals the
+    object walk's cloak for cloak and in insertion order.  Requires a
+    payload-carrying flat tree (rects + leaf rows + user ids).
+
+    ``rect_of(i)`` builds the cloak of flat node ``i``, once per cloaking
+    node, so a node's whole group shares one object; the default is the
+    node's rect tuple, which pickles back from a worker.  As a side
+    effect ``flat.cloaks`` receives every local row's cloak box — the
+    column a publisher ships so readers need no solve.
     """
     if flat.rects is None or flat.user_ids is None:
         raise ReproError("extract_cloaks needs a payload-carrying FlatTree")
     n = flat.n_nodes
     if n == 0 or flat.count[0] == 0:
+        flat.cloaks = np.empty((0, 4), dtype=np.float64)
         return {}
     root_vec = vecs[0]
     if len(root_vec) == 0 or not np.isfinite(root_vec[0]):
@@ -666,16 +665,25 @@ def extract_cloaks(
         values[ls] = ua
         values[rs] = ub
     # Materialize: bottom-up pools, cloak the lowest rows at each node.
-    # Rows record which node cloaks them; the user dict is built once at
-    # the end (a per-row Python loop over 10^5 users is the extraction
+    # Nodes go in the object walk's post-order (left subtree, right
+    # subtree, node), so users are inserted in its order too.  Rows
+    # record which node cloaks them; the user dict is built once at the
+    # end (a per-row Python loop over 10^5 users is the extraction
     # bottleneck otherwise).
-    assign = np.full(len(flat.user_ids), -1, dtype=np.int64)
-    used: List[int] = []
-    leftovers: Dict[int, np.ndarray] = {}
     left_l = flat.left.tolist()
     right_l = flat.right.tolist()
+    walk: List[int] = []
+    stack = [0]
+    while stack:  # node, right, left pre-order: post-order reversed
+        i = stack.pop()
+        walk.append(i)
+        if left_l[i] >= 0:
+            stack += (left_l[i], right_l[i])
+    assign = np.full(len(flat.user_ids), -1, dtype=np.int64)
+    cloaked: Dict[int, np.ndarray] = {}
+    leftovers: Dict[int, np.ndarray] = {}
     values_l = values.tolist()
-    for i in range(n - 1, -1, -1):  # level-major order: children first
+    for i in reversed(walk):
         li = left_l[i]
         if li < 0:
             pool = flat.rows_of(i)
@@ -691,13 +699,19 @@ def extract_cloaks(
             )
         if n_cloak:
             assign[pool[:n_cloak]] = i
-            used.append(i)
+            cloaked[i] = pool[:n_cloak]
         leftovers[i] = pool[n_cloak:]
     if len(leftovers.get(0, ())) != 0:
         raise ReproError("flat extraction left users uncloaked")
-    # Every row is assigned (the root-leftover check above), so the
-    # final dict is one zip over (user, cloaking node) pairs.
-    rect_of = {i: tuple(flat.rects[i]) for i in used}
+    flat.cloaks = flat.rects[assign]
+    # Every row is assigned (the root-leftover check above).
+    order = np.concatenate(list(cloaked.values())).tolist()
+    cloak_of = {
+        i: tuple(flat.rects[i].tolist()) if rect_of is None else rect_of(i)
+        for i in cloaked
+    }
+    users = flat.user_ids
     return {
-        uid: rect_of[a] for uid, a in zip(flat.user_ids, assign.tolist())
+        users[r]: cloak_of[a]
+        for r, a in zip(order, assign[order].tolist())
     }

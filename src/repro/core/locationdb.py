@@ -122,11 +122,14 @@ class LocationDatabase:
         return LocationDatabase.from_points(updated)
 
     def subset(self, user_ids: Sequence[str]) -> "LocationDatabase":
-        """The restriction of this snapshot to ``user_ids``."""
-        return LocationDatabase(
-            (uid, self._locations[str(uid)].x, self._locations[str(uid)].y)
-            for uid in user_ids
-        )
+        """The restriction of this snapshot to ``user_ids``; the
+        (immutable) points are shared, not rebuilt."""
+        locations = self._locations
+        out = LocationDatabase()
+        out._locations = {str(uid): locations[str(uid)] for uid in user_ids}
+        if len(out._locations) != len(user_ids):
+            raise ReproError("duplicate user id in location database subset")
+        return out
 
     def restricted_to(self, region: Rect) -> "LocationDatabase":
         """The restriction of this snapshot to users inside ``region``."""

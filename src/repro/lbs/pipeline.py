@@ -70,6 +70,7 @@ from ..robustness.faults import (
     InjectedFault,
 )
 from ..robustness.recovery import (
+    SOLVER_FINGERPRINT,
     PolicyJournal,
     QuorumJournal,
     RecoveredSnapshot,
@@ -204,9 +205,6 @@ class CSP:
     max_stale_snapshots:
         the bounded age of the "stale" rung: how many consecutive failed
         snapshot repairs may pass before requests are rejected outright.
-    engine:
-        DP evaluator for bulk solves and snapshot repairs — ``"flat"``
-        (default) or ``"object"`` (see :func:`repro.core.binary_dp.solve`).
     journal:
         a :class:`~repro.robustness.recovery.PolicyJournal`: every
         successful (policy, db-serial) pair is committed
@@ -237,7 +235,6 @@ class CSP:
         injector: Optional[FaultInjector] = None,
         clock: Optional[Clock] = None,
         max_stale_snapshots: int = 1,
-        engine: str = "flat",
         journal: Optional[Union[PolicyJournal, QuorumJournal]] = None,
         policy: Optional[CloakingPolicy] = None,
         trajectory: Optional["ContinuityConstraint"] = None,
@@ -266,9 +263,7 @@ class CSP:
         self.mpc = MobilePositioningCenter(db, injector=injector)
         self.provider = provider
         self.cache = AnswerCache(provider) if use_cache else None
-        self.anonymizer = IncrementalAnonymizer(
-            region, k, max_depth=max_depth, engine=engine
-        )
+        self.anonymizer = IncrementalAnonymizer(region, k, max_depth=max_depth)
         #: consecutive snapshot advances that failed (0 = fresh policy).
         self.policy_age = 0
         #: True between a journal restore and the first successful
@@ -286,7 +281,7 @@ class CSP:
                 _recovered.policy.db, _recovered.policy, solution=None
             )
             self.anonymizer.solution = rehydrate_flat_solution(
-                self.anonymizer.tree, _recovered, k, prune=True
+                self.anonymizer.tree, _recovered, k
             )
             # The committed state block is authoritative for staleness:
             # _snapshot_index tracks the *world* serial, which at commit
@@ -331,10 +326,9 @@ class CSP:
     def _fingerprint(self) -> Dict[str, object]:
         """What must match for journalled state to be adoptable here."""
         return {
-            "engine": self.anonymizer.engine,
+            **SOLVER_FINGERPRINT,
             "k": self.k,
             "max_depth": self.anonymizer.max_depth,
-            "prune": self.anonymizer.prune,
             "region": list(self.region.as_tuple()),
         }
 
@@ -415,6 +409,7 @@ class CSP:
         journalled state too far behind is rejected fail-closed.
         """
         snapshot = journal.recover(
+            fingerprint=SOLVER_FINGERPRINT,
             current_serial=current_serial,
             max_stale_snapshots=max_stale_snapshots,
         )
@@ -433,7 +428,6 @@ class CSP:
             injector=injector,
             clock=clock,
             max_stale_snapshots=max_stale_snapshots,
-            engine=str(fp.get("engine", "flat")),
             journal=journal,
             trajectory=trajectory,
             _recovered=snapshot,

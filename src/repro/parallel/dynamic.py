@@ -34,14 +34,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.binary_dp import solve
 from ..core.errors import ReproError, ServiceUnavailableError
+from ..core.flat_dp import extract_cloaks, solve_arrays
 from ..core.geometry import Point, Rect
 from ..core.locationdb import LocationDatabase
 from ..core.policy import CloakingPolicy
+from ..robustness.chaos import kill_current_process
 from ..trees.binarytree import BinaryTree
+from ..trees.flat import FlatTree
 from ..trees.partition import Jurisdiction, greedy_partition
 from .master import MasterPolicy, ServerPolicy
 
@@ -64,9 +67,47 @@ def adjacent_rects(a: Rect, b: Rect, tol: float = 1e-9) -> bool:
     return (x_touch and y_overlap) or (y_touch and x_overlap)
 
 
+def _solve_jurisdiction_flat(
+    flat: FlatTree, k: int, kill: bool = False
+) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
+    """One server's work over a compiled flat subtree: returns
+    ``{user_id: cloak rect tuple}`` and elapsed time.
+
+    The master already owns the spatial structure (the partition tree),
+    so the worker receives the jurisdiction's structure-of-arrays slice
+    — a handful of numpy buffers that pickle in microseconds — and goes
+    straight to the level-batched DP plus extraction.  Jurisdiction
+    solves and hand-off shard solves both run here, in-process or in a
+    process-mode worker.
+
+    ``kill`` is the real-kill chaos hook: the worker SIGKILLs its own
+    process after the DP and before extraction — an uncatchable death
+    mid-solve, exactly what an OOM kill looks like to the master.
+    """
+    start = time.perf_counter()
+    vecs = solve_arrays(flat, k)
+    if kill:
+        kill_current_process()
+    cloaks = extract_cloaks(flat, vecs, k)
+    return cloaks, time.perf_counter() - start
+
+
+def _policy_from_cloaks(
+    cloaks: Dict[str, Tuple[float, float, float, float]],
+    db: LocationDatabase,
+    name: str,
+) -> CloakingPolicy:
+    """A server's policy from a worker's cloak tuples: one ``Rect`` per
+    cloaking node, shared by its whole group."""
+    rects = {box: Rect(*box) for box in set(cloaks.values())}
+    return CloakingPolicy(
+        {uid: rects[box] for uid, box in cloaks.items()}, db, name=name
+    )
+
+
 def handoff_shards(
     rect: Rect,
-    rows: Sequence[Tuple[str, float, float]],
+    rows: Iterable[Tuple[str, float, float]],
     k: int,
     *,
     max_depth: int = 40,
@@ -88,8 +129,10 @@ def handoff_shards(
     tree node ids).  Empty shards are kept (policy ``None``) so the
     returned shards still tile the whole territory.
 
-    ``solver`` delegates the per-shard solve:
-    ``solver(shard_rect, shard_rows, shard_index)`` must return
+    Each shard's subtree of the territory tree is compiled to a payload
+    :class:`~repro.trees.flat.FlatTree` and solved by
+    :func:`_solve_jurisdiction_flat`.  ``solver`` delegates that call:
+    ``solver(shard_flat, shard_index)`` must return
     ``({user_id: cloak rect tuple}, solve seconds)``.  The engine uses
     this to route hand-off solves through its worker pool (with the
     kill-chaos hook live inside them); ``None`` solves in the calling
@@ -124,26 +167,17 @@ def handoff_shards(
         if not members:
             out.append((jur, None, 0.0))
             continue
-        shard_db = local_db.subset(members)
-        if solver is not None:
-            shard_rows = [
-                (uid, shard_db.location_of(uid).x, shard_db.location_of(uid).y)
-                for uid in members
-            ]
-            cloaks, elapsed = solver(shard.rect, shard_rows, offset)
-            policy = CloakingPolicy(
-                {uid: Rect(*tup) for uid, tup in cloaks.items()},
-                shard_db,
-                name=f"handoff-{shard_id}",
-            )
-            out.append((jur, policy, elapsed))
-            continue
-        start = time.perf_counter()
-        shard_tree = BinaryTree.build(
-            shard.rect, shard_db, k, max_depth=max_depth
+        flat = FlatTree.compile(
+            tree, root=tree.nodes[shard.node_id], with_payload=True
         )
-        policy = solve(shard_tree, k).policy(name=f"handoff-{shard_id}")
-        out.append((jur, policy, time.perf_counter() - start))
+        if solver is None:
+            cloaks, elapsed = _solve_jurisdiction_flat(flat, k)
+        else:
+            cloaks, elapsed = solver(flat, offset)
+        policy = _policy_from_cloaks(
+            cloaks, local_db.subset(members), f"handoff-{shard_id}"
+        )
+        out.append((jur, policy, elapsed))
     return out
 
 
@@ -387,10 +421,6 @@ class RebalancingPool:
                 resolved_users=0,
                 recovery_seconds=time.perf_counter() - start,
             )
-        rows = [
-            (uid, db.location_of(uid).x, db.location_of(uid).y)
-            for uid in members
-        ]
         base = max(
             [j.node_id for j in self._jurisdictions] + [node_id]
         ) + 1
@@ -398,7 +428,7 @@ class RebalancingPool:
             base = max(base, self._next_shard_id)
         shards = handoff_shards(
             dead.rect,
-            rows,
+            db.subset(members).rows(),
             self.k,
             max_depth=self.max_depth,
             base_node_id=base,

@@ -48,20 +48,23 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..core.binary_dp import solve
 from ..core.errors import JurisdictionSolveError, ReproError
-from ..core.flat_dp import extract_cloaks, solve_arrays
 from ..core.geometry import Rect
 from ..core.policy import CloakingPolicy
 from ..core.locationdb import LocationDatabase
-from ..robustness.chaos import KillPlan, kill_current_process
+from ..robustness.chaos import KillPlan
 from ..robustness.degrade import fallback_jurisdiction_policy
 from ..robustness.faults import FaultInjector, InjectedFault, InjectedTimeout
 from ..robustness.retry import RetryPolicy
 from ..trees.binarytree import BinaryTree
 from ..trees.flat import FlatTree, SharedFlatTree, SharedTreeHandle
 from ..trees.partition import Jurisdiction, greedy_partition, load_imbalance
-from .dynamic import assign_adopters, handoff_shards
+from .dynamic import (
+    _policy_from_cloaks,
+    _solve_jurisdiction_flat,
+    assign_adopters,
+    handoff_shards,
+)
 from .master import MasterPolicy, ServerPolicy
 
 __all__ = ["JurisdictionFailure", "ParallelResult", "parallel_bulk_anonymize"]
@@ -161,52 +164,6 @@ class ParallelResult:
         return self.recovery_seconds / self.recoveries
 
 
-def _solve_jurisdiction(
-    rect_tuple: Tuple[float, float, float, float],
-    rows: Sequence[Tuple[str, float, float]],
-    k: int,
-    max_depth: int,
-    kill: bool = False,
-) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
-    """One server's work, in picklable terms (also the process-mode
-    worker): returns ``{user_id: cloak rect tuple}`` and elapsed time.
-
-    ``kill`` is the real-kill chaos hook: the worker SIGKILLs its own
-    process after the DP and before extraction — an uncatchable death
-    mid-solve, exactly what an OOM kill looks like to the master.
-    """
-    start = time.perf_counter()
-    rect = Rect(*rect_tuple)
-    db = LocationDatabase(rows)
-    tree = BinaryTree.build(rect, db, k, max_depth=max_depth)
-    solution = solve(tree, k)
-    if kill:
-        kill_current_process()
-    policy = solution.policy(name="server")
-    cloaks = {uid: region.as_tuple() for uid, region in policy.items()}
-    return cloaks, time.perf_counter() - start
-
-
-def _solve_jurisdiction_flat(
-    flat: FlatTree, k: int, kill: bool = False
-) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
-    """One server's work over a pre-compiled flat subtree.
-
-    The master already owns the spatial structure (the partition tree),
-    so instead of re-deriving it from raw point rows the worker receives
-    the jurisdiction's structure-of-arrays slice — a handful of numpy
-    buffers that pickle in microseconds — and goes straight to the
-    level-batched DP plus standalone extraction.  ``kill`` as in
-    :func:`_solve_jurisdiction`.
-    """
-    start = time.perf_counter()
-    vecs = solve_arrays(flat, k)
-    if kill:
-        kill_current_process()
-    cloaks = extract_cloaks(flat, vecs, k)
-    return cloaks, time.perf_counter() - start
-
-
 def _solve_jurisdiction_shm(
     handle: SharedTreeHandle, k: int, kill: bool = False
 ) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
@@ -215,96 +172,126 @@ def _solve_jurisdiction_shm(
     The worker receives only a :class:`SharedTreeHandle` (a few hundred
     bytes however large the jurisdiction) and maps the master's numpy
     blocks read-only — zero copies of the spatial structure cross the
-    process boundary.  The attachment is scoped to the solve: views are
-    dropped before ``close()`` (they dangle afterwards), and only plain
-    cloak tuples leave the function.  ``kill`` as in
-    :func:`_solve_jurisdiction`.
+    process boundary.  The attachment is scoped to the solve: the flat
+    worker's views are gone before ``close()`` (they dangle afterwards),
+    and only plain cloak tuples leave the function.  ``kill`` as in
+    :func:`~repro.parallel.dynamic._solve_jurisdiction_flat`.
     """
     start = time.perf_counter()
     shared = SharedFlatTree.attach(handle)
     try:
-        flat = shared.tree
-        vecs = solve_arrays(flat, k)
-        if kill:
-            kill_current_process()
-        cloaks = extract_cloaks(flat, vecs, k)
-        del flat, vecs
+        cloaks, __ = _solve_jurisdiction_flat(shared.tree, k, kill)
     finally:
         shared.close()
     return cloaks, time.perf_counter() - start
 
 
-def _policy_from_cloaks(
-    jur: Jurisdiction,
-    rows: Sequence[Tuple[str, float, float]],
-    cloaks: Dict[str, Tuple[float, float, float, float]],
-) -> CloakingPolicy:
-    local_db = LocationDatabase(rows)
-    return CloakingPolicy(
-        {uid: Rect(*tup) for uid, tup in cloaks.items()},
-        local_db,
-        name=f"server-{jur.node_id}",
+#: what a dispatch ships per jurisdiction: compiled arrays, a shared
+#: segment handle, or nothing (an empty jurisdiction).
+TaskPayload = Union[FlatTree, SharedTreeHandle, None]
+
+
+def _check_snapshot(tree_db: LocationDatabase, db: LocationDatabase) -> None:
+    """Fail fast unless a caller's partition tree was built over ``db``
+    or a snapshot with the same contents: the servers solve subtrees of
+    that tree, so its users and locations are the ones cloaked."""
+    if tree_db is db:
+        return
+    differ = [uid for uid, p in db.items() if tree_db.location_of(uid) != p]
+    if differ or len(tree_db) != len(db):
+        raise ReproError(
+            "partition_tree was built over a different snapshot than db: "
+            f"{len(differ)} of db's {len(db)} users are missing from it or "
+            f"located elsewhere (first: {differ[:3]!r}); the tree holds "
+            f"{len(tree_db)} users"
+        )
+
+
+def _solve_error(
+    jur: Jurisdiction, users: Sequence[str], attempt: int, kind: str, what: str
+) -> JurisdictionSolveError:
+    """One failed attempt at ``jur``, as the retry rounds record it."""
+    return JurisdictionSolveError(
+        f"jurisdiction {jur.node_id} ({len(users)} users) {what}",
+        node_id=jur.node_id,
+        n_users=len(users),
+        attempts=attempt + 1,
+        kind=kind,
     )
 
 
-#: what a dispatch ships per jurisdiction: compiled arrays, a shared
-#: segment handle, or nothing (raw rows ride alongside regardless).
-TaskPayload = Union[FlatTree, SharedTreeHandle, None]
+def _crash_error(
+    jur: Jurisdiction, users: Sequence[str], attempt: int, exc: BaseException
+) -> JurisdictionSolveError:
+    return _solve_error(
+        jur, users, attempt, "crash", f"lost to a dead worker process: {exc}"
+    )
+
+
+def _injected(
+    injector: Optional[FaultInjector],
+    jur: Jurisdiction,
+    users: Sequence[str],
+    attempt: int,
+) -> Tuple[float, Optional[JurisdictionSolveError]]:
+    """Master-side injection for one attempt: ``(straggle seconds,
+    injected failure or None)``."""
+    if injector is None:
+        return 0.0, None
+    try:
+        return injector.fire("solve", jur.node_id, attempt), None
+    except InjectedFault as exc:
+        kind = "timeout" if isinstance(exc, InjectedTimeout) else "crash"
+        return 0.0, _solve_error(jur, users, attempt, kind, f"failed: {exc}")
+
+
+def _judged(
+    jur: Jurisdiction,
+    users: Sequence[str],
+    attempt: int,
+    timeout: Optional[float],
+    cloaks: Dict[str, Tuple[float, float, float, float]],
+    elapsed: float,
+) -> object:
+    """A finished solve → ``(cloaks, elapsed)``, or a timeout failure
+    when it overran the straggler budget."""
+    if timeout is not None and elapsed > timeout:
+        return _solve_error(
+            jur,
+            users,
+            attempt,
+            "timeout",
+            f"exceeded its {timeout:g}s solve budget ({elapsed:.3f}s)",
+        )
+    return cloaks, elapsed
+
+
+def _worker_for(payload: TaskPayload):
+    """The worker function that solves ``payload``."""
+    if isinstance(payload, SharedTreeHandle):
+        return _solve_jurisdiction_shm
+    return _solve_jurisdiction_flat
 
 
 def _attempt_simulated(
     jur: Jurisdiction,
-    rows,
+    users: Sequence[str],
     payload: TaskPayload,
     k: int,
-    max_depth: int,
     attempt: int,
     injector: Optional[FaultInjector],
     timeout: Optional[float],
-):
-    """One simulated solve attempt → ``(cloaks, elapsed)`` or raises
+) -> object:
+    """One simulated solve attempt → ``(cloaks, elapsed)`` or its
     :class:`JurisdictionSolveError`."""
-    extra = 0.0
+    extra, error = _injected(injector, jur, users, attempt)
+    if error is not None:
+        return error
     try:
-        if injector is not None:
-            extra = injector.fire("solve", jur.node_id, attempt)
-    except InjectedFault as exc:
-        kind = "timeout" if isinstance(exc, InjectedTimeout) else "crash"
-        raise JurisdictionSolveError(
-            f"jurisdiction {jur.node_id} ({len(rows)} users) failed: {exc}",
-            node_id=jur.node_id,
-            n_users=len(rows),
-            attempts=attempt + 1,
-            kind=kind,
-        ) from exc
-    try:
-        if isinstance(payload, SharedTreeHandle):
-            cloaks, elapsed = _solve_jurisdiction_shm(payload, k)
-        elif payload is not None:
-            cloaks, elapsed = _solve_jurisdiction_flat(payload, k)
-        else:
-            cloaks, elapsed = _solve_jurisdiction(
-                jur.rect.as_tuple(), rows, k, max_depth
-            )
+        cloaks, elapsed = _worker_for(payload)(payload, k)
     except Exception as exc:  # real solver errors carry the node id too
-        raise JurisdictionSolveError(
-            f"jurisdiction {jur.node_id} ({len(rows)} users) failed: {exc}",
-            node_id=jur.node_id,
-            n_users=len(rows),
-            attempts=attempt + 1,
-            kind="error",
-        ) from exc
-    elapsed += extra
-    if timeout is not None and elapsed > timeout:
-        raise JurisdictionSolveError(
-            f"jurisdiction {jur.node_id} ({len(rows)} users) exceeded its "
-            f"{timeout:g}s solve budget ({elapsed:.3f}s)",
-            node_id=jur.node_id,
-            n_users=len(rows),
-            attempts=attempt + 1,
-            kind="timeout",
-        )
-    return cloaks, elapsed
+        return _solve_error(jur, users, attempt, "error", f"failed: {exc}")
+    return _judged(jur, users, attempt, timeout, cloaks, elapsed + extra)
 
 
 class _ProcessPool:
@@ -390,26 +377,27 @@ def parallel_bulk_anonymize(
     ``mode='process'`` runs them in a real process pool.
 
     ``partition_tree`` lets callers reuse a pre-built tree for the
-    greedy partitioning step.
+    greedy partitioning step.  It must have been built over ``db``
+    itself or over a snapshot with the same contents; anything else
+    raises :class:`ReproError` up front, since every server solves its
+    subtree of that tree.
 
-    ``transport`` selects what a server receives.  With ``'flat'`` (the
-    default) the master compiles each jurisdiction's subtree of the
-    partition tree into :class:`~repro.trees.flat.FlatTree` arrays
-    (depths rebased to the jurisdiction root, leaf→point index and
-    geometry attached) and ships those; workers run the level-batched DP
-    and standalone extraction directly on the arrays.  Compilation is
-    master-side prep and is charged to ``partition_seconds``, like the
-    partitioning itself.  With ``'shm'`` the compiled arrays are instead
-    *published once* into :class:`~repro.trees.flat.SharedFlatTree`
-    segments and workers receive only the few-hundred-byte handles,
-    mapping the master's blocks read-only — zero per-dispatch copies;
-    segments are owner-unlinked on every exit path, and
+    Every server solves its jurisdiction's subtree of the partition
+    tree, compiled by the master into :class:`~repro.trees.flat.FlatTree`
+    arrays (depths rebased to the jurisdiction root, leaf→point index
+    and geometry attached); workers run the level-batched DP and
+    :func:`~repro.core.flat_dp.extract_cloaks` directly on the arrays.
+    Compilation is master-side prep and is charged to
+    ``partition_seconds``, like the partitioning itself.  ``transport``
+    selects how the arrays reach a server.  With ``'flat'`` (the
+    default) they are pickled with each dispatch.  With ``'shm'`` they
+    are instead *published once* into
+    :class:`~repro.trees.flat.SharedFlatTree` segments and workers
+    receive only the few-hundred-byte handles, mapping the master's
+    blocks read-only — zero per-dispatch copies; segments are
+    owner-unlinked on every exit path.
     ``ParallelResult.dispatch_payload_bytes`` records what each
-    transport actually puts on the wire.  With ``'rows'`` each server
-    receives raw ``(uid, x, y)`` rows and rebuilds its own tree over its
-    territory, as in the paper — the reference behaviour, and the
-    fallback for callers that hand in a ``partition_tree`` from a
-    *different* snapshot than ``db``.
+    transport actually puts on the wire.
 
     ``pool_workers`` pins the process-pool size (``mode='process'``
     only); rebuilds after a worker death reuse the resolved size.
@@ -445,7 +433,7 @@ def parallel_bulk_anonymize(
         raise ReproError(f"unknown execution mode {mode!r}")
     if on_failure not in ("raise", "degrade", "handoff"):
         raise ReproError(f"unknown on_failure mode {on_failure!r}")
-    if transport not in ("flat", "shm", "rows"):
+    if transport not in ("flat", "shm"):
         raise ReproError(f"unknown transport {transport!r}")
     if kill_plan is not None and mode != "process":
         raise ReproError(
@@ -455,40 +443,32 @@ def parallel_bulk_anonymize(
     t0 = time.perf_counter()
     if partition_tree is None:
         partition_tree = BinaryTree.build(region, db, k, max_depth=max_depth)
+    else:
+        _check_snapshot(partition_tree.db, db)
     jurisdictions = greedy_partition(partition_tree, n_servers, k)
-    # Membership comes from the partition tree's row assignment, so a
-    # user sitting exactly on a shared boundary belongs to exactly one
-    # jurisdiction (rect containment alone would double-count her).
-    member_rows = {
-        j.node_id: partition_tree.users_of(partition_tree.nodes[j.node_id])
-        for j in jurisdictions
-    }
 
-    tasks = []
+    tasks: List[Tuple[Jurisdiction, List[str], TaskPayload]] = []
     for jur in jurisdictions:
-        users = member_rows[jur.node_id]
-        # Raw rows back every task regardless of transport: the degrade
-        # fallback and the master-side policy assembly need them.
-        rows = [
-            (uid, db.location_of(uid).x, db.location_of(uid).y)
-            for uid in users
-        ]
+        # Membership comes from the partition tree's row assignment, so
+        # a user sitting exactly on a shared boundary belongs to exactly
+        # one jurisdiction (rect containment alone would double-count
+        # her).
+        node = partition_tree.nodes[jur.node_id]
+        users = partition_tree.users_of(node)
         payload: TaskPayload = None
-        if transport in ("flat", "shm") and rows:
+        if users:
             payload = FlatTree.compile(
-                partition_tree,
-                root=partition_tree.nodes[jur.node_id],
-                with_payload=True,
+                partition_tree, root=node, with_payload=True
             )
-        tasks.append((jur, rows, payload))
+        tasks.append((jur, users, payload))
     published: List[SharedFlatTree] = []
     if transport == "shm":
         try:
-            for i, (jur, rows, payload) in enumerate(tasks):
+            for i, (jur, users, payload) in enumerate(tasks):
                 if isinstance(payload, FlatTree):
                     shared = SharedFlatTree.publish(payload)
                     published.append(shared)
-                    tasks[i] = (jur, rows, shared.handle)
+                    tasks[i] = (jur, users, shared.handle)
         except BaseException:
             for shared in published:
                 shared.unlink()
@@ -498,8 +478,8 @@ def parallel_bulk_anonymize(
     # What this transport would put on the wire per dispatch (measured
     # outside the timed sections: it is bookkeeping, not solve work).
     dispatch_payload_bytes = sum(
-        len(pickle.dumps(payload if payload is not None else rows))
-        for __, rows, payload in tasks
+        len(pickle.dumps(payload if payload is not None else users))
+        for __, users, payload in tasks
     )
 
     max_attempts = retry_policy.max_attempts if retry_policy else 1
@@ -515,9 +495,9 @@ def parallel_bulk_anonymize(
     crashed_ids: Set[int] = set()
 
     pending = []
-    for jur, rows, payload in tasks:
-        if rows:
-            pending.append((jur, rows, payload))
+    for jur, users, payload in tasks:
+        if users:
+            pending.append((jur, users, payload))
         else:
             policies[jur.node_id] = None
 
@@ -527,14 +507,13 @@ def parallel_bulk_anonymize(
         round_no = 0
         isolate_round = False
         while pending and round_no < max_attempts:
-            still_failing: List[Tuple[Jurisdiction, list, TaskPayload]] = []
+            still_failing: List[Tuple[Jurisdiction, List[str], TaskPayload]] = []
             last_errors: Dict[int, JurisdictionSolveError] = {}
             if mode == "process":
                 outcomes, breaks, rebuild_seconds = _process_round(
                     pool,
                     pending,
                     k,
-                    max_depth,
                     round_no,
                     injector,
                     jurisdiction_timeout,
@@ -549,24 +528,19 @@ def parallel_bulk_anonymize(
                 recoveries += breaks
                 recovery_seconds += rebuild_seconds
             else:
-                outcomes = []
-                for jur, rows, payload in pending:
-                    try:
-                        outcomes.append(
-                            _attempt_simulated(
-                                jur,
-                                rows,
-                                payload,
-                                k,
-                                max_depth,
-                                round_no,
-                                injector,
-                                jurisdiction_timeout,
-                            )
-                        )
-                    except JurisdictionSolveError as exc:
-                        outcomes.append(exc)
-            for (jur, rows, payload), outcome in zip(pending, outcomes):
+                outcomes = [
+                    _attempt_simulated(
+                        jur,
+                        users,
+                        payload,
+                        k,
+                        round_no,
+                        injector,
+                        jurisdiction_timeout,
+                    )
+                    for jur, users, payload in pending
+                ]
+            for (jur, users, payload), outcome in zip(pending, outcomes):
                 attempts_used[jur.node_id] = round_no + 1
                 if isinstance(outcome, JurisdictionSolveError):
                     last_errors[jur.node_id] = outcome
@@ -576,11 +550,11 @@ def parallel_bulk_anonymize(
                     # produced nothing; charge the straggler budget.
                     if outcome.kind == "timeout" and jurisdiction_timeout:
                         retry_seconds += jurisdiction_timeout
-                    still_failing.append((jur, rows, payload))
+                    still_failing.append((jur, users, payload))
                 else:
                     cloaks, elapsed = outcome
                     policies[jur.node_id] = _policy_from_cloaks(
-                        jur, rows, cloaks
+                        cloaks, db.subset(users), f"server-{jur.node_id}"
                     )
                     seconds[jur.node_id] = elapsed
                     if jur.node_id in crashed_ids:
@@ -611,7 +585,7 @@ def parallel_bulk_anonymize(
             is deterministic, so the cloaks are identical either way.
             """
 
-            def solve_shard(shard_rect, shard_rows, shard_index):
+            def solve_shard(shard_flat, shard_index):
                 nonlocal recoveries, recovery_seconds
                 for shard_attempt in range(max(1, max_attempts)):
                     kill = bool(
@@ -622,24 +596,17 @@ def parallel_bulk_anonymize(
                     )
                     try:
                         future = pool.pool.submit(
-                            _solve_jurisdiction,
-                            shard_rect.as_tuple(),
-                            shard_rows,
-                            k,
-                            max_depth,
-                            kill,
+                            _solve_jurisdiction_flat, shard_flat, k, kill
                         )
                         return future.result()
                     except BrokenProcessPool:
                         recoveries += 1
                         recovery_seconds += pool.rebuild()
-                return _solve_jurisdiction(
-                    shard_rect.as_tuple(), shard_rows, k, max_depth
-                )
+                return _solve_jurisdiction_flat(shard_flat, k)
 
             return solve_shard
 
-        for jur, rows, __ in pending:
+        for jur, users, __ in pending:
             error = last_errors[jur.node_id]
             if on_failure == "raise":
                 raise error
@@ -651,7 +618,7 @@ def parallel_bulk_anonymize(
                 handoff_start = time.perf_counter()
                 shards = handoff_shards(
                     jur.rect,
-                    rows,
+                    db.subset(users).rows(),
                     k,
                     max_depth=max_depth,
                     base_node_id=next_shard_id,
@@ -684,7 +651,7 @@ def parallel_bulk_anonymize(
                 failures.append(
                     JurisdictionFailure(
                         node_id=jur.node_id,
-                        n_users=len(rows),
+                        n_users=len(users),
                         attempts=attempts_used[jur.node_id],
                         kind=error.kind,
                         degraded=False,
@@ -694,12 +661,12 @@ def parallel_bulk_anonymize(
                 continue
             # Fail-closed degrade: one jurisdiction, one ≥k cloak.
             policies[jur.node_id] = fallback_jurisdiction_policy(
-                jur.rect, jur.node_id, rows, k
+                jur.rect, jur.node_id, db.subset(users).rows(), k
             )
             failures.append(
                 JurisdictionFailure(
                     node_id=jur.node_id,
-                    n_users=len(rows),
+                    n_users=len(users),
                     attempts=attempts_used[jur.node_id],
                     kind=error.kind,
                     degraded=True,
@@ -735,24 +702,10 @@ def parallel_bulk_anonymize(
     )
 
 
-def _crash_error(
-    jur: Jurisdiction, rows: list, attempt: int, exc: BaseException
-) -> JurisdictionSolveError:
-    return JurisdictionSolveError(
-        f"jurisdiction {jur.node_id} ({len(rows)} users) lost to a dead "
-        f"worker process: {exc}",
-        node_id=jur.node_id,
-        n_users=len(rows),
-        attempts=attempt + 1,
-        kind="crash",
-    )
-
-
 def _process_round(
     pool: _ProcessPool,
-    pending: Sequence[Tuple[Jurisdiction, list, TaskPayload]],
+    pending: Sequence[Tuple[Jurisdiction, List[str], TaskPayload]],
     k: int,
-    max_depth: int,
     attempt: int,
     injector: Optional[FaultInjector],
     timeout: Optional[float],
@@ -785,86 +738,32 @@ def _process_round(
     breaks = 0
     rebuild_seconds = 0.0
 
-    def submit(jur, rows, payload, kill):
-        if isinstance(payload, SharedTreeHandle):
-            return pool.pool.submit(_solve_jurisdiction_shm, payload, k, kill)
-        if payload is not None:
-            return pool.pool.submit(_solve_jurisdiction_flat, payload, k, kill)
-        return pool.pool.submit(
-            _solve_jurisdiction, jur.rect.as_tuple(), rows, k, max_depth, kill
-        )
+    def submit(payload, kill):
+        return pool.pool.submit(_worker_for(payload), payload, k, kill)
 
-    def injected_error(jur, rows):
-        if injector is None:
-            return 0.0, None
-        try:
-            return injector.fire("solve", jur.node_id, attempt), None
-        except InjectedFault as exc:
-            kind = "timeout" if isinstance(exc, InjectedTimeout) else "crash"
-            return 0.0, JurisdictionSolveError(
-                f"jurisdiction {jur.node_id} ({len(rows)} users) "
-                f"failed: {exc}",
-                node_id=jur.node_id,
-                n_users=len(rows),
-                attempts=attempt + 1,
-                kind=kind,
-            )
-
-    def collect(jur, rows, future, extra):
+    def collect(jur, users, future, extra):
         """Await one future → (outcome, pool_broke)."""
-        nonlocal breaks, rebuild_seconds
         try:
             cloaks, elapsed = future.result(timeout=timeout)
         except FutureTimeoutError:
             future.cancel()
-            return (
-                JurisdictionSolveError(
-                    f"jurisdiction {jur.node_id} ({len(rows)} users) "
-                    f"exceeded its {timeout:g}s solve budget",
-                    node_id=jur.node_id,
-                    n_users=len(rows),
-                    attempts=attempt + 1,
-                    kind="timeout",
-                ),
-                False,
-            )
+            what = f"exceeded its {timeout:g}s solve budget"
+            return _solve_error(jur, users, attempt, "timeout", what), False
         except BrokenProcessPool as exc:
             # The worker running this solve (or a pool-mate) was killed;
             # the result is gone for every in-flight future.
-            return _crash_error(jur, rows, attempt, exc), True
+            return _crash_error(jur, users, attempt, exc), True
         except Exception as exc:
-            return (
-                JurisdictionSolveError(
-                    f"jurisdiction {jur.node_id} ({len(rows)} users) "
-                    f"failed: {exc}",
-                    node_id=jur.node_id,
-                    n_users=len(rows),
-                    attempts=attempt + 1,
-                    kind="error",
-                ),
-                False,
-            )
-        elapsed += extra
-        if timeout is not None and elapsed > timeout:
-            return (
-                JurisdictionSolveError(
-                    f"jurisdiction {jur.node_id} ({len(rows)} users) "
-                    f"exceeded its {timeout:g}s solve budget "
-                    f"({elapsed:.3f}s)",
-                    node_id=jur.node_id,
-                    n_users=len(rows),
-                    attempts=attempt + 1,
-                    kind="timeout",
-                ),
-                False,
-            )
-        return (cloaks, elapsed), False
+            what = f"failed: {exc}"
+            return _solve_error(jur, users, attempt, "error", what), False
+        outcome = _judged(jur, users, attempt, timeout, cloaks, elapsed + extra)
+        return outcome, False
 
     if isolate:
         # Quarantine round: one jurisdiction in flight at a time.
         outcomes: List[object] = []
-        for jur, rows, payload in pending:
-            extra, error = injected_error(jur, rows)
+        for jur, users, payload in pending:
+            extra, error = _injected(injector, jur, users, attempt)
             if error is not None:
                 outcomes.append(error)
                 continue
@@ -873,13 +772,13 @@ def _process_round(
                 and kill_plan.should_kill(jur.node_id, attempt)
             )
             try:
-                future = submit(jur, rows, payload, kill)
+                future = submit(payload, kill)
             except BrokenProcessPool as exc:
                 breaks += 1
                 rebuild_seconds += pool.rebuild()
-                outcomes.append(_crash_error(jur, rows, attempt, exc))
+                outcomes.append(_crash_error(jur, users, attempt, exc))
                 continue
-            outcome, broke = collect(jur, rows, future, extra)
+            outcome, broke = collect(jur, users, future, extra)
             outcomes.append(outcome)
             if broke:
                 breaks += 1
@@ -889,31 +788,31 @@ def _process_round(
     outcomes = []
     submissions = []
     round_broke = False
-    for jur, rows, payload in pending:
-        extra, error = injected_error(jur, rows)
+    for jur, users, payload in pending:
+        extra, error = _injected(injector, jur, users, attempt)
         kill = bool(
             kill_plan is not None
             and kill_plan.should_kill(jur.node_id, attempt)
         )
         if error is not None:
-            submissions.append((jur, rows, None, extra, error))
+            submissions.append((jur, users, None, extra, error))
             continue
         try:
-            future = submit(jur, rows, payload, kill)
+            future = submit(payload, kill)
         except BrokenProcessPool as exc:
             # An earlier kill already broke the pool; this jurisdiction
             # never ran — a crash casualty, retried next round.
             round_broke = True
             submissions.append(
-                (jur, rows, None, extra, _crash_error(jur, rows, attempt, exc))
+                (jur, users, None, extra, _crash_error(jur, users, attempt, exc))
             )
             continue
-        submissions.append((jur, rows, future, extra, None))
-    for jur, rows, future, extra, error in submissions:
+        submissions.append((jur, users, future, extra, None))
+    for jur, users, future, extra, error in submissions:
         if error is not None:
             outcomes.append(error)
             continue
-        outcome, broke = collect(jur, rows, future, extra)
+        outcome, broke = collect(jur, users, future, extra)
         round_broke = round_broke or broke
         outcomes.append(outcome)
     if round_broke:

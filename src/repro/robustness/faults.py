@@ -245,14 +245,14 @@ class FaultInjectingAsyncClient:
         self._site = site
         self._attempts: Dict[object, int] = {}
 
-    async def serve_round(self, requests):
+    async def serve_round(self, requests, on_acquire=None):
         key = requests[0].request_id if requests else -1
         attempt = self._attempts.get(key, 0)
         self._attempts[key] = attempt + 1
         delay = self._injector.fire(self._site, key, attempt)
         if delay:
             await asyncio.sleep(delay)
-        return await self._client.serve_round(requests)
+        return await self._client.serve_round(requests, on_acquire)
 
     def __getattr__(self, name):
         return getattr(self._client, name)

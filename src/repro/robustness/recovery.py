@@ -64,9 +64,16 @@ __all__ = [
     "QuorumJournal",
     "QuorumRecoveryReport",
     "RecoveredSnapshot",
+    "SOLVER_FINGERPRINT",
     "flat_structure_digest",
     "rehydrate_flat_solution",
 ]
+
+#: the solver settings behind every journalled policy.  Journals written
+#: by ``CSP`` and ``EpochManager`` carry them in their fingerprint, and
+#: both restore paths require them, so a journal naming another engine
+#: or prune setting fails closed.
+SOLVER_FINGERPRINT: Dict[str, object] = {"engine": "flat", "prune": True}
 
 _FORMAT = "repro-snapshot"
 _VERSION = 1

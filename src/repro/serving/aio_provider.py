@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..core.errors import DeadlineExceededError, ReproError
 from ..core.requests import AnonymizedRequest
@@ -149,7 +149,9 @@ class AsyncProviderClient:
         return answers
 
     async def serve_round(
-        self, requests: Sequence[AnonymizedRequest]
+        self,
+        requests: Sequence[AnonymizedRequest],
+        on_acquire: Optional[Callable[[], None]] = None,
     ) -> Tuple[QueryAnswer, ...]:
         """One batched exchange: many distinct cloaks, one round-trip.
 
@@ -157,11 +159,15 @@ class AsyncProviderClient:
         overrun the in-flight connection is closed and replaced; on any
         provider error the connection is returned intact (the wire
         worked, the payload failed) so retries do not drain the pool.
+        ``on_acquire`` is called once a pooled connection is in hand, so
+        a caller can time the round without the wait for the pool.
         """
         requests = list(requests)
         if not requests:
             return ()
         conn = await self._acquire()
+        if on_acquire is not None:
+            on_acquire()
         try:
             if self.deadline is not None:
                 answers = await asyncio.wait_for(

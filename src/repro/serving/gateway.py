@@ -310,10 +310,16 @@ class AsyncGateway:
         csp = self.csp
         from ..lbs.pipeline import TRANSIENT_PROVIDER_ERRORS
 
-        async def fetch():
-            return await self.client.serve_round(requests)
+        # Timed from connection acquire (restarted by every retry), so
+        # queueing for a pooled connection never counts as provider RTT.
+        start = [self.clock.monotonic()]
 
-        start = self.clock.monotonic()
+        def acquired() -> None:
+            start[0] = self.clock.monotonic()
+
+        async def fetch():
+            return await self.client.serve_round(requests, acquired)
+
         try:
             if csp.retry_policy is None and csp.breaker is None:
                 result = await fetch()
@@ -327,7 +333,7 @@ class AsyncGateway:
                     + (DeadlineExceededError,),
                     breaker=csp.breaker,
                 )
-            self._observe_round(start, failed=False)
+            self._observe_round(start[0], failed=False)
             return result
         except asyncio.CancelledError:
             raise
@@ -335,7 +341,7 @@ class AsyncGateway:
             CircuitOpenError,
             DeadlineExceededError,
         ) + TRANSIENT_PROVIDER_ERRORS as exc:
-            self._observe_round(start, failed=True)
+            self._observe_round(start[0], failed=True)
             csp.events.append(
                 DegradationEvent(
                     level="rejected",

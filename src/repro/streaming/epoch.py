@@ -68,12 +68,14 @@ from ..core.errors import (
     ServiceUnavailableError,
     TreeError,
 )
+from ..core.flat_dp import FlatTreeSolution
 from ..core.geometry import Point, Rect
 from ..core.policy import CloakingPolicy
 from ..lbs.locationdb import LocationDatabase
 from ..robustness.degrade import DegradationEvent
 from ..robustness.faults import FaultInjector, InjectedFault
 from ..robustness.recovery import (
+    SOLVER_FINGERPRINT,
     PolicyJournal,
     QuorumJournal,
     RecoveredSnapshot,
@@ -261,8 +263,6 @@ class EpochManager:
         db: Optional[LocationDatabase] = None,
         *,
         max_depth: int = 40,
-        prune: bool = True,
-        engine: str = "flat",
         journal: Optional[Journal] = None,
         max_stale_snapshots: int = 1,
         coarsen_grace: int = 1,
@@ -294,16 +294,14 @@ class EpochManager:
         self._swap_lock = threading.Lock()  # serializes advance()
         self._lingering: List[Epoch] = []  # guarded-by: self._lock
         self._coarse: Dict[Tuple[int, int], Dict[Rect, Rect]] = {}  # guarded-by: self._lock
-        self._shadow = IncrementalAnonymizer(
-            region, k, max_depth=max_depth, prune=prune, engine=engine
-        )
+        self._shadow = IncrementalAnonymizer(region, k, max_depth=max_depth)
         self._active: Optional[Epoch] = None  # guarded-by: self._lock
         if _recovered is not None:
             self._shadow.restore(
                 _recovered.policy.db, _recovered.policy, solution=None
             )
             self._shadow.solution = rehydrate_flat_solution(
-                self._shadow.tree, _recovered, k, prune=prune
+                self._shadow.tree, _recovered, k
             )
             self._world_serial = _recovered.serial + _recovered.policy_age  # guarded-by: self._lock
             if (
@@ -330,14 +328,14 @@ class EpochManager:
                 raise ReproError("EpochManager needs a db (or _recovered)")
             self._shadow.fit(db)
             self._world_serial = 0  # guarded-by: self._lock
-            policy = self._shadow.policy
+            policy, payload = cast(FlatTreeSolution, self._shadow.solution).extract()
             if self._commit(policy, 0, self._shadow.solution) is None:
                 raise RecoveryError(
                     "initial epoch could not reach a commit quorum; "
                     "refusing to serve state that was never durable",
                     reason="quorum",
                 )
-            self._install(0, policy, origin="fit")
+            self._install(0, policy, origin="fit", payload=payload)
 
     # -- epoch bookkeeping -----------------------------------------------------
 
@@ -420,16 +418,28 @@ class EpochManager:
             epoch.shared = None
 
     def _install(
-        self, serial: int, policy: CloakingPolicy, origin: str
+        self,
+        serial: int,
+        policy: CloakingPolicy,
+        origin: str,
+        payload: Optional[FlatTree] = None,
     ) -> Epoch:
+        """Promote ``policy`` to the active epoch.  ``payload`` is the
+        extraction's payload tree; readers get its cloak column beside
+        the ids and coordinates, so attaching an epoch never re-solves
+        it."""
         shared: Optional[SharedFlatTree] = None
         if self.publish_shared:
-            # Readers get the extracted cloaks beside the ids and
-            # coordinates, so attaching an epoch never re-solves it.
-            flat = FlatTree.compile(self._shadow.tree, with_payload=True)
-            boxes = [cast(Rect, policy.cloak_for(u)).as_tuple() for u in flat.user_ids or ()]
-            flat.cloaks = np.array(boxes, dtype=np.float64).reshape(-1, 4)
-            shared = SharedFlatTree.publish(flat)
+            if payload is None:
+                # A restored policy came from the journal, not from an
+                # extraction: look its cloaks up row by row.
+                payload = FlatTree.compile(self._shadow.tree, with_payload=True)
+                boxes = [
+                    cast(Rect, policy.cloak_for(u)).as_tuple()
+                    for u in payload.user_ids or ()
+                ]
+                payload.cloaks = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+            shared = SharedFlatTree.publish(payload)
         epoch = Epoch(serial, policy, self._shadow.current_db, origin, shared)
         with self._lock:
             old, self._active = self._active, epoch
@@ -539,11 +549,7 @@ class EpochManager:
         """
         target = epoch or self.active
         oracle = PolicyAwareAnonymizer(
-            self.region,
-            self.k,
-            max_depth=self._shadow.max_depth,
-            prune=self._shadow.prune,
-            engine=self._shadow.engine,
+            self.region, self.k, max_depth=self._shadow.max_depth
         )
         oracle.fit(target.db)
         return oracle.policy
@@ -590,7 +596,7 @@ class EpochManager:
             except TreeError as exc:
                 return self._swap_failed(serial, batch, "repair-error", exc)
             repair_seconds = time.perf_counter() - started
-            policy = self._shadow.policy
+            policy, payload = cast(FlatTreeSolution, self._shadow.solution).extract()
             committed = self._commit(policy, serial, self._shadow.solution)
             if committed is None:
                 # Quorum lost between swap-intent and swap-commit: the
@@ -610,7 +616,7 @@ class EpochManager:
                 )
                 self.swaps.append(swap)
                 return swap
-            self._install(serial, policy, origin="swap")
+            self._install(serial, policy, origin="swap", payload=payload)
             swap = SwapReport(
                 serial=serial,
                 promoted=True,
@@ -686,10 +692,9 @@ class EpochManager:
         """Adoptability key — matches ``CSP._fingerprint`` field-for-field
         so epoch journals and pipeline journals are interchangeable."""
         return {
-            "engine": self._shadow.engine,
+            **SOLVER_FINGERPRINT,
             "k": self.k,
             "max_depth": self._shadow.max_depth,
-            "prune": self._shadow.prune,
             "region": list(self.region.as_tuple()),
         }
 
@@ -770,6 +775,7 @@ class EpochManager:
         ladder (stale + coarsen grace) before failing closed.
         """
         snapshot = journal.recover(
+            fingerprint=SOLVER_FINGERPRINT,
             current_serial=current_serial,
             max_stale_snapshots=max_stale_snapshots + coarsen_grace,
         )
@@ -784,8 +790,6 @@ class EpochManager:
             int(fp["k"]),  # type: ignore[arg-type]
             None,
             max_depth=int(fp.get("max_depth", 40)),  # type: ignore[arg-type]
-            prune=bool(fp.get("prune", True)),
-            engine=str(fp.get("engine", "flat")),
             journal=journal,
             max_stale_snapshots=max_stale_snapshots,
             coarsen_grace=coarsen_grace,

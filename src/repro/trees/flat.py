@@ -16,11 +16,13 @@ Three use sites:
   arrays across snapshots: when :meth:`BinaryTree.apply_moves` changed
   only counts (no splits/collapses) the arrays are patched in place,
   otherwise the tree is recompiled (O(|B|), no point data touched);
-* parallel sharding — :meth:`FlatTree.compile` of a jurisdiction
-  *subtree* (``root=``, with depths rebased and the leaf→point index
-  attached) is a small bundle of arrays that pickles in microseconds,
-  so workers receive the already-built spatial structure instead of
-  rebuilding a tree from raw point rows.
+* extraction — a payload compile (``with_payload=True``: geometry plus
+  the leaf→point index) is all :func:`~repro.core.flat_dp.extract_cloaks`
+  needs.  ``FlatTreeSolution.policy()`` compiles its own tree this way,
+  and the parallel engine compiles each jurisdiction or hand-off shard
+  *subtree* (``root=``, depths rebased): a small bundle of arrays that
+  pickles in microseconds or publishes to shared memory, so workers
+  receive the already-built spatial structure.
 """
 
 from __future__ import annotations

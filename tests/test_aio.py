@@ -184,6 +184,42 @@ class TestGatewayOnVirtualTime:
             user = result.request.user_id
             assert result.anonymized.cloak == csp.policy.cloak_for(user)
 
+    def test_pool_wait_is_not_provider_rtt(self):
+        """Two concurrent rounds share one pooled connection: the second
+        queues for it for a whole RTT, yet the admission controller must
+        observe 0.05 s for both — the round is timed from acquire."""
+        from repro.serving.admission import AdmissionController
+        from repro.serving.gateway import (
+            AsyncGateway,
+            GatewayConfig,
+            serve_scheduled,
+        )
+
+        csp = self._csp()
+        controller = AdmissionController(64)
+        observed = []
+        observe = controller.observe_round
+
+        def record(rtt, **flags):
+            observed.append(rtt)
+            observe(rtt, **flags)
+
+        controller.observe_round = record
+        config = GatewayConfig(
+            queue_high_water=64, rtt=0.05, max_batch=1, pool_size=1
+        )
+        gateway = AsyncGateway(csp, config, admission=controller)
+        a, b = [
+            next(u for u in csp.anonymizer.current_db.user_ids()
+                 if csp.policy.cloak_for(u) == cloak)
+            for cloak in list(csp.policy.groups())[:2]
+        ]
+        schedule = [(0.0, a, [("poi", "rest")]), (0.0, b, [("poi", "rest")])]
+        results = VirtualTimeLoop().run(serve_scheduled(gateway, schedule))
+        assert not any(isinstance(r, BaseException) for r in results)
+        assert gateway.stats.provider_rounds == 2
+        assert observed == [pytest.approx(0.05), pytest.approx(0.05)]
+
 
 class TestRetryCallAsync:
     def test_succeeds_after_transient_failures(self):

@@ -8,7 +8,6 @@ recomputing no more nodes than the object path.
 """
 
 import random
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -102,25 +101,36 @@ def test_flat_policy_is_k_anonymous(seed):
 
 @pytest.mark.parametrize("seed", [301, 302, 303, 304])
 def test_standalone_extraction_matches_solution_policy(seed):
-    """Worker-side extract_cloaks ≡ the solution's own extraction."""
+    """Flat extraction ≡ the ``engine="object"`` walk, cloak for cloak
+    and in insertion order — on a fresh solve and across four
+    incremental repairs — both through ``solution.policy()`` and through
+    worker-side ``extract_cloaks`` on a standalone payload compile."""
     rng = random.Random(seed)
     for __ in range(4):
         db, k = _random_instance(rng)
         tree = BinaryTree.build(REGION, db, k)
-        flat = FlatTree.compile(tree, with_payload=True)
-        vecs = solve_arrays(flat, k)
-        sol = solve_flat(tree, k)
-        cost = _cost_or_none(sol)
-        if cost is None:
-            with pytest.raises(NoFeasiblePolicyError):
-                extract_cloaks(flat, vecs, k)
-            continue
-        cloaks = extract_cloaks(flat, vecs, k)
-        assert set(cloaks) == set(db.user_ids())
-        groups = Counter(cloaks.values())
-        assert all(size >= k for size in groups.values())
-        total = sum((r[2] - r[0]) * (r[3] - r[1]) for r in cloaks.values())
-        assert total == pytest.approx(cost, rel=1e-9, abs=1e-9)
+        sol = solve(tree, k)
+        for step in range(5):
+            if step:
+                moves = random_moves(
+                    tree.db, 0.3, REGION, max_distance=60, seed=seed * 10 + step
+                )
+                sol, __ = resolve_dirty(sol, tree.apply_moves(moves))
+            oracle = solve(tree, k, engine="object")
+            flat = FlatTree.compile(tree, with_payload=True)
+            vecs = solve_arrays(flat, k)
+            if _cost_or_none(oracle) is None:
+                with pytest.raises(NoFeasiblePolicyError):
+                    sol.policy()
+                with pytest.raises(NoFeasiblePolicyError):
+                    extract_cloaks(flat, vecs, k)
+                break
+            expected = oracle.policy()
+            assert list(sol.policy().items()) == list(expected.items())
+            cloaks = extract_cloaks(flat, vecs, k)
+            assert list(cloaks.items()) == [
+                (uid, cloak.as_tuple()) for uid, cloak in expected.items()
+            ]
 
 
 @pytest.mark.parametrize("seed", [401, 402, 403, 404, 405])
@@ -174,21 +184,27 @@ def test_memo_shares_across_identical_subtrees():
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("transport", ["flat", "rows"])
+def _object_oracle(rect, db, k):
+    """A from-scratch ``engine="object"`` solve of one territory."""
+    tree = BinaryTree.build(rect, db, k)
+    return solve(tree, k, engine="object").policy()
+
+
+@pytest.mark.parametrize("transport", ["flat", "shm"])
 def test_parallel_transports_agree(transport):
+    """Every server's policy equals a per-jurisdiction solve by the
+    ``engine="object"`` oracle, whichever way the arrays travel."""
     region = Rect(0, 0, 4096, 4096)
     db = uniform_users(600, region, seed=77)
-    results = {}
-    for tr in ("flat", "rows"):
-        results[tr] = parallel_bulk_anonymize(
-            region, db, 10, 4, transport=tr
+    result = parallel_bulk_anonymize(region, db, 10, 4, transport=transport)
+    solved = [s for s in result.master.servers if s.policy is not None]
+    assert sum(len(s.policy) for s in solved) == len(db)
+    for server in solved:
+        expected = _object_oracle(
+            server.jurisdiction.rect, server.policy.db, 10
         )
-    merged_flat = results["flat"].master.merged
-    merged_rows = results["rows"].master.merged
-    assert merged_flat.cost() == pytest.approx(merged_rows.cost(), rel=1e-9)
-    for uid in db.user_ids():
-        assert merged_flat.cloak_for(uid) == merged_rows.cloak_for(uid)
-    report = audit_policy(results[transport].master.merged, 10)
+        assert list(server.policy.items()) == list(expected.items())
+    report = audit_policy(result.master.merged, 10)
     assert report.safe_policy_aware, report.summary()
 
 
@@ -228,3 +244,54 @@ def test_empty_and_tiny_instances():
     tree2 = BinaryTree.build(REGION, two, 5)
     assert _cost_or_none(solve_flat(tree2, 5)) is None
     assert _cost_or_none(_solve_object(tree2, 5, True)) is None
+
+
+def test_production_never_walks_the_object_tree(monkeypatch):
+    """Every production policy comes out of the flat extraction: with
+    the object walk disabled, the serving stack, the parallel engine
+    (hand-off included) and the rebalancing pool all still work."""
+    from repro.core.binary_dp import TreeSolution
+    from repro.lbs import CSP, LBSProvider, generate_pois
+    from repro.parallel import RebalancingPool
+    from repro.robustness import FaultInjector, FaultPlan, FaultRule
+    from repro.serving import FleetConfig, FleetDispatcher
+    from repro.streaming import EpochManager
+
+    def object_walk(self):
+        raise AssertionError("production code walked the object tree")
+
+    monkeypatch.setattr(TreeSolution, "configuration", object_walk)
+    region = Rect(0, 0, 2048, 2048)
+    db = uniform_users(300, region, seed=5)
+    k = 5
+    provider = LBSProvider(generate_pois(region, {"rest": 20}, seed=1))
+
+    csp = CSP(region, k, db, provider)
+    csp.advance_snapshot(random_moves(db, 0.1, region, seed=1))
+    uid = db.user_ids()[0]
+    assert csp.request(uid, [("poi", "rest")]) is not None
+
+    with EpochManager(region, k, db) as manager:
+        assert manager.advance(random_moves(db, 0.1, region, seed=2)).promoted
+
+    with FleetDispatcher(
+        region, k, db, provider, FleetConfig(n_workers=2, mode="simulated")
+    ) as fleet:
+        fleet.advance_epoch(random_moves(fleet.db, 0.1, region, seed=3))
+        assert fleet.serve([(uid, [("poi", "rest")])])
+
+    victim = parallel_bulk_anonymize(region, db, k, 4).jurisdictions[0]
+    crash = FaultInjector(
+        FaultPlan(
+            rules=(FaultRule("solve", "crash", match=str(victim.node_id)),),
+            seed=0,
+        )
+    )
+    result = parallel_bulk_anonymize(
+        region, db, k, 4, injector=crash, on_failure="handoff"
+    )
+    assert result.handoffs and len(result.master.merged) == len(db)
+
+    pool = RebalancingPool(region, k, 4).fit(db)
+    pool.advance(random_moves(db, 0.1, region, seed=4))
+    assert len(pool.master_policy().merged) == len(db)

@@ -4,13 +4,17 @@ re-partitioned, re-solved, and adopted by its neighbours."""
 import pytest
 
 from repro import Rect, ServiceUnavailableError
+from repro.core.binary_dp import solve
 from repro.data import uniform_users
 from repro.parallel import (
     RebalancingPool,
     adjacent_rects,
     assign_adopters,
     handoff_shards,
+    parallel_bulk_anonymize,
 )
+from repro.robustness import FaultInjector, FaultPlan, FaultRule, RetryPolicy
+from repro.trees.binarytree import BinaryTree
 from repro.trees.partition import Jurisdiction
 
 REGION = Rect(0, 0, 1024, 1024)
@@ -68,6 +72,59 @@ class TestHandoffShards:
                 # Fine cloaks, not the coarse territory rectangle.
                 assert cloak.area < territory.area
         assert covered == {uid for uid, __, ___ in rows}
+
+
+def object_oracle(rect, db, k=K):
+    """A from-scratch ``engine="object"`` solve of one shard."""
+    return solve(BinaryTree.build(rect, db, k), k, engine="object").policy()
+
+
+class TestHandoffOracle:
+    """Shard policies equal the ``engine="object"`` oracle solving each
+    shard on its own, cloak for cloak and in insertion order."""
+
+    def test_in_process_shards_match_object_oracle(self):
+        territory = Rect(0, 0, 512, 512)
+        rows = TestHandoffShards().rows_in(territory, 80, seed=3)
+        shards = handoff_shards(territory, rows, K, n_shards=3)
+        solved = [(j, p) for j, p, __ in shards if p is not None]
+        assert sum(len(p) for __, p in solved) == len(rows)
+        for jur_, policy in solved:
+            expected = object_oracle(jur_.rect, policy.db)
+            assert list(policy.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("mode", ["simulated", "process"])
+    def test_engine_handoff_shards_match_object_oracle(self, mode):
+        db = uniform_users(160, REGION, seed=23)
+        reference = parallel_bulk_anonymize(REGION, db, K, 4)
+        victim = max(reference.jurisdictions, key=lambda j: j.count).node_id
+        injector = FaultInjector(
+            FaultPlan(
+                rules=(FaultRule("solve", "crash", match=str(victim)),),
+                seed=0,
+            )
+        )
+        result = parallel_bulk_anonymize(
+            REGION,
+            db,
+            K,
+            4,
+            mode=mode,
+            injector=injector,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+            on_failure="handoff",
+            pool_workers=2 if mode == "process" else None,
+        )
+        shard_ids = {shard for __, shard, ___ in result.handoffs}
+        shards = [
+            s
+            for s in result.master.servers
+            if s.jurisdiction.node_id in shard_ids and s.policy is not None
+        ]
+        assert shards
+        for server in shards:
+            expected = object_oracle(server.jurisdiction.rect, server.policy.db)
+            assert list(server.policy.items()) == list(expected.items())
 
 
 class TestAssignAdopters:

@@ -66,6 +66,13 @@ class TestAccess:
         sub = db.subset(["c", "a"])
         assert set(sub.user_ids()) == {"a", "c"}
         assert sub.location_of("c") == Point(5, 5)
+        assert sub.user_ids() == ["c", "a"]  # caller's order
+
+    def test_subset_rejects_duplicates_and_unknown(self, db):
+        with pytest.raises(ReproError, match="duplicate"):
+            db.subset(["a", "a"])
+        with pytest.raises(KeyError):
+            db.subset(["nobody"])
 
     def test_restricted_to(self, db):
         sub = db.restricted_to(Rect(0, 0, 3, 3))

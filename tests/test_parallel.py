@@ -69,6 +69,31 @@ class TestParallelBulk:
         b = parallel_bulk_anonymize(region, db, 10, 4)
         assert a.cost == pytest.approx(b.cost)
 
+    def test_partition_tree_over_equal_snapshot_accepted(self, region, db):
+        """A tree built over a different object with the same contents
+        is the same snapshot."""
+        twin = db.subset(db.user_ids())
+        tree = BinaryTree.build(region, twin, 10)
+        a = parallel_bulk_anonymize(region, db, 10, 4, partition_tree=tree)
+        b = parallel_bulk_anonymize(region, db, 10, 4)
+        assert a.cost == b.cost
+
+    def test_partition_tree_from_another_snapshot_rejected(self, region):
+        """Half the users moved at most 5 m since the tree was built: the
+        mismatch is named up front, not found deep in policy assembly."""
+        from repro.lbs import random_moves
+
+        before = uniform_users(600, region, seed=7)
+        tree = BinaryTree.build(region, before, 10)
+        after = before.with_moves(
+            random_moves(before, 0.5, region, max_distance=5.0, seed=8)
+        )
+        with pytest.raises(ReproError, match="different snapshot"):
+            parallel_bulk_anonymize(region, after, 10, 4, partition_tree=tree)
+        fewer = before.subset(before.user_ids()[:-1])
+        with pytest.raises(ReproError, match="different snapshot"):
+            parallel_bulk_anonymize(region, fewer, 10, 4, partition_tree=tree)
+
 
 class TestShmTransport:
     def test_shm_bit_identical_to_flat(self, region, db):
@@ -101,6 +126,10 @@ class TestShmTransport:
     def test_unknown_transport_rejected(self, region, db):
         with pytest.raises(ReproError, match="transport"):
             parallel_bulk_anonymize(region, db, 10, 2, transport="carrier")
+
+    def test_rows_transport_is_gone(self, region, db):
+        with pytest.raises(ReproError, match="transport"):
+            parallel_bulk_anonymize(region, db, 10, 2, transport="rows")
 
     def test_no_segment_leaks(self, region, db):
         import pathlib

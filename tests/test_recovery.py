@@ -258,6 +258,34 @@ class TestCSPRestart:
         assert served.degradation == "recovered"
         assert served.anonymized.cloak == expected[user]
 
+    @pytest.mark.parametrize(
+        "solver", [{"engine": "object"}, {"prune": False}, {"engine": None}]
+    )
+    def test_foreign_solver_fingerprint_fails_closed(
+        self, provider, tmp_path, solver
+    ):
+        """CSP and EpochManager run one solver; a journal naming another
+        engine or prune setting (or none) is not state they can adopt."""
+        from repro.streaming import EpochManager
+
+        fingerprint = {
+            "engine": "flat",
+            "k": K,
+            "max_depth": 40,
+            "prune": True,
+            "region": list(REGION.as_tuple()),
+        }
+        fingerprint.update(solver)
+        journal = PolicyJournal(str(tmp_path / "j"))
+        journal.commit(build_policy(), 0, fingerprint)
+        for restore in (
+            lambda: CSP.restore(provider, journal),
+            lambda: EpochManager.restore(journal),
+        ):
+            with pytest.raises(RecoveryError) as err:
+                restore()
+            assert err.value.reason == "fingerprint"
+
     def test_restart_is_warm_and_repairs_forward(self, provider, journal):
         csp = self.make_csp(provider, journal)
         churn(csp, rounds=2)
