@@ -205,7 +205,7 @@ def _run_chaos(scale):
         start = time.perf_counter()
         restored = CSP.restore(provider, QuorumJournal(roots))
         restore_seconds = time.perf_counter() - start
-        recovery = restored.journal.last_recovery
+        recovery = restored.manager.journal.last_recovery
         audit = audit_policy(restored.policy, K)
         served_identical = sum(
             restored.policy.cloak_for(uid) == cloak

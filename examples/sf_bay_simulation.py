@@ -36,7 +36,7 @@ def main() -> None:
     t0 = time.perf_counter()
     csp = CSP(region, K, db, LBSProvider(pois))
     print(f"bulk anonymization: {time.perf_counter() - t0:.2f}s, "
-          f"cost {csp.anonymizer.optimal_cost:.3e} m²")
+          f"cost {csp.policy.cost():.3e} m²")
     assert_policy_aware_k_anonymous(csp.policy, K)
 
     users = db.user_ids()
@@ -59,7 +59,7 @@ def main() -> None:
 
         # The world moves: 2% of users relocate by ≤ 200 m.
         moves = random_moves(
-            csp.anonymizer.current_db, 0.02, region,
+            csp.mpc.db, 0.02, region,
             max_distance=200.0, seed=snapshot,
         )
         t0 = time.perf_counter()

@@ -120,9 +120,6 @@ class UpdateReport:
     dirty_nodes: int
     recomputed_nodes: int
     total_nodes: int
-    #: False when a fault-tolerant caller skipped the repair and kept
-    #: serving the previous snapshot (the "stale" degradation rung).
-    applied: bool = True
 
     @property
     def recomputed_fraction(self) -> float:

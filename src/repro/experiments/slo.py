@@ -133,7 +133,7 @@ def _durability_section(n_users: int) -> Dict[str, object]:
         csp = _make_csp(n_users, journal=quorum)
         for index in range(2):
             moves = random_moves(
-                csp.anonymizer.current_db,
+                csp.mpc.db,
                 0.15,
                 REGION,
                 max_distance=120.0,
@@ -152,7 +152,7 @@ def _durability_section(n_users: int) -> Dict[str, object]:
             restored.policy.cloak_for(uid) == cloak
             for uid, cloak in expected.items()
         ) and len(restored.policy) == len(expected)
-        report = restored.journal.last_recovery
+        report = restored.manager.journal.last_recovery
 
         destroy_replica(roots[0])
         destroy_replica(roots[1])
@@ -225,7 +225,7 @@ def build_slo_report(scale: str = "default", seed: int = 7) -> Dict[str, object]
 
     durability = _durability_section(min(n_users, 120))
 
-    users = _make_csp(n_users).anonymizer.current_db.user_ids()
+    users = _make_csp(n_users).mpc.db.user_ids()
     schedule = poisson_schedule(users, rate, duration, seed=seed)
     requests = [
         (t, user, [("poi", category)]) for t, user, category in schedule

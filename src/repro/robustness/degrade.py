@@ -9,20 +9,22 @@ quad/binary tree, which is safe by the k-summation property
 contained in it yields one merged group at least as large as any of its
 parts — never below k.
 
-Serving ladder (applied by :class:`repro.lbs.pipeline.CSP`):
+Serving ladder (applied by :class:`repro.streaming.epoch.EpochManager`
+for every serving path; the CSP is a manager with ``coarsen_grace=0``):
 
 1. **fresh** — the normal path;
 2. **coarsened** — a user's fine cloak cannot be served (stale MPC
-   location, unreliable subtree): serve the lowest tree *ancestor* of
-   her cloak that covers the reported location, and re-map every group
-   contained in that ancestor to it (group-wide, or the requester would
-   form a singleton group — itself a breach);
-3. **stale** — the whole policy repair failed: keep serving the previous
-   snapshot's policy/location pair, up to a bounded snapshot age;
+   location): serve the lowest halving-chain *ancestor* of her cloak
+   that covers the reported location, and re-map every group contained
+   in that ancestor to it (group-wide, or the requester would form a
+   singleton group — itself a breach).  :func:`coarsening_ancestor`
+   walks a tree to the same node and is kept as the reference oracle;
+3. **stale** — the whole policy swap failed: keep serving the previous
+   epoch's policy/location pair, up to a bounded snapshot age;
 4. **recovered** — a restarted CSP serving the journalled policy of the
    crash-consistent snapshot store (:mod:`repro.robustness.recovery`)
-   until its first successful snapshot repair — operationally the stale
-   rung, labelled separately for SLO accounting;
+   until its first promoted swap — operationally the stale rung,
+   labelled separately for SLO accounting;
 5. **rejected** — nothing above applies: raise
    :class:`~repro.core.errors.ServiceUnavailableError`.
 

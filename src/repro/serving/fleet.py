@@ -755,7 +755,7 @@ class FleetDispatcher:
             respawns=respawns,
             lost_workers=sum(1 for slot in self._slots if slot.lost),
             dispatch_wall_seconds=self._dispatch_wall,
-            epochs=sum(1 for swap in self._manager.swaps if swap.promoted),
+            epochs=self._manager.promotions,
         )
         return self._final_stats
 

@@ -1,9 +1,11 @@
 """Double-buffered epoch serving: repair on the shadow, swap atomically.
 
-The batch pipeline stops the world on every snapshot: `CSP.advance_snapshot`
-repairs the live tree in place, and requests arriving mid-repair wait (the
-DES blackout rung).  This module retires that blackout.  An
-:class:`EpochManager` keeps **two** policy buffers:
+The one owner of the policy lifecycle: fit (or adopt), incremental
+repair, journal commit, restore, the staleness ladder and trajectory
+enforcement.  :class:`~repro.lbs.pipeline.CSP` is a request path over
+one manager (with ``coarsen_grace=0``), and the fleet dispatcher serves
+from one with ``publish_shared=True``.  An :class:`EpochManager` keeps
+**two** policy buffers:
 
 * the **active epoch** — an immutable `(serial, policy, db)` triple that
   serving reads; optionally published as a read-only
@@ -34,12 +36,19 @@ Bounded staleness drives the degradation ladder.  With the shadow
     age <= max_stale + coarsen_grace  -> coarsened  (geometric ancestor cloaks)
     beyond                            -> rejected   (fail closed)
 
+With ``coarsen_grace=0`` (the CSP) the coarsened rung of the ladder is
+empty: stale within ``max_stale``, then rejected.
+
 Coarsening never consults the (possibly mid-repair) tree: every cloak of a
 tree-derived policy is a node rectangle of the deterministic halving
-hierarchy, so its ``levels``-up ancestor is reconstructible from pure
-geometry.  Mapping *every* cloak of an epoch uniformly ``levels`` up keeps
+hierarchy, so its ancestors are reconstructible from pure geometry.
+Mapping *every* cloak of an epoch uniformly ``levels`` up keeps
 k-anonymity: each fine anonymity group (≥ k senders) lands wholesale inside
-one ancestor rectangle, so coarse groups are unions of fine groups.
+one ancestor rectangle, so coarse groups are unions of fine groups.  A
+request whose reported location the epoch's snapshot does not hold (a
+stale MPC read) is served the lowest halving-chain ancestor of its cloak
+that covers the location, registered group-wide in the epoch's override
+antichain (:attr:`EpochManager.effective_policy`).
 """
 
 from __future__ import annotations
@@ -71,8 +80,12 @@ from ..core.errors import (
 from ..core.flat_dp import FlatTreeSolution
 from ..core.geometry import Point, Rect
 from ..core.policy import CloakingPolicy
-from ..lbs.locationdb import LocationDatabase
-from ..robustness.degrade import DegradationEvent
+from ..core.locationdb import LocationDatabase
+from ..robustness.degrade import (
+    DegradationEvent,
+    coarsen_overrides,
+    policy_with_overrides,
+)
 from ..robustness.faults import FaultInjector, InjectedFault
 from ..robustness.recovery import (
     SOLVER_FINGERPRINT,
@@ -162,6 +175,31 @@ def ancestor_cloak(
     return chain[max(0, len(chain) - 1 - max(0, levels))]
 
 
+def covering_ancestor(
+    region: Rect, orientation: str, cloak: Rect, location: Point
+) -> Rect:
+    """The lowest hierarchy ancestor of ``cloak`` (itself included) that
+    covers ``location`` — the geometric twin of
+    :func:`~repro.robustness.degrade.coarsening_ancestor`, which walks a
+    tree instead.  Raises :class:`ServiceUnavailableError`
+    (``reason="coarsen"``) when no ancestor covers ``location``.
+    """
+    try:
+        chain = halving_chain(region, orientation, cloak)
+    except TreeError as exc:
+        raise ServiceUnavailableError(
+            f"cannot coarsen cloak {cloak}: {exc}", reason="coarsen"
+        ) from exc
+    for rect in reversed(chain):
+        if rect.contains(location):
+            return rect
+    raise ServiceUnavailableError(
+        "reported location lies outside every ancestor cloak; "
+        "rejecting fail-closed",
+        reason="coarsen",
+    )
+
+
 class Epoch:
     """One immutable published policy buffer.
 
@@ -172,7 +210,7 @@ class Epoch:
     """
 
     __slots__ = ("serial", "policy", "db", "origin", "shared", "pins",
-                 "retired")
+                 "retired", "overrides", "ancestors")
 
     def __init__(
         self,
@@ -191,6 +229,11 @@ class Epoch:
         self.shared = shared
         self.pins = 0
         self.retired = False
+        #: group-wide MPC-mismatch coarsenings: an antichain of ancestor
+        #: rects, each re-cloaking every group it contains.
+        self.overrides: List[Rect] = []
+        #: memo of ladder coarsening: (cloak, levels) → ancestor.
+        self.ancestors: Dict[Tuple[Rect, int], Rect] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -207,15 +250,22 @@ class EpochPin:
     completes with the exact cloaks it was admitted under.
     """
 
-    __slots__ = ("_manager", "epoch", "rung", "levels", "_released")
+    __slots__ = ("_manager", "epoch", "rung", "levels", "age", "_released")
 
     def __init__(
-        self, manager: "EpochManager", epoch: Epoch, rung: str, levels: int
+        self,
+        manager: "EpochManager",
+        epoch: Epoch,
+        rung: str,
+        levels: int,
+        age: int,
     ) -> None:
         self._manager = manager
         self.epoch = epoch
         self.rung = rung
         self.levels = levels
+        #: swaps the epoch was behind the world at admission.
+        self.age = age
         self._released = False
 
     def __enter__(self) -> "EpochPin":
@@ -270,6 +320,7 @@ class EpochManager:
         injector: Optional[FaultInjector] = None,
         swap_chaos: Optional[Callable[[str], None]] = None,
         trajectory: Optional["ContinuityConstraint"] = None,
+        policy: Optional[CloakingPolicy] = None,
         _recovered: Optional[RecoveredSnapshot] = None,
     ) -> None:
         self.region = region
@@ -289,11 +340,12 @@ class EpochManager:
         self.swap_chaos = swap_chaos
         self.accumulator = DirtyAccumulator()
         self.events: List[DegradationEvent] = []
-        self.swaps: List[SwapReport] = []
+        #: advance() ticks, and how many of them promoted a swap.
+        self.ticks = 0
+        self.promotions = 0
         self._lock = threading.Lock()  # guards active/pins/world_serial
         self._swap_lock = threading.Lock()  # serializes advance()
         self._lingering: List[Epoch] = []  # guarded-by: self._lock
-        self._coarse: Dict[Tuple[int, int], Dict[Rect, Rect]] = {}  # guarded-by: self._lock
         self._shadow = IncrementalAnonymizer(region, k, max_depth=max_depth)
         self._active: Optional[Epoch] = None  # guarded-by: self._lock
         if _recovered is not None:
@@ -324,11 +376,20 @@ class EpochManager:
                 )
             )
         else:
-            if db is None:
-                raise ReproError("EpochManager needs a db (or _recovered)")
-            self._shadow.fit(db)
+            payload: Optional[FlatTree] = None
+            if policy is not None:
+                # Adopt a policy solved elsewhere for its own snapshot
+                # (fleet workers): the DP is deterministic, so serving it
+                # is bit-identical to fitting; the first repair re-solves.
+                self._shadow.restore(policy.db, policy, solution=None)
+            elif db is None:
+                raise ReproError("EpochManager needs a db (or a policy)")
+            else:
+                self._shadow.fit(db)
+                policy, payload = cast(
+                    FlatTreeSolution, self._shadow.solution
+                ).extract()
             self._world_serial = 0  # guarded-by: self._lock
-            policy, payload = cast(FlatTreeSolution, self._shadow.solution).extract()
             if self._commit(policy, 0, self._shadow.solution) is None:
                 raise RecoveryError(
                     "initial epoch could not reach a commit quorum; "
@@ -392,7 +453,7 @@ class EpochManager:
                     reason="stale",
                 )
             epoch.pins += 1
-        return EpochPin(self, epoch, rung, levels)
+        return EpochPin(self, epoch, rung, levels, age)
 
     def _release(self, epoch: Epoch) -> None:
         with self._lock:
@@ -405,11 +466,6 @@ class EpochManager:
             return
         if epoch in self._lingering:
             self._lingering.remove(epoch)
-        self._coarse = {
-            key: table
-            for key, table in self._coarse.items()
-            if key[0] != epoch.serial
-        }
         if epoch.shared is not None:
             try:
                 epoch.shared.unlink()
@@ -454,25 +510,37 @@ class EpochManager:
     # -- serving ---------------------------------------------------------------
 
     def serve_cloak(
-        self, user_id: str, pin: Optional[EpochPin] = None
+        self,
+        user_id: str,
+        pin: Optional[EpochPin] = None,
+        location: Optional[Point] = None,
     ) -> Tuple[Rect, str]:
         """The epoch-pinned cloak for one user, plus the serving rung.
 
         With ``pin`` (the normal path) both the epoch and the rung were
         fixed at admission — a swap landing mid-flight changes nothing
         for this request.  Without one, a transient pin is taken.
+        ``location`` is the position the request reports (the CSP's MPC
+        read): when the epoch's cloak does not cover it, the cloak is
+        coarsened group-wide (:meth:`_mpc_cloak`) before the trajectory
+        defense runs.
         """
         if pin is None:
             with self.pin() as transient:
-                return self.serve_cloak(user_id, transient)
+                return self.serve_cloak(user_id, transient, location)
         epoch, rung = pin.epoch, pin.rung
-        cloak = epoch.policy.cloak_for(str(user_id))
+        fine = epoch.policy.cloak_for(str(user_id))
+        if not isinstance(fine, Rect):
+            raise ServiceUnavailableError(
+                "coarsening needs rectangular cloaks", reason="coarsen"
+            )
+        cloak = fine
+        if location is not None:
+            cloak = self._mpc_cloak(epoch, str(user_id), fine, location)
         if rung == "coarsened":
-            if not isinstance(cloak, Rect):
-                raise ServiceUnavailableError(
-                    "coarsening needs rectangular cloaks", reason="coarsen"
-                )
             cloak = self._coarse_cloak(epoch, cloak, pin.levels)
+        elif cloak != fine:
+            rung = "coarsened"
         if self.trajectory is None:
             return cloak, rung
         return self._continuity_cloak(epoch, str(user_id), cloak, rung)
@@ -515,21 +583,14 @@ class EpochManager:
                     ),
                 )
             )
-            if rung in ("fresh", "recovered", "stale"):
-                rung = "coarsened"
+            rung = "coarsened"
         return decision.cloak, rung
 
     def _coarse_cloak(self, epoch: Epoch, cloak: Rect, levels: int) -> Rect:
-        # The memo table races with _reap_locked's rebind on the swap
-        # thread, so the lookup/insert rides the serving lock; the
-        # ancestor walk itself is a short deterministic tree descent.
-        key = (epoch.serial, levels)
+        # The memo lives on the epoch and dies with it; the ancestor walk
+        # itself is a short deterministic geometric descent.
         with self._lock:
-            table = self._coarse.get(key)
-            if table is None:
-                table = {}
-                self._coarse[key] = table
-            ancestor = table.get(cloak)
+            ancestor = epoch.ancestors.get((cloak, levels))
         if ancestor is None:
             try:
                 ancestor = ancestor_cloak(
@@ -540,8 +601,63 @@ class EpochManager:
                     f"cannot coarsen cloak {cloak}: {exc}", reason="coarsen"
                 ) from exc
             with self._lock:
-                table[cloak] = ancestor
+                epoch.ancestors[(cloak, levels)] = ancestor
         return ancestor
+
+    def _mpc_cloak(
+        self, epoch: Epoch, user_id: str, fine: Rect, location: Point
+    ) -> Rect:
+        """The cloak for a request reporting ``location``.
+
+        The fine cloak, or the epoch's override covering it, when that
+        covers ``location`` (always so on a consistent MPC read).  Else
+        the lowest halving-chain ancestor covering it, registered in the
+        epoch's override antichain: every group inside the ancestor is
+        re-cloaked by it, so the requester's whole fine group (≥ k) lands
+        in one merged group — never a singleton.  Raises
+        :class:`ServiceUnavailableError` (``reason="coarsen"``) when no
+        ancestor covers the location.
+        """
+        with self._lock:
+            # A hierarchy node covering the fine cloak lies on its chain,
+            # so in an antichain at most one override covers it.
+            cloak = next(
+                (r for r in epoch.overrides if r.contains_rect(fine)), fine
+            )
+        if cloak.contains(location):
+            return cloak
+        ancestor = covering_ancestor(
+            self.region, self.orientation, cloak, location
+        )
+        with self._lock:
+            # Keep the overrides an antichain of maximal rects: nested
+            # ones would split an ancestor group below k.
+            epoch.overrides[:] = [
+                r for r in epoch.overrides if not ancestor.contains_rect(r)
+            ]
+            epoch.overrides.append(ancestor)
+        self.events.append(
+            DegradationEvent(
+                level="coarsened",
+                reason="policy mismatch",
+                detail=f"user {user_id!r}: reported location off its cloak",
+            )
+        )
+        return ancestor
+
+    @property
+    def effective_policy(self) -> CloakingPolicy:
+        """The policy an attacker can reverse-engineer *right now*: the
+        active epoch's policy under its MPC-mismatch overrides.  This is
+        what chaos tests audit — it must stay policy-aware k-anonymous
+        through every degradation."""
+        epoch = self.active
+        with self._lock:
+            rects = list(epoch.overrides)
+        overrides: Dict[str, Rect] = {}
+        for rect in rects:
+            overrides.update(coarsen_overrides(epoch.policy, rect))
+        return policy_with_overrides(epoch.policy, overrides, name="effective")
 
     def oracle_policy(self, epoch: Optional[Epoch] = None) -> CloakingPolicy:
         """A from-scratch bulk solve of an epoch's exact db — the policy
@@ -584,6 +700,7 @@ class EpochManager:
             with self._lock:
                 self._world_serial += 1
                 serial = self._world_serial
+            self.ticks += 1
             batch = self._applicable(self.accumulator.drain())
             started = time.perf_counter()
             if self.injector is not None:
@@ -602,7 +719,7 @@ class EpochManager:
                 # Quorum lost between swap-intent and swap-commit: the
                 # swap is void.  The shadow keeps the repair (it will
                 # re-commit next tick); serving stays on the old epoch.
-                swap = SwapReport(
+                return SwapReport(
                     serial=serial,
                     promoted=False,
                     committed=False,
@@ -614,10 +731,9 @@ class EpochManager:
                     repair_seconds=repair_seconds,
                     reason="journal-quorum",
                 )
-                self.swaps.append(swap)
-                return swap
             self._install(serial, policy, origin="swap", payload=payload)
-            swap = SwapReport(
+            self.promotions += 1
+            return SwapReport(
                 serial=serial,
                 promoted=True,
                 committed=committed,
@@ -628,8 +744,6 @@ class EpochManager:
                 total_nodes=report.total_nodes,
                 repair_seconds=repair_seconds,
             )
-            self.swaps.append(swap)
-            return swap
 
     def _applicable(self, batch: Dict[str, Point]) -> Dict[str, Point]:
         """``batch`` without the moves no repair can ever apply.
@@ -677,7 +791,7 @@ class EpochManager:
             policy_age=staleness,
             rung=rung,
         )
-        swap = SwapReport(
+        return SwapReport(
             serial=serial,
             promoted=False,
             committed=False,
@@ -685,12 +799,9 @@ class EpochManager:
             repair_seconds=0.0,
             reason=reason,
         )
-        self.swaps.append(swap)
-        return swap
 
     def _fingerprint(self) -> Dict[str, object]:
-        """Adoptability key — matches ``CSP._fingerprint`` field-for-field
-        so epoch journals and pipeline journals are interchangeable."""
+        """What must match for journalled state to be adoptable here."""
         return {
             **SOLVER_FINGERPRINT,
             "k": self.k,
@@ -802,6 +913,22 @@ class EpochManager:
         if current_serial is not None:
             # analysis: ok[CC001] manager is thread-private until returned
             manager._world_serial = max(manager._world_serial, current_serial)
+        report = getattr(journal, "last_recovery", None)
+        if report is not None and report.repaired:
+            # Quorum restore rebuilt one or more replicas from the
+            # majority — surface the repair (and its duration, the MTTR
+            # numerator) on the degradation timeline.
+            manager.events.append(
+                DegradationEvent(
+                    level="journal",
+                    reason="replica-repaired",
+                    detail=(
+                        f"replicas {list(report.repaired)} rewritten from "
+                        f"quorum of {len(report.voters)} in "
+                        f"{report.repair_seconds:.4f}s"
+                    ),
+                )
+            )
         return manager
 
     # -- lifecycle -------------------------------------------------------------
@@ -820,8 +947,8 @@ class EpochManager:
                 "pending_moves": ingest["pending"],
                 "ingested": ingest["ingested"],
                 "coalesced": ingest["coalesced"],
-                "swaps": len(self.swaps),
-                "promoted": sum(1 for s in self.swaps if s.promoted),
+                "swaps": self.ticks,
+                "promoted": self.promotions,
             }
 
     def close(self) -> None:

@@ -175,7 +175,7 @@ class TestGatewayIntegration:
             64, AdmissionConfig(rtt_target=0.001, ewma_alpha=1.0)
         )
         controller.limit = 1.0  # as if congestion already collapsed it
-        users = csp.anonymizer.current_db.user_ids()
+        users = csp.mpc.db.user_ids()
         workload = [(u, [("poi", "rest")]) for u in users[:40]]
         results, stats = run_gateway(
             csp, workload, config, admission=controller
@@ -199,7 +199,7 @@ class TestGatewayIntegration:
         csp = make_csp(circuit_breaker=breaker)
         config = GatewayConfig(queue_high_water=64)
         controller = AdmissionController(64)
-        users = csp.anonymizer.current_db.user_ids()
+        users = csp.mpc.db.user_ids()
         workload = [(u, [("poi", "rest")]) for u in users[:10]]
         results, stats = run_gateway(
             csp, workload, config, admission=controller
@@ -216,7 +216,7 @@ class TestGatewayIntegration:
         all high-water, adaptive/breaker causes stay zero."""
         csp = make_csp()
         config = GatewayConfig(queue_high_water=2, rtt=0.01)
-        users = csp.anonymizer.current_db.user_ids()
+        users = csp.mpc.db.user_ids()
         workload = [(u, [("poi", "rest")]) for u in users[:30]]
         results, stats = run_gateway(csp, workload, config)
         assert stats.shed == stats.shed_high_water > 0
@@ -231,7 +231,7 @@ class TestControllerInDES:
         controller only ever refuses MORE: every adaptive-admitted
         arrival count stays within the static run's, and adaptive sheds
         are attributed."""
-        users = make_csp(n_users=200).anonymizer.current_db.user_ids()
+        users = make_csp(n_users=200).mpc.db.user_ids()
         schedule = poisson_schedule(
             users, rate_per_user=8.0, duration=1.0, seed=3
         )
@@ -260,7 +260,7 @@ class TestControllerInDES:
         assert controller.high_water <= 8
 
     def test_des_breaker_sheds_with_cause(self):
-        users = make_csp(n_users=200).anonymizer.current_db.user_ids()
+        users = make_csp(n_users=200).mpc.db.user_ids()
         schedule = poisson_schedule(
             users, rate_per_user=8.0, duration=1.0, seed=4
         )

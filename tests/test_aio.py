@@ -151,7 +151,7 @@ class TestGatewayOnVirtualTime:
     def _schedule(self):
         from repro.lbs import poisson_schedule
 
-        users = self._csp().anonymizer.current_db.user_ids()
+        users = self._csp().mpc.db.user_ids()
         return [
             (t, user, [("poi", category)])
             for t, user, category in poisson_schedule(
@@ -210,7 +210,7 @@ class TestGatewayOnVirtualTime:
         )
         gateway = AsyncGateway(csp, config, admission=controller)
         a, b = [
-            next(u for u in csp.anonymizer.current_db.user_ids()
+            next(u for u in csp.mpc.db.user_ids()
                  if csp.policy.cloak_for(u) == cloak)
             for cloak in list(csp.policy.groups())[:2]
         ]

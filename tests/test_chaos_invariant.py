@@ -97,7 +97,7 @@ def test_no_fault_plan_ever_breaches_anonymity(plan):
         assert report.breached_users == ()
         assert report.identified_users == ()
         moves = random_moves(
-            csp.anonymizer.current_db,
+            csp.mpc.db,
             0.3,
             region,
             max_distance=2000,

@@ -107,23 +107,24 @@ class TestSnapshots:
 
 
 class TestCoarseCloakFallThrough:
-    """Regression: ``_coarse_cloak_for`` swallows *only* the unknown-user
-    lookup miss, and the fall-through still surfaces the canonical
-    error (the fail-closed linter pins the handler shape; these tests
-    pin the behavior it justifies)."""
+    """Regression: the override lookup misses *only* for an unknown user,
+    and serving still surfaces the canonical error (the fail-closed
+    linter pins the handler shape; these tests pin the behavior it
+    justifies)."""
 
     def test_unknown_user_with_registered_coarsening_still_rejects(
         self, csp, db, region
     ):
-        # Register a coarsening so _coarse_cloak_for actually runs its
-        # policy lookup instead of short-circuiting on the empty dict.
-        csp._coarsened[0] = region
-        assert csp._coarse_cloak_for("ghost") is None
+        # Register a coarsening so the epoch's override lookup actually
+        # runs instead of short-circuiting on the empty table.
+        csp.manager.active.overrides.append(region)
+        with pytest.raises(ReproError, match="no cloak"):
+            csp.manager.serve_cloak("ghost")
         with pytest.raises(ReproError, match="no location"):
             csp.request("ghost", [("poi", "rest")])
 
     def test_known_user_still_served_under_coarsening(self, csp, db, region):
-        csp._coarsened[0] = region
+        csp.manager.active.overrides.append(region)
         uid = db.user_ids()[0]
         served = csp.request(uid, [("poi", "rest")])
         # The registered region covers every fine cloak, so the served

@@ -41,7 +41,7 @@ def churn(csp, rounds=2, fraction=0.15, seed=100):
     """Advance the CSP through ``rounds`` snapshots of real movement."""
     for index in range(rounds):
         moves = random_moves(
-            csp.anonymizer.current_db,
+            csp.mpc.db,
             fraction,
             REGION,
             max_distance=120.0,
@@ -226,7 +226,7 @@ class TestJournalRetention:
         assert npz == [journal._sidecar_file(kept[0])]
         # The surviving sidecar still enables a warm restore.
         del csp
-        assert CSP.restore(provider, journal).anonymizer.solution is not None
+        assert CSP.restore(provider, journal).manager._shadow.solution is not None
 
     def test_stale_bound_still_enforced_after_prune(self, tmp_path):
         journal = PolicyJournal(str(tmp_path / "j"), keep_last=1)
@@ -294,19 +294,19 @@ class TestCSPRestart:
         restored = CSP.restore(provider, journal)
         # The DP sidecar validated: repairs go through resolve_dirty
         # instead of a bulk re-solve.
-        assert restored.anonymizer.solution is not None
+        assert restored.manager._shadow.solution is not None
         moves = random_moves(
-            restored.anonymizer.current_db,
+            restored.mpc.db,
             0.05,
             REGION,
             max_distance=80.0,
             seed=7,
         )
         report = restored.advance_snapshot(moves)
-        assert report.applied
+        assert report.promoted
         assert 0 < report.recomputed_nodes < report.total_nodes
         assert not restored.restored
-        user = restored.anonymizer.current_db.user_ids()[0]
+        user = restored.mpc.db.user_ids()[0]
         assert restored.request(user, [("poi", "rest")]).degradation == "fresh"
         audit = audit_policy(restored.effective_policy, K)
         assert audit.policy_aware_level >= K
@@ -315,7 +315,7 @@ class TestCSPRestart:
         csp = self.make_csp(provider, journal)
         churn(csp, rounds=1)
         expected = {uid: cloak for uid, cloak in csp.policy.items()}
-        serial = csp._snapshot_index
+        serial = csp.manager.world_serial
         del csp
         # Corrupt the DP sidecar: restore must fall back cold, never fail.
         sidecar = os.path.join(journal.root, journal._sidecar_file(serial))
@@ -325,17 +325,17 @@ class TestCSPRestart:
             handle.write(bytes(raw))
 
         restored = CSP.restore(provider, journal)
-        assert restored.anonymizer.solution is None  # cold
+        assert restored.manager._shadow.solution is None  # cold
         for uid, cloak in expected.items():
             assert restored.policy.cloak_for(uid) == cloak
         moves = random_moves(
-            restored.anonymizer.current_db,
+            restored.mpc.db,
             0.05,
             REGION,
             max_distance=80.0,
             seed=9,
         )
-        assert restored.advance_snapshot(moves).applied
+        assert restored.advance_snapshot(moves).promoted
         assert audit_policy(
             restored.effective_policy, K
         ).policy_aware_level >= K
@@ -343,7 +343,7 @@ class TestCSPRestart:
     def test_restore_too_stale_rejected(self, provider, journal):
         csp = self.make_csp(provider, journal)
         churn(csp, rounds=1)
-        serial = csp._snapshot_index
+        serial = csp.manager.world_serial
         del csp
         with pytest.raises(RecoveryError) as err:
             CSP.restore(
@@ -357,8 +357,8 @@ class TestCSPRestart:
     def test_restore_within_stale_bound_serves_stale(self, provider, journal):
         csp = self.make_csp(provider, journal)
         churn(csp, rounds=1)
-        serial = csp._snapshot_index
-        user = csp.anonymizer.current_db.user_ids()[0]
+        serial = csp.manager.world_serial
+        user = csp.mpc.db.user_ids()[0]
         del csp
         restored = CSP.restore(
             provider,
@@ -709,7 +709,7 @@ class TestStalenessStateBlock:
         csp = CSP(REGION, K, db, provider, journal=journal,
                   max_stale_snapshots=2, injector=injector)
         moves = random_moves(
-            csp.anonymizer.current_db, 0.1, REGION,
+            csp.mpc.db, 0.1, REGION,
             max_distance=120.0, seed=5,
         )
         csp.advance_snapshot(moves)
@@ -807,9 +807,7 @@ class TestTrajectoryStateBlock:
             served = restored.request(uid, [("poi", "rest")])
             expected = twin.enforce(
                 restored.policy, uid, region=REGION,
-                orientation=getattr(
-                    restored.anonymizer.tree, "orientation", "vertical"
-                ),
+                orientation=restored.manager.orientation,
             )
             assert served.anonymized.cloak == expected.cloak
             stream.observe(

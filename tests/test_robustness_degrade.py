@@ -57,6 +57,42 @@ class TestCoarseningAncestor:
             )
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_geometric_ancestor_matches_tree_walk(seed):
+    """The serving path coarsens along the halving chain (pure geometry);
+    the tree walk of ``coarsening_ancestor`` is its reference oracle.
+    Both must pick the same ancestor, and both must reject a location
+    outside every ancestor."""
+    import random
+
+    from repro.streaming import covering_ancestor
+
+    rng = random.Random(seed)
+    region = Rect(0, 0, 4096, 4096)
+    db = uniform_users(rng.randrange(60, 400), region, seed=seed)
+    anonymizer = PolicyAwareAnonymizer(region, rng.choice((3, 5, 10))).fit(db)
+    orientation = anonymizer.tree.orientation
+    users = db.user_ids()
+    for __ in range(40):
+        uid = rng.choice(users)
+        if rng.random() < 0.2:
+            location = Point(rng.uniform(4097.0, 9000.0), rng.uniform(-10.0, 4096.0))
+        else:
+            location = Point(rng.uniform(0.0, 4096.0), rng.uniform(0.0, 4096.0))
+        cloak = anonymizer.policy.cloak_for(uid)
+        try:
+            expected = coarsening_ancestor(
+                anonymizer.tree, anonymizer.policy, uid, location=location
+            ).rect
+        except ServiceUnavailableError as exc:
+            assert exc.reason == "coarsen"
+            with pytest.raises(ServiceUnavailableError) as err:
+                covering_ancestor(region, orientation, cloak, location)
+            assert err.value.reason == "coarsen"
+            continue
+        assert covering_ancestor(region, orientation, cloak, location) == expected
+
+
 class TestCoarsenOverrides:
     def test_override_keeps_policy_aware_k(self, fitted):
         anonymizer, db = fitted

@@ -14,6 +14,7 @@ from repro.robustness import (
     FaultPlan,
     FaultRule,
     ManualClock,
+    QuorumJournal,
     RetryPolicy,
 )
 
@@ -197,7 +198,7 @@ class TestCoarseningRung:
         csp, moves = stale_csp
         for uid in list(moves)[:30]:
             csp.request(uid, [("poi", "rest")])
-        rects = list(csp._coarsened.values())
+        rects = list(csp.manager.active.overrides)
         for i, a in enumerate(rects):
             for b in rects[i + 1:]:
                 assert not a.contains_rect(b) and not b.contains_rect(a)
@@ -208,16 +209,16 @@ class TestCoarseningRung:
         csp, moves = stale_csp
         for uid in list(moves)[:10]:
             csp.request(uid, [("poi", "rest")])
-        assert csp._coarsened
+        assert csp.manager.active.overrides
         next_moves = random_moves(
-            csp.anonymizer.current_db,
+            csp.mpc.db,
             0.1,
             region,
             max_distance=50,
             seed=6,
         )
         csp.advance_snapshot(next_moves)
-        assert not csp._coarsened
+        assert not csp.manager.active.overrides
 
 
 class TestStaleAndRejectRungs:
@@ -238,7 +239,7 @@ class TestStaleAndRejectRungs:
         csp = repair_faulty_csp
         moves = random_moves(db, 0.1, region, max_distance=50, seed=11)
         report = csp.advance_snapshot(moves)
-        assert report.applied is False
+        assert report.promoted is False
         assert csp.policy_age == 1
         served = csp.request(db.user_ids()[0], [("poi", "rest")])
         assert served.degradation == "stale"
@@ -268,3 +269,40 @@ class TestStaleAndRejectRungs:
         repeat = csp.request(db.user_ids()[0], [("poi", "rest")])
         assert repeat.cache_hit
         assert repeat.provider_attempts == 0
+
+
+class TestLifecycleFaults:
+    """A faulted tick is the manager's: moves are kept, voids are void."""
+
+    def test_quorum_loss_voids_the_swap_and_serves_stale(
+        self, region, db, provider, tmp_path
+    ):
+        journal = QuorumJournal([str(tmp_path / f"r{i}") for i in range(3)])
+        csp = make_csp(region, db, provider, journal=journal)
+        uid = db.user_ids()[0]
+        before = csp.policy.cloak_for(uid)
+
+        def lost(*args, **kwargs):
+            raise OSError("replica media gone")
+
+        journal.replicas[0].commit = lost
+        journal.replicas[1].commit = lost
+        report = csp.advance_snapshot(
+            random_moves(db, 0.3, region, max_distance=2000, seed=3)
+        )
+        assert report.promoted is False
+        assert report.reason == "journal-quorum"
+        served = csp.request(uid, [("poi", "rest")])
+        assert served.degradation == "stale"
+        assert served.anonymized.cloak == before
+        assert csp.policy.cloak_for(uid) == before
+
+    def test_crashed_repair_keeps_its_moves(self, region, db, provider):
+        plan = FaultPlan(rules=(FaultRule("repair", "crash", match="1"),))
+        csp = make_csp(region, db, provider, injector=FaultInjector(plan))
+        uid = db.user_ids()[0]
+        target = Point(11.0, 13.0)
+        csp.advance_snapshot({uid: target})  # crashes: serial 1
+        csp.advance_snapshot({})
+        assert csp.mpc.locate(uid) == target
+        assert csp.policy_age == 0

@@ -281,7 +281,7 @@ class TestGatewaySimulation:
 
         csp = self.make()
         schedule = poisson_schedule(
-            csp.anonymizer.current_db.user_ids(), 6.0, 1.0, seed=11
+            csp.mpc.db.user_ids(), 6.0, 1.0, seed=11
         )
         config = GatewayConfig(
             queue_high_water=8, rtt=0.03, max_wait=0.005,
@@ -299,7 +299,7 @@ class TestGatewaySimulation:
 
         csp = self.make()
         schedule = poisson_schedule(
-            csp.anonymizer.current_db.user_ids(), 6.0, 1.0, seed=12
+            csp.mpc.db.user_ids(), 6.0, 1.0, seed=12
         )
         config = GatewayConfig(
             queue_high_water=8, rtt=0.03, max_wait=0.005,
@@ -329,7 +329,7 @@ class TestGatewaySimulation:
         from repro.serving.gateway import GatewayConfig
 
         csp = self.make()
-        user = csp.anonymizer.current_db.user_ids()[0]
+        user = csp.mpc.db.user_ids()[0]
         # One user fires 40 requests in 40 ms against a 4-token bucket.
         schedule = [(0.001 * i, user, "rest") for i in range(40)]
         config = GatewayConfig(
@@ -357,7 +357,7 @@ class TestGatewaySimulation:
         )
 
         csp = self.make()
-        users = csp.anonymizer.current_db.user_ids()
+        users = csp.mpc.db.user_ids()
         schedule = poisson_schedule(users, 8.0, 2.0, seed=7)
         points = [
             GatewayConfig(

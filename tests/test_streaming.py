@@ -20,6 +20,7 @@ from repro.robustness.recovery import PolicyJournal
 from repro.streaming import (
     DirtyAccumulator,
     EpochManager,
+    SwapReport,
     ancestor_cloak,
     halving_chain,
 )
@@ -188,6 +189,19 @@ class TestEpochSwap:
         manager.advance()
         assert manager.active.db.location_of(uid) == Point(700.0, 700.0)
         assert_oracle_identical(manager)
+
+    def test_advance_history_is_counted_not_kept(self, db):
+        """Memory stays bounded over a long run: stats() counts ticks
+        instead of holding every SwapReport."""
+        import gc
+
+        manager = EpochManager(REGION, K, db)
+        for round_index in range(20):
+            manager.advance(moves_for(manager.active.db, 0.02, seed=round_index))
+        gc.collect()
+        live = sum(isinstance(o, SwapReport) for o in gc.get_objects())
+        assert live <= 1
+        assert manager.stats()["swaps"] == manager.stats()["promoted"] == 20
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ class TestCSPAuditGate:
         """Widenings are per-request decisions, not policy overrides:
         the CSP's group-coarsening registry must stay untouched."""
         __, ___, csp = _replay(defended=True)
-        assert not csp._coarsened
+        assert not csp.manager.active.overrides
 
 
 # ---------------------------------------------------------------------------
