@@ -176,7 +176,7 @@ class AnalysisConfig:
     #: attribute names of the ledger's state structures whose stores,
     #: rebinds, and mutating calls TJ001 audits.
     trajectory_state_fields: FrozenSet[str] = _fs(
-        "_traj_entries", "_traj_surviving"
+        "_traj_entries", "_traj_surviving", "_traj_rows"
     )
 
     # -- lockset concurrency (CC) --------------------------------------------

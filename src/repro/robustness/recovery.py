@@ -8,8 +8,9 @@ that policy *is* the CSP's state: losing it on a restart forces a full
 
 1. an **intent** record is appended (and fsync'd) to an append-only
    journal, naming the snapshot file and its content checksum;
-2. the snapshot document is written to a temporary file and atomically
-   renamed into place (:func:`repro.core.serialization.atomic_write_json`);
+2. the snapshot document's bytes, encoded once per commit
+   (:meth:`PolicyJournal.encode`) and shared by every quorum replica,
+   are written to a temporary file and atomically renamed into place;
 3. a **commit** record is appended and fsync'd.
 
 A reader therefore never observes a torn snapshot: a crash between (1)
@@ -38,12 +39,15 @@ solve) — privacy never depends on it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import os
+import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,15 +55,14 @@ from ..core.errors import RecoveryError
 from ..core.policy import CloakingPolicy
 from ..core.serialization import (
     atomic_write_bytes,
-    atomic_write_json,
     canonical_dumps,
-    checksum_of,
     file_checksum,
     policy_from_dict,
     policy_to_dict,
 )
 
 __all__ = [
+    "EncodedCommit",
     "PolicyJournal",
     "QuorumJournal",
     "QuorumRecoveryReport",
@@ -94,6 +97,55 @@ def flat_structure_digest(flat, k: int, prune: bool) -> str:
         digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
     digest.update(np.ascontiguousarray(flat.area, dtype=np.float64).tobytes())
     return digest.hexdigest()
+
+
+def _check_keep_last(keep_last: Optional[int]) -> None:
+    if keep_last is not None and keep_last < 1:
+        raise RecoveryError(
+            f"keep_last must be ≥ 1 (got {keep_last}); retaining "
+            "zero snapshots would make every restore fail",
+            reason="corrupt",
+        )
+
+
+def _check_stale(policy_age: int, serial: int, current_serial: Optional[int], bound: int) -> None:
+    """Fail closed on a policy past the stale rung.
+
+    Effective staleness is the distance from the world, or — when the
+    world serial is unknown — the staleness the committer had already
+    accumulated when it journalled the state block.  Both are bounded:
+    restoring past the stale rung would resume a deployment that was (or
+    should have been) rejecting.
+    """
+    behind = policy_age
+    if current_serial is not None:
+        behind = max(behind, current_serial - serial)
+    if behind > bound:
+        raise RecoveryError(
+            f"recovered policy is {behind} snapshots behind the current "
+            f"db (bound {bound}); rejecting fail-closed",
+            reason="stale",
+        )
+
+
+def _digest(payload: bytes) -> str:
+    """Content checksum of raw bytes (hex blake2b-128), the same digest
+    :func:`~repro.core.serialization.checksum_of` gives a document."""
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+
+
+@dataclass(frozen=True)
+class EncodedCommit:
+    """One commit's bytes (:meth:`PolicyJournal.encode`), written as they
+    are to every journal that receives it."""
+
+    serial: int
+    #: the snapshot document in canonical JSON.
+    document: bytes = field(repr=False)
+    #: digest of ``document`` — what the intent record names.
+    checksum: str
+    #: the DP sidecar's ``.npz`` bytes, ``None`` for a policy alone.
+    sidecar: Optional[bytes] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -232,12 +284,7 @@ class PolicyJournal:
     """
 
     def __init__(self, root: str, keep_last: Optional[int] = None):
-        if keep_last is not None and keep_last < 1:
-            raise RecoveryError(
-                f"keep_last must be ≥ 1 (got {keep_last}); retaining "
-                "zero snapshots would make every restore fail",
-                reason="corrupt",
-            )
+        _check_keep_last(keep_last)
         self.root = str(root)
         self.keep_last = keep_last
         os.makedirs(self.root, exist_ok=True)
@@ -251,22 +298,73 @@ class PolicyJournal:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def _snapshot_file(self, serial: int) -> str:
+    @staticmethod
+    def _snapshot_file(serial: int) -> str:
         return f"snapshot-{serial:06d}.json"
 
-    def _sidecar_file(self, serial: int) -> str:
+    @staticmethod
+    def _sidecar_file(serial: int) -> str:
         return f"snapshot-{serial:06d}.npz"
 
     def commit(
         self,
-        policy: CloakingPolicy,
-        serial: int,
-        fingerprint: Mapping[str, object],
+        policy: Union[CloakingPolicy, EncodedCommit],
+        serial: Optional[int] = None,
+        fingerprint: Optional[Mapping[str, object]] = None,
         solution=None,
         state: Optional[Mapping[str, object]] = None,
         _chaos: Optional[Callable[[str], None]] = None,
     ) -> str:
         """Durably commit one (policy, db-serial) pair; returns its checksum.
+
+        ``policy`` is a policy to :meth:`encode` with the other
+        arguments, or an :class:`EncodedCommit` written as it is.
+        ``_chaos`` is the quorum layer's destruction hook: it is called
+        with ``"intent"`` after the intent record is durable and with
+        ``"snapshot"`` after the snapshot document is renamed into
+        place, so a chaos schedule can destroy this replica's media at
+        exactly those points (see
+        :class:`~repro.robustness.chaos.ReplicaKillPlan`).
+        """
+        encoded = policy if isinstance(policy, EncodedCommit) else self.encode(
+            policy, serial, fingerprint, solution, state  # type: ignore[arg-type]
+        )
+        if encoded.sidecar is not None:
+            atomic_write_bytes(
+                os.path.join(self.root, self._sidecar_file(encoded.serial)),
+                encoded.sidecar,
+            )
+        snapshot_name = self._snapshot_file(encoded.serial)
+        self._append(
+            {
+                "op": "intent",
+                "serial": encoded.serial,
+                "file": snapshot_name,
+                "checksum": encoded.checksum,
+            }
+        )
+        if _chaos is not None:
+            _chaos("intent")
+        atomic_write_bytes(
+            os.path.join(self.root, snapshot_name), encoded.document
+        )
+        if _chaos is not None:
+            _chaos("snapshot")
+        self._append({"op": "commit", "serial": encoded.serial})
+        if self.keep_last is not None:
+            self.prune(self.keep_last)
+        return encoded.checksum
+
+    @classmethod
+    def encode(
+        cls,
+        policy: CloakingPolicy,
+        serial: int,
+        fingerprint: Mapping[str, object],
+        solution=None,
+        state: Optional[Mapping[str, object]] = None,
+    ) -> EncodedCommit:
+        """Build one commit's bytes, once, for any number of journals.
 
         ``solution`` may be a flat-engine
         :class:`~repro.core.flat_dp.FlatTreeSolution`, in which case its
@@ -276,12 +374,6 @@ class PolicyJournal:
         ``{"policy_age": int, "rung": str}`` — journalled inside the
         checksummed document so a restore inherits accumulated staleness
         instead of silently resetting to fresh.
-        ``_chaos`` is the quorum layer's destruction hook: it is called
-        with ``"intent"`` after the intent record is durable and with
-        ``"snapshot"`` after the snapshot document is renamed into
-        place, so a chaos schedule can destroy this replica's media at
-        exactly those points (see
-        :class:`~repro.robustness.chaos.ReplicaKillPlan`).
         """
         document: Dict[str, object] = {
             "format": _FORMAT,
@@ -300,37 +392,17 @@ class PolicyJournal:
                 # The continuity ledger rides the checksummed document:
                 # it is already plain JSON (TrajectoryLedger.to_state).
                 document["state"]["trajectory"] = dict(trajectory)  # type: ignore[arg-type, index]
-        sidecar = self._dp_payload(solution)
+        sidecar = cls._dp_payload(solution)
+        payload = None
         if sidecar is not None:
             payload, structure = sidecar
-            sidecar_name = self._sidecar_file(serial)
-            atomic_write_bytes(os.path.join(self.root, sidecar_name), payload)
             document["dp"] = {
-                "file": sidecar_name,
-                "checksum": hashlib.blake2b(
-                    payload, digest_size=16
-                ).hexdigest(),
+                "file": cls._sidecar_file(serial),
+                "checksum": _digest(payload),
                 "structure": structure,
             }
-        checksum = checksum_of(document)
-        snapshot_name = self._snapshot_file(serial)
-        self._append(
-            {
-                "op": "intent",
-                "serial": int(serial),
-                "file": snapshot_name,
-                "checksum": checksum,
-            }
-        )
-        if _chaos is not None:
-            _chaos("intent")
-        atomic_write_json(os.path.join(self.root, snapshot_name), document)
-        if _chaos is not None:
-            _chaos("snapshot")
-        self._append({"op": "commit", "serial": int(serial)})
-        if self.keep_last is not None:
-            self.prune(self.keep_last)
-        return checksum
+        raw = canonical_dumps(document).encode("utf-8")
+        return EncodedCommit(int(serial), raw, _digest(raw), payload)
 
     def prune(self, keep_last: int) -> Tuple[int, ...]:
         """Retain only the newest ``keep_last`` committed serials.
@@ -351,11 +423,7 @@ class PolicyJournal:
         closed (but needless) :class:`RecoveryError` at restart.
         Returns the serials that were pruned.
         """
-        if keep_last < 1:
-            raise RecoveryError(
-                f"keep_last must be ≥ 1 (got {keep_last})",
-                reason="corrupt",
-            )
+        _check_keep_last(keep_last)
         records, __ = self._read_journal()
         serials = self.committed_serials()
         keep = set(serials[-keep_last:])
@@ -387,31 +455,20 @@ class PolicyJournal:
     @staticmethod
     def _dp_payload(solution) -> Optional[Tuple[bytes, str]]:
         """Serialize a flat solution's vectors to npz bytes + digest."""
-        if solution is None:
-            return None
         from ..core.flat_dp import FlatTreeSolution
 
         if not isinstance(solution, FlatTreeSolution):
             return None
         flat = solution.flat
         vecs = [
-            solution.solutions[int(flat.ids[i])].vec
-            for i in range(flat.n_nodes)
+            np.asarray(solution.solutions[int(i)].vec, dtype=np.float64)
+            for i in flat.ids
         ]
-        lengths = np.fromiter(
-            (len(v) for v in vecs), dtype=np.int64, count=len(vecs)
-        )
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        data = (
-            np.concatenate([np.asarray(v, dtype=np.float64) for v in vecs])
-            if vecs and offsets[-1] > 0
-            else np.empty(0, dtype=np.float64)
-        )
         buffer = io.BytesIO()
         np.savez_compressed(
             buffer,
-            offsets=offsets,
-            data=data,
+            offsets=np.cumsum([0] + [len(v) for v in vecs], dtype=np.int64),
+            data=np.concatenate(vecs) if vecs else np.empty(0),
             ids=np.ascontiguousarray(flat.ids, dtype=np.int64),
             left=np.ascontiguousarray(flat.left, dtype=np.int64),
             right=np.ascontiguousarray(flat.right, dtype=np.int64),
@@ -518,20 +575,21 @@ class PolicyJournal:
                 f"committed snapshot file {intent['file']!r} is missing",
                 reason="corrupt",
             )
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except ValueError as exc:
-            raise RecoveryError(
-                f"committed snapshot {intent['file']!r} is unreadable: {exc}",
-                reason="corrupt",
-            ) from exc
-        if checksum_of(document) != intent["checksum"]:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        if _digest(raw) != intent["checksum"]:
             raise RecoveryError(
                 f"snapshot {intent['file']!r} fails its journalled checksum "
                 "(torn write or bit flip); refusing to serve it",
                 reason="corrupt",
             )
+        try:
+            document = json.loads(raw)
+        except ValueError as exc:
+            raise RecoveryError(
+                f"committed snapshot {intent['file']!r} is unreadable: {exc}",
+                reason="corrupt",
+            ) from exc
         if document.get("format") != _FORMAT or int(
             document.get("version", -1)
         ) != _VERSION:
@@ -564,21 +622,7 @@ class PolicyJournal:
         trajectory = (
             raw_trajectory if isinstance(raw_trajectory, dict) else None
         )
-        # Effective staleness is the distance from the world, or — when
-        # the world serial is unknown — the staleness the committer had
-        # already accumulated when it journalled the state block.  Both
-        # are bounded: restoring past the stale rung would resume a
-        # deployment that was (or should have been) rejecting.
-        behind = policy_age
-        if current_serial is not None:
-            behind = max(behind, current_serial - serial)
-        if behind > max_stale_snapshots:
-            raise RecoveryError(
-                f"recovered policy is {behind} snapshots behind the "
-                f"current db (bound {max_stale_snapshots}); "
-                "rejecting fail-closed",
-                reason="stale",
-            )
+        _check_stale(policy_age, serial, current_serial, max_stale_snapshots)
         # Masking re-validates here — a corrupted-but-checksum-colliding
         # payload still cannot smuggle in a non-masking policy.
         policy = policy_from_dict(document["policy"])
@@ -633,10 +677,7 @@ class PolicyJournal:
             return None, None, None
         if not (len(ids) == len(left) == len(right) == len(offsets) - 1):
             return None, None, None
-        vecs = [
-            data[offsets[i] : offsets[i + 1]]
-            for i in range(len(offsets) - 1)
-        ]
+        vecs = np.split(data, offsets[1:-1])
         return vecs, str(meta.get("structure")), (ids, left, right)
 
 
@@ -719,10 +760,7 @@ class QuorumJournal:
                 "journal onto itself survives nothing",
                 reason="corrupt",
             )
-        if keep_last is not None and keep_last < 1:
-            raise RecoveryError(
-                f"keep_last must be ≥ 1 (got {keep_last})", reason="corrupt"
-            )
+        _check_keep_last(keep_last)
         self.roots = tuple(roots)
         self.keep_last = keep_last
         self.kill_plan = kill_plan
@@ -754,40 +792,32 @@ class QuorumJournal:
     ) -> str:
         """Mirror one commit to every replica; fail closed below quorum.
 
-        Per-replica failures (missing media, permission errors, a chaos
-        destruction mid-write) are contained: the replica simply does
-        not ack.  With ``acks ≥ ⌊N/2⌋+1`` the commit is durable and its
+        The commit is encoded once and every replica writes the same
+        bytes.  Per-replica failures (missing media, permission errors,
+        a chaos destruction mid-write) are contained: the replica simply
+        does not ack.  With ``acks ≥ ⌊N/2⌋+1`` the commit is durable and its
         checksum is returned; below that the quorum is lost and
         :class:`RecoveryError` (``reason="quorum"``) propagates — the
         caller must treat the state advance as not having happened.
         """
+        encoded = PolicyJournal.encode(
+            policy, serial, fingerprint, solution, state
+        )
         acks = 0
         failures: List[int] = []
-        checksum: Optional[str] = None
         for index, replica in enumerate(self.replicas):
             self._fire_kill(serial, index, "before")
-            hook = (
-                (lambda phase, i=index: self._fire_kill(serial, i, phase))
-                if self.kill_plan is not None
-                else None
-            )
             try:
-                checksum_i = replica.commit(
-                    policy,
-                    serial,
-                    fingerprint,
-                    solution,
-                    state=state,
-                    _chaos=hook,
+                replica.commit(
+                    encoded, _chaos=functools.partial(self._fire_kill, serial, index)
                 )
             except OSError:
                 failures.append(index)
                 continue
             acks += 1
-            checksum = checksum_i
             self._fire_kill(serial, index, "after")
         self.last_commit_failures = tuple(failures)
-        if acks < self.quorum or checksum is None:
+        if acks < self.quorum:
             raise RecoveryError(
                 f"commit of serial {serial} reached only {acks} of "
                 f"{len(self.replicas)} replicas (write quorum "
@@ -797,7 +827,7 @@ class QuorumJournal:
             )
         if self.keep_last is not None:
             self.prune(self.keep_last)
-        return checksum
+        return encoded.checksum
 
     def prune(self, keep_last: int) -> Tuple[int, ...]:
         """Quorum-coordinated retention: prune every healthy replica.
@@ -808,10 +838,7 @@ class QuorumJournal:
         minority replica could keep serials the majority dropped and a
         later vote-less restore could resurrect them.
         """
-        if keep_last < 1:
-            raise RecoveryError(
-                f"keep_last must be ≥ 1 (got {keep_last})", reason="corrupt"
-            )
+        _check_keep_last(keep_last)
         healthy: List[int] = []
         for index, replica in enumerate(self.replicas):
             try:
@@ -847,16 +874,14 @@ class QuorumJournal:
 
     def committed_serials(self) -> List[int]:
         """Serials committed on at least a read quorum of replicas."""
-        counts: Dict[int, int] = {}
+        counts: Counter = Counter()
         readable = 0
         for replica in self.replicas:
             try:
-                serials = replica.committed_serials()
+                counts.update(replica.committed_serials())
             except (RecoveryError, OSError):
                 continue
             readable += 1
-            for serial in serials:
-                counts[serial] = counts.get(serial, 0) + 1
         if readable < self.quorum:
             raise RecoveryError(
                 f"only {readable} of {len(self.replicas)} replicas are "
@@ -911,13 +936,10 @@ class QuorumJournal:
             states.append("torn" if snapshot.torn_tail else "ok")
             key = (snapshot.serial, snapshot.checksum or "")
             votes.setdefault(key, []).append(index)
-        winner: Optional[Tuple[int, str]] = None
-        for key, voters in votes.items():
-            if len(voters) < self.quorum:
-                continue
-            if winner is None or key[0] > winner[0]:
-                winner = key
-        if winner is None:
+        # Each replica votes once, so at most one identity holds a
+        # majority.
+        quorate = [key for key, who in votes.items() if len(who) >= self.quorum]
+        if not quorate:
             raise RecoveryError(
                 "no (serial, checksum) identity reaches the read quorum "
                 f"of {self.quorum} across {len(self.replicas)} replicas "
@@ -925,21 +947,11 @@ class QuorumJournal:
                 "minority replica must never resurrect state on its own",
                 reason="quorum",
             )
+        winner = quorate[0]
         serial, __ = winner
-        winner_age = max(
-            snapshots[i].policy_age for i in votes[winner]
-        )
-        behind = winner_age
-        if current_serial is not None:
-            behind = max(behind, current_serial - serial)
-        if behind > max_stale_snapshots:
-            raise RecoveryError(
-                f"quorum-recovered policy is {behind} "
-                f"snapshots behind the current db (bound "
-                f"{max_stale_snapshots}); rejecting fail-closed",
-                reason="stale",
-            )
         voters = votes[winner]
+        age = max(snapshots[i].policy_age for i in voters)
+        _check_stale(age, serial, current_serial, max_stale_snapshots)
         # Retention must also agree: a replica that voted for the
         # winning state but kept serials the quorum has pruned (it
         # missed a quorum-coordinated prune while offline) is
@@ -947,15 +959,13 @@ class QuorumJournal:
         # waiting for enough other failures to make it the deciding
         # copy; repairing it here keeps every majority bit-identical,
         # so pruned serials can never be resurrected.
-        serial_sets: Dict[int, Tuple[int, ...]] = {}
-        for index in snapshots:
-            serial_sets[index] = tuple(
-                self.replicas[index].committed_serials()
-            )
-        serial_counts: Dict[int, int] = {}
-        for serials in serial_sets.values():
-            for one in serials:
-                serial_counts[one] = serial_counts.get(one, 0) + 1
+        serial_sets = {
+            index: tuple(self.replicas[index].committed_serials())
+            for index in snapshots
+        }
+        serial_counts = Counter(
+            one for serials in serial_sets.values() for one in serials
+        )
         quorum_set = tuple(
             sorted(s for s, n in serial_counts.items() if n >= self.quorum)
         )
@@ -967,14 +977,10 @@ class QuorumJournal:
             or (canonical and serial_sets[index] != quorum_set)
         )
         for index in laggards:
-            if index in snapshots:
-                kind = states[index]
-                if kind == "ok":
-                    states[index] = (
-                        "lagging"
-                        if snapshots[index].serial < serial
-                        else "divergent"
-                    )
+            if index in snapshots and states[index] == "ok":
+                states[index] = (
+                    "lagging" if snapshots[index].serial < serial else "divergent"
+                )
         # Prefer a clean, retention-canonical voter as the repair source.
         source = min(
             voters,
@@ -987,8 +993,6 @@ class QuorumJournal:
         repair_seconds = 0.0
         repaired: Tuple[int, ...] = ()
         if repair and laggards:
-            import time
-
             start = time.perf_counter()
             for index in laggards:
                 self._repair_replica(index, source)
@@ -1019,14 +1023,12 @@ class QuorumJournal:
         dst_root = self.roots[index]
         destroy_replica(dst_root)
         os.makedirs(dst_root, exist_ok=True)
-        for serial in src.committed_serials():
-            for name in src.files_for_serial(serial):
-                with open(os.path.join(src.root, name), "rb") as handle:
-                    payload = handle.read()
-                atomic_write_bytes(os.path.join(dst_root, name), payload)
-        with open(src._journal_path, "rb") as handle:
-            journal_bytes = handle.read()
-        atomic_write_bytes(
-            os.path.join(dst_root, _JOURNAL_FILE), journal_bytes
-        )
+        names = [
+            name
+            for serial in src.committed_serials()
+            for name in src.files_for_serial(serial)
+        ]
+        for name in names + [_JOURNAL_FILE]:
+            with open(os.path.join(src.root, name), "rb") as handle:
+                atomic_write_bytes(os.path.join(dst_root, name), handle.read())
         self.replicas[index] = PolicyJournal(dst_root)

@@ -72,6 +72,9 @@ class TrajectoryLedger:
         self.window = window
         self._traj_entries: Dict[str, Deque[LedgerEntry]] = {}  # guarded-by: self._lock
         self._traj_surviving: Dict[str, FrozenSet[str]] = {}  # guarded-by: self._lock
+        #: each user's :meth:`to_state` row, built once and never mutated;
+        #: :meth:`record` drops the user's row, :meth:`adopt_state` all.
+        self._traj_rows: Dict[str, Dict[str, object]] = {}  # guarded-by: self._lock
         #: total records ever accepted (monotone; survives trimming).
         self.recorded = 0
         self._lock = threading.Lock()
@@ -111,6 +114,7 @@ class TrajectoryLedger:
                 window = deque(maxlen=self.window)
                 self._traj_entries[uid] = window
             window.append(entry)
+            self._traj_rows.pop(uid, None)
             self.recorded += 1
         return surviving
 
@@ -146,27 +150,26 @@ class TrajectoryLedger:
     # -- serialization -------------------------------------------------------
 
     def to_state(self) -> Dict[str, object]:
-        """A plain-JSON snapshot of the ledger (journal state block)."""
+        """A plain-JSON snapshot of the ledger (journal state block);
+        its per-user rows are shared with the memo, so never mutate them."""
         with self._lock:
             users: Dict[str, object] = {}
             for uid in sorted(self._traj_surviving):
-                users[uid] = {
-                    "surviving": sorted(self._traj_surviving[uid]),
-                    "entries": [
-                        [
-                            entry.serial,
+                row = self._traj_rows.get(uid)
+                if row is None:
+                    row = self._traj_rows[uid] = {
+                        "surviving": sorted(self._traj_surviving[uid]),
+                        "entries": [
                             [
-                                entry.cloak.x1,
-                                entry.cloak.y1,
-                                entry.cloak.x2,
-                                entry.cloak.y2,
-                            ],
-                            entry.candidates,
-                            1 if entry.widened else 0,
-                        ]
-                        for entry in self._traj_entries.get(uid, ())
-                    ],
-                }
+                                entry.serial,
+                                list(entry.cloak.as_tuple()),
+                                entry.candidates,
+                                int(entry.widened),
+                            ]
+                            for entry in self._traj_entries.get(uid, ())
+                        ],
+                    }
+                users[uid] = row
             return {
                 "version": _STATE_VERSION,
                 "window": self.window,
@@ -223,6 +226,7 @@ class TrajectoryLedger:
             self.window = window
             self._traj_entries = entries
             self._traj_surviving = surviving
+            self._traj_rows = {}
             self.recorded = int(state.get("recorded", 0))  # type: ignore[arg-type]
 
     @classmethod

@@ -1,20 +1,26 @@
 """Crash-consistent snapshot store and CSP kill-and-restart recovery."""
 
+import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from repro import Rect
 from repro.attacks.audit import audit_policy
 from repro.core.binary_dp import solve
 from repro.core.errors import RecoveryError
+from repro.core.serialization import file_checksum, policy_to_dict
 from repro.data import uniform_users
 from repro.lbs.mobility import random_moves
 from repro.lbs.pipeline import CSP
 from repro.lbs.poi import generate_pois
 from repro.lbs.provider import LBSProvider
+import repro.robustness.recovery as recovery
 from repro.robustness.chaos import ReplicaKillPlan, destroy_replica
 from repro.robustness.recovery import PolicyJournal, QuorumJournal
+from repro.trajectory.ledger import TrajectoryLedger
 from repro.trees import BinaryTree
 
 REGION = Rect(0, 0, 1024, 1024)
@@ -840,3 +846,124 @@ class TestTrajectoryStateBlock:
         successor = self._constraint()
         CSP.restore(provider, journal, trajectory=successor)
         assert successor.ledger.surviving(db.user_ids()[0]) is not None
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "journal_golden")
+
+
+def write_golden_commits(journal):
+    """The two fixed commits behind ``tests/data/journal_golden``.
+
+    A 60-user policy with a trajectory state block and no DP sidecar
+    (``.npz`` bytes depend on the zlib build).  Returns the policy and
+    the last committed ledger state.
+    """
+    policy = build_policy(seed=7, n=60)
+    ids = sorted(policy.db.user_ids())
+    ledger = TrajectoryLedger(window=3)
+    state = None
+    for serial, (age, rung) in enumerate([(0, "fresh"), (1, "stale")]):
+        for index, uid in enumerate(ids[serial::7]):
+            ledger.record(
+                uid,
+                policy.cloak_for(uid),
+                ids[index : index + K + serial],
+                serial=serial,
+                widened=index % 3 == 0,
+            )
+        state = ledger.to_state()
+        journal.commit(
+            policy,
+            serial,
+            FINGERPRINT,
+            state={"policy_age": age, "rung": rung, "trajectory": state},
+        )
+    return policy, state
+
+
+def _journal_files(root):
+    return {
+        name: open(os.path.join(root, name), "rb").read()
+        for name in sorted(os.listdir(root))
+    }
+
+
+class TestEncodedBytes:
+    """Commits are encoded once and written byte-for-byte as before."""
+
+    FP = FINGERPRINT
+
+    @pytest.fixture
+    def roots(self, tmp_path):
+        return [str(tmp_path / f"replica-{i}") for i in range(3)]
+
+    def test_golden_bytes_single_and_quorum(self, tmp_path, roots):
+        expected = _journal_files(os.path.join(GOLDEN, "single"))
+        assert sorted(expected) == [
+            "journal.log", "snapshot-000000.json", "snapshot-000001.json"
+        ]
+        write_golden_commits(PolicyJournal(str(tmp_path / "single")))
+        assert _journal_files(str(tmp_path / "single")) == expected
+        write_golden_commits(QuorumJournal(roots))
+        for index, root in enumerate(roots):
+            golden = os.path.join(GOLDEN, "quorum", f"replica-{index}")
+            assert _journal_files(root) == _journal_files(golden)
+
+    def test_golden_fixture_restores(self, tmp_path):
+        policy, state = write_golden_commits(
+            PolicyJournal(str(tmp_path / "scratch"))
+        )
+        shutil.copytree(GOLDEN, str(tmp_path / "golden"))
+        single = PolicyJournal(str(tmp_path / "golden" / "single"))
+        quorum = QuorumJournal(
+            [str(tmp_path / "golden" / "quorum" / f"replica-{i}")
+             for i in range(3)]
+        )
+        for snapshot in (
+            single.recover(fingerprint=self.FP),
+            quorum.recover(fingerprint=self.FP),
+        ):
+            assert (snapshot.serial, snapshot.policy_age) == (1, 1)
+            assert snapshot.rung == "stale"
+            assert snapshot.trajectory == state
+            assert_bit_identical(policy, snapshot.policy)
+        assert quorum.last_recovery.repaired == ()
+
+    def test_quorum_commit_encodes_once(self, provider, roots, monkeypatch):
+        """One CSP tick is one 3-replica commit: the document and the DP
+        sidecar are encoded once and every replica holds their bytes."""
+        db = uniform_users(90, REGION, seed=11)
+        csp = CSP(REGION, K, db, provider, journal=QuorumJournal(roots))
+        encodes = []
+        real_savez = np.savez_compressed
+
+        def spy_doc(policy):
+            encodes.append("document")
+            return policy_to_dict(policy)
+
+        def spy_npz(*args, **kwargs):
+            encodes.append("sidecar")
+            return real_savez(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "policy_to_dict", spy_doc)
+        monkeypatch.setattr(np, "savez_compressed", spy_npz)
+        report = csp.advance_snapshot(
+            random_moves(db, 0.1, REGION, max_distance=100.0, seed=5)
+        )
+        assert report.promoted
+        assert sorted(encodes) == ["document", "sidecar"]
+        serial = csp.manager.world_serial
+        for name in (f"snapshot-{serial:06d}.json", f"snapshot-{serial:06d}.npz"):
+            copies = {
+                open(os.path.join(root, name), "rb").read() for root in roots
+            }
+            assert len(copies) == 1
+        for root in roots:
+            records = [
+                json.loads(line)
+                for line in open(os.path.join(root, "journal.log"))
+            ]
+            intent = [r for r in records if r["op"] == "intent"][-1]
+            assert intent["serial"] == serial
+            snapshot = os.path.join(root, intent["file"])
+            assert file_checksum(snapshot) == intent["checksum"]
