@@ -1,4 +1,4 @@
-"""Points of interest and a grid-indexed POI store.
+"""Points of interest and a POI store over per-category coordinate arrays.
 
 The LBS provider answers "nearest restaurant"-style queries.  With
 cloaked requests it cannot pinpoint the requester, so (as in Casper's
@@ -6,8 +6,8 @@ privacy-aware query processing, discussed in §VII) it returns a
 *candidate set* guaranteed to contain the true nearest neighbour of
 every possible location inside the cloak; the client filters locally.
 
-A uniform grid index keeps range and nearest queries sub-linear without
-pulling in a GIS dependency.
+Each category keeps its POIs in grid order beside numpy arrays of their
+coordinates, so a query is one vectorized mask and answers in grid order.
 """
 
 from __future__ import annotations
@@ -34,8 +34,21 @@ class POI:
     category: str
 
 
+def _loose(limit: float) -> float:
+    """``limit`` widened past any rounding gap between numpy's and
+    ``math.hypot``'s distances: a prefilter the scalar test confirms."""
+    return limit * (1 + 1e-9) + 1e-9
+
+
+def _inside(xs: np.ndarray, ys: np.ndarray, rect: Rect) -> np.ndarray:
+    """:meth:`Rect.contains` over coordinate arrays."""
+    return (xs >= rect.x1) & (xs <= rect.x2) & (ys >= rect.y1) & (ys <= rect.y2)
+
+
 class POIDatabase:
-    """Grid-indexed store of POIs with range / NN-candidate queries."""
+    """Store of POIs with range / NN-candidate queries answered in *grid
+    order*: cell ``(cx, cy)`` of a uniform ``grid_cells``² grid ascending,
+    then insertion order.  Pickles as its region, POIs and grid size."""
 
     def __init__(self, region: Rect, pois: Iterable[POI], grid_cells: int = 64):
         if grid_cells < 1:
@@ -44,15 +57,23 @@ class POIDatabase:
         self.grid_cells = grid_cells
         self._cell_w = region.width / grid_cells
         self._cell_h = region.height / grid_cells
-        self._grid: Dict[Tuple[int, int], List[POI]] = {}
-        self._by_category: Dict[str, List[POI]] = {}
-        self._all: List[POI] = []
-        for poi in pois:
+        self._pois = tuple(pois)
+        for poi in self._pois:
             if not region.contains(poi.location):
                 raise ReproError(f"POI {poi.poi_id!r} outside the map")
-            self._grid.setdefault(self._cell_of(poi.location), []).append(poi)
-            self._by_category.setdefault(poi.category, []).append(poi)
-            self._all.append(poi)
+        # ``sorted`` is stable: POIs sharing a cell keep insertion order.
+        ordered = sorted(self._pois, key=lambda poi: self._cell_of(poi.location))
+        groups: Dict[Optional[str], List[POI]] = {None: ordered}
+        for poi in ordered:
+            groups.setdefault(poi.category, []).append(poi)
+        #: category (``None``: all) → (its POIs in grid order, (xs, ys)).
+        self._tables = {
+            key: (tuple(group), np.array([p.location.as_tuple() for p in group]).reshape(-1, 2).T)
+            for key, group in groups.items()
+        }
+
+    def __reduce__(self):
+        return (POIDatabase, (self.region, self._pois, self.grid_cells))
 
     def _cell_of(self, point: Point) -> Tuple[int, int]:
         cx = min(int((point.x - self.region.x1) / self._cell_w), self.grid_cells - 1)
@@ -60,55 +81,26 @@ class POIDatabase:
         return (cx, cy)
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self._pois)
 
     def categories(self) -> List[str]:
-        return sorted(self._by_category)
+        return sorted(key for key in self._tables if key is not None)
 
     def in_category(self, category: str) -> List[POI]:
-        return list(self._by_category.get(category, []))
+        return [poi for poi in self._pois if poi.category == category]
 
     # -- queries -----------------------------------------------------------------
 
     def range_query(self, rect: Rect, category: Optional[str] = None) -> List[POI]:
         """All POIs inside ``rect`` (optionally category-filtered)."""
-        cx1, cy1 = self._cell_of(Point(max(rect.x1, self.region.x1),
-                                       max(rect.y1, self.region.y1)))
-        cx2, cy2 = self._cell_of(Point(min(rect.x2, self.region.x2),
-                                       min(rect.y2, self.region.y2)))
-        out: List[POI] = []
-        for cx in range(cx1, cx2 + 1):
-            for cy in range(cy1, cy2 + 1):
-                for poi in self._grid.get((cx, cy), ()):
-                    if rect.contains(poi.location):
-                        if category is None or poi.category == category:
-                            out.append(poi)
-        return out
+        pois, (xs, ys) = self._tables.get(category, ((), (None, None)))
+        return [pois[i] for i in np.flatnonzero(_inside(xs, ys, rect))] if pois else []
 
     def nearest(self, point: Point, category: Optional[str] = None) -> Optional[POI]:
-        """The POI nearest to ``point`` (expanding ring search)."""
-        best: Optional[POI] = None
-        best_dist = math.inf
-        cx0, cy0 = self._cell_of(point)
-        max_ring = self.grid_cells
-        for ring in range(max_ring + 1):
-            # Once a candidate is found, one extra ring guarantees no
-            # closer POI hides in a farther cell.
-            if best is not None and ring * min(self._cell_w, self._cell_h) > best_dist + max(self._cell_w, self._cell_h):
-                break
-            for cx in range(cx0 - ring, cx0 + ring + 1):
-                for cy in range(cy0 - ring, cy0 + ring + 1):
-                    if max(abs(cx - cx0), abs(cy - cy0)) != ring:
-                        continue
-                    if not (0 <= cx < self.grid_cells and 0 <= cy < self.grid_cells):
-                        continue
-                    for poi in self._grid.get((cx, cy), ()):
-                        if category is not None and poi.category != category:
-                            continue
-                        dist = point.distance_to(poi.location)
-                        if dist < best_dist:
-                            best, best_dist = poi, dist
-        return best
+        """The POI nearest to ``point`` (``None`` if there is none); of
+        POIs at the same ``math.hypot`` distance, the first in grid order."""
+        pois, (xs, ys) = self._tables.get(category, ((), (None, None)))
+        return _closest(pois, np.hypot(xs - point.x, ys - point.y), point)[0] if pois else None
 
     def nn_candidates(
         self, cloak: Rect, category: Optional[str] = None
@@ -120,26 +112,33 @@ class POIDatabase:
         at distance ``d₀``.  Any point ``q`` in the cloak has
         ``dist(q, NN(q)) ≤ dist(q, p₀) ≤ d₀ + diag/2``, so every
         possible nearest neighbour lies within ``d₀ + diag`` of the
-        center; we return all POIs inside that disk (via a bounding
-        rectangle range query plus a distance filter).
+        center; we return all POIs inside that disk (and its bounding
+        square).
         """
-        center = cloak.center
-        anchor = self.nearest(center, category)
-        if anchor is None:
+        pois, (xs, ys) = self._tables.get(category, ((), (None, None)))
+        if not pois:
             return []
-        diag = math.hypot(cloak.width, cloak.height)
-        radius = center.distance_to(anchor.location) + diag
-        box = Rect(
-            max(center.x - radius, self.region.x1),
-            max(center.y - radius, self.region.y1),
-            min(center.x + radius, self.region.x2),
-            min(center.y + radius, self.region.y2),
-        )
+        center = cloak.center
+        dist = np.hypot(xs - center.x, ys - center.y)
+        radius = _closest(pois, dist, center)[1] + math.hypot(cloak.width, cloak.height)
+        box = Rect(center.x - radius, center.y - radius, center.x + radius, center.y + radius)
+        near = (dist <= _loose(radius + 1e-9)) & _inside(xs, ys, box)
         return [
-            poi
-            for poi in self.range_query(box, category)
-            if center.distance_to(poi.location) <= radius + 1e-9
+            pois[i]
+            for i in np.flatnonzero(near)
+            if center.distance_to(pois[i].location) <= radius + 1e-9
         ]
+
+
+def _closest(pois: Tuple[POI, ...], dist: np.ndarray, point: Point) -> Tuple[POI, float]:
+    """The first of ``pois`` at the least ``math.hypot`` distance from
+    ``point``, and that distance; ``dist`` holds numpy's distances."""
+    best, best_dist = pois[0], math.inf
+    for i in np.flatnonzero(dist <= _loose(float(dist.min()))):
+        d = point.distance_to(pois[i].location)
+        if d < best_dist:
+            best, best_dist = pois[i], d
+    return best, best_dist
 
 
 def generate_pois(

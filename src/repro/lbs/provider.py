@@ -10,6 +10,7 @@ still knows *what* it returned (unlike cryptographic PIR).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -40,6 +41,17 @@ def _payload_get(payload, name: str) -> Optional[str]:
     return None
 
 
+def _range_margin(window) -> float:
+    """A ``range`` payload as a finite, non-negative margin (meters)."""
+    try:
+        margin = float(window)
+    except (TypeError, ValueError):
+        raise ReproError(f"range payload {window!r} is not a number") from None
+    if not 0 <= margin < math.inf:
+        raise ReproError(f"range payload {window!r} is not a finite, non-negative margin")
+    return margin
+
+
 class LBSProvider:
     """Serves anonymized requests over a POI database."""
 
@@ -57,7 +69,8 @@ class LBSProvider:
 
         Payload convention (Example 2): ``poi`` names the request kind's
         target category; an optional ``range`` (meters) switches from
-        nearest-POI to a range query around the cloak.
+        nearest-POI to a range query around the cloak (a bad margin
+        raises :class:`ReproError` before any query runs).
         """
         if not isinstance(request.cloak, Rect):
             raise ReproError(
@@ -69,13 +82,9 @@ class LBSProvider:
             raise ReproError("request payload lacks a 'poi' category")
         window = _payload_get(request.payload, "range")
         if window is not None:
-            margin = float(window)
-            rect = Rect(
-                max(request.cloak.x1 - margin, self.pois.region.x1),
-                max(request.cloak.y1 - margin, self.pois.region.y1),
-                min(request.cloak.x2 + margin, self.pois.region.x2),
-                min(request.cloak.y2 + margin, self.pois.region.y2),
-            )
+            margin = _range_margin(window)
+            c = request.cloak
+            rect = Rect(c.x1 - margin, c.y1 - margin, c.x2 + margin, c.y2 + margin)
             candidates = self.pois.range_query(rect, category)
         else:
             candidates = self.pois.nn_candidates(request.cloak, category)

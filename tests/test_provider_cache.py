@@ -37,6 +37,33 @@ class TestProvider:
         assert all(window.contains(p.location) for p in answer.candidates)
         assert all(p.category == "groc" for p in answer.candidates)
 
+    @pytest.mark.parametrize(
+        "margin",
+        [
+            "-400",  # negative: once served with no candidates
+            "-1e6",  # negative and wider than the cloak
+            "nan",
+            "abc",
+            "",
+            "-inf",
+            "inf",  # once served as the whole map
+        ],
+    )
+    def test_bad_range_fails_closed(self, provider, margin):
+        request = AnonymizedRequest(
+            3, Rect(100, 100, 200, 200), (("poi", "rest"), ("range", margin))
+        )
+        with pytest.raises(ReproError, match="range payload"):
+            provider.serve(request)
+        assert provider.served == 0 and provider.billing == {}
+
+    def test_zero_range_is_the_cloak(self, provider):
+        cloak = Rect(100, 100, 400, 400)
+        request = AnonymizedRequest(4, cloak, (("poi", "rest"), ("range", "0")))
+        assert provider.serve(request).candidates == tuple(
+            provider.pois.range_query(cloak, "rest")
+        )
+
     def test_billing_counters(self, provider):
         provider.serve(nn_request(1, category="rest"))
         provider.serve(nn_request(2, category="rest"))
