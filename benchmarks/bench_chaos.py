@@ -1,7 +1,8 @@
 """Chaos benchmark: availability, latency, and MTTR under faults.
 
-Runs the §VII deterministic DES and the §V parallel engine twice each —
-once clean, once under a seeded chaos schedule — and reports
+Runs the §VII serving replay (the real CSP and async gateway on virtual
+time) and the §V parallel engine twice each — once clean, once under a
+seeded chaos schedule — and reports
 availability, p50/p99 latency, and the degradation counters.  A third
 parallel scenario SIGKILLs a real worker process mid-solve and reports
 **MTTR** (mean time to recovery: pool rebuild + re-solve of the lost
@@ -25,9 +26,10 @@ from repro.experiments import Table
 from repro.experiments.churn import (
     CHURN_SCALES,
     MOVE_FRACTION,
-    des_churn_run,
+    replay_churn_run,
 )
-from repro.lbs import LBSSimulation
+from repro.experiments.replay import replay_schedule
+from repro.lbs.mobility import trajectory_schedule
 from repro.lbs.pipeline import CSP
 from repro.lbs.poi import generate_pois
 from repro.lbs.provider import LBSProvider
@@ -63,22 +65,34 @@ SOLVE_PLAN = FaultPlan(
 )
 
 
-def _des_row(scale, injector, retry_policy):
+def _replay_row(scale, injector, retry_policy):
+    """One §VII serving replay; returns the run and its CSP's final
+    effective-policy audit."""
     region = Rect(0, 0, 65_536, 65_536)
     db = uniform_users(min(scale.db_fixed, 2_000), region, seed=29)
-    sim = LBSSimulation(
-        region,
+    schedule = trajectory_schedule(
         db,
-        k=K,
-        request_rate_per_user=0.05,
+        0.02,
+        region,
+        rate_per_user=0.05,
+        duration=120.0,
         snapshot_period=30.0,
         seed=5,
+    )
+    provider = LBSProvider(
+        generate_pois(region, {"rest": 60, "groc": 40, "cinema": 30}, seed=6)
+    )
+    csp = CSP(
+        region,
+        K,
+        db,
+        provider,
         injector=injector,
         retry_policy=retry_policy,
         max_stale_snapshots=1,
     )
-    report = sim.run(120.0)
-    return report
+    run = replay_schedule(csp, schedule)
+    return run, csp, audit_policy(csp.effective_policy, K)
 
 
 def _run_chaos(scale):
@@ -99,29 +113,36 @@ def _run_chaos(scale):
         ],
     )
 
-    # -- DES serving pipeline -------------------------------------------------
+    # -- serving replay (real CSP + gateway, virtual time) ---------------------
     for label, injector, retry in (
-        ("des/clean", None, None),
+        ("replay/clean", None, None),
         (
-            "des/chaos",
+            "replay/chaos",
             FaultInjector(CHAOS_PLAN),
             RetryPolicy(max_attempts=3, base_delay=0.01),
         ),
     ):
-        report = _des_row(scale, injector, retry)
+        run, csp, audit = _replay_row(scale, injector, retry)
+        # Failed provider attempts, less the last one of each round
+        # that ran out of attempts (those are the rejections).
+        failed_attempts = sum(
+            n for (site, __), n in (injector.fired if injector else {}).items()
+            if site == "provider"
+        )
+        failed_rounds = sum(
+            e.level == "rejected" and e.reason == "provider" for e in csp.events
+        )
         table.add(
             scenario=label,
-            availability=report.availability,
-            p50_ms=1e3 * report.latency_percentile(50),
-            p99_ms=1e3 * report.latency_percentile(99),
-            rejected=report.rejected,
-            stale=report.stale_served,
-            retries=report.provider_retries,
+            availability=run.availability,
+            p50_ms=1e3 * run.latency_percentile(50),
+            p99_ms=1e3 * run.latency_percentile(99),
+            rejected=run.rejected,
+            stale=run.served_by_rung.get("stale", 0),
+            retries=failed_attempts - failed_rounds,
             recoveries=0,
             mttr_ms=0.0,
-            # The DES serves real policy cloaks; its breach count is the
-            # policy audit's, checked on the bulk rows below.
-            breaches=0,
+            breaches=len(audit.breached_users),
         )
 
     # -- parallel bulk engine -------------------------------------------------
@@ -232,11 +253,11 @@ def test_chaos_availability_and_latency(benchmark, record_table, profile):
     rows = {r["scenario"]: r for r in table.rows}
     # The invariant: chaos costs availability, never anonymity.
     assert all(r["breaches"] == 0 for r in table.rows)
-    assert rows["des/clean"]["availability"] == 1.0
+    assert rows["replay/clean"]["availability"] == 1.0
     assert rows["bulk/clean"]["availability"] == 1.0
     assert (
-        rows["des/chaos"]["availability"]
-        <= rows["des/clean"]["availability"]
+        rows["replay/chaos"]["availability"]
+        <= rows["replay/clean"]["availability"]
     )
     assert (
         rows["bulk/chaos"]["availability"]
@@ -244,9 +265,9 @@ def test_chaos_availability_and_latency(benchmark, record_table, profile):
     )
     # The chaos schedule actually bit (rejections or degradations).
     assert (
-        rows["des/chaos"]["rejected"]
-        + rows["des/chaos"]["stale"]
-        + rows["des/chaos"]["retries"]
+        rows["replay/chaos"]["rejected"]
+        + rows["replay/chaos"]["stale"]
+        + rows["replay/chaos"]["retries"]
         > 0
     )
     # The SIGKILL'd run recovered (pool rebuilt) and lost no users.
@@ -268,7 +289,7 @@ def test_chaos_availability_and_latency(benchmark, record_table, profile):
 def _run_churn(scale):
     params = CHURN_SCALES.get(scale.name, CHURN_SCALES["default"])
     table = Table(
-        "Policy churn (DES) — blackout repair vs epoch swap at "
+        "Policy churn (virtual time) — blackout repair vs epoch swap at "
         f"{100 * MOVE_FRACTION:g}% movement per snapshot",
         [
             "scenario",
@@ -281,8 +302,8 @@ def _run_churn(scale):
             "oracle_mismatches",
         ],
     )
-    for double_buffered in (False, True):
-        row = des_churn_run(double_buffered, params, seed=7)
+    for mode in ("blackout", "swap"):
+        row = replay_churn_run(mode, params, seed=7)
         table.add(
             scenario=f"churn/{row['mode']}",
             served=row["served"],

@@ -10,7 +10,8 @@ Operational front door for the library:
 * ``slo-report`` — the closed-loop SLO artifact (durability MTTR,
   capacity sweep on virtual time, wall-clock cross-validation);
 * ``churn``      — the zero-blackout churn artifact (stop-the-world
-  repair vs double-buffered epoch swap, DES + live, oracle gates);
+  repair vs double-buffered epoch swap, virtual-time replay + live,
+  oracle gates);
 * ``trajectory`` — the linking-attack artifact (undefended erosion vs
   continuity-constrained cloaking, with audit and cost gates);
 * ``fleet``      — serve a synthetic workload through the sharded
@@ -159,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     churn = sub.add_parser(
         "churn",
         help="churn report: stop-the-world blackout vs double-buffered "
-        "epoch swap, DES + live EpochManager, with oracle identity gates",
+        "epoch swap, virtual-time replay through the real CSP + live "
+        "EpochManager, with oracle identity gates",
     )
     churn.add_argument(
         "--scale",
@@ -173,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     trajectory = sub.add_parser(
         "trajectory",
         help="trajectory report: linking-attack erosion vs the "
-        "continuity-constrained cloaking defense, served scenario + "
-        "DES cost, with closing audit gates",
+        "continuity-constrained cloaking defense, served through the real "
+        "CSP and gateway on virtual time, with closing audit gates",
     )
     trajectory.add_argument(
         "--scale",

@@ -4,12 +4,14 @@ Measures what the double-buffered epoch swap buys over the historical
 stop-the-world repair, at the paper's Fig 5(b) operating point (a few
 percent of users moving per snapshot):
 
-1. **DES churn** — the same Poisson workload and 2 %/snapshot movement
-   run twice through :class:`~repro.lbs.simulation.LBSSimulation`: once
-   with the blackout model (arrivals wait for the repair) and once
-   double-buffered (repair on the shadow, atomic swap).  Both runs carry
-   the per-epoch oracle check, so the report also certifies that every
-   served cloak was bit-identical to a from-scratch solve of its epoch.
+1. **Virtual-time churn** — one seeded Poisson workload with 2 %/snapshot
+   movement replayed twice through the real CSP and async gateway on
+   virtual time (:func:`~repro.experiments.replay.replay_schedule`):
+   once in blackout mode (arrivals wait for a 0.5 s repair) and once in
+   swap mode (the prior epoch serves during the repair).  Every served
+   cloak is compared with a from-scratch solve of the epoch that served
+   it.  Virtual time charges no CPU, so these latencies are modelled
+   waits (repair, batching window, 2 ms provider round) only.
 2. **Live epochs** — a real :class:`~repro.streaming.epoch.EpochManager`
    serving wall-clock requests from one thread while a repairer thread
    ingests moves and swaps epochs.  The blackout twin is the same code
@@ -35,17 +37,20 @@ import numpy as np
 from ..core.errors import ReproError
 from ..core.geometry import Rect
 from ..data import uniform_users
-from ..lbs.mobility import random_moves
-from ..lbs.simulation import LBSSimulation
+from ..lbs.mobility import random_moves, trajectory_schedule
+from ..lbs.pipeline import CSP
+from ..lbs.poi import generate_pois
+from ..lbs.provider import LBSProvider
 from ..streaming import EpochManager
+from .replay import oracle_mismatches, replay_schedule
 
 __all__ = [
     "CHURN_SCALES",
     "MOVE_FRACTION",
     "build_churn_report",
-    "des_churn_run",
     "live_churn_run",
     "render_churn_report",
+    "replay_churn_run",
     "write_churn_report",
 ]
 
@@ -84,37 +89,42 @@ CHURN_SCALES: Dict[str, Dict[str, float]] = {
 }
 
 
-# -- DES churn -----------------------------------------------------------------
+# -- virtual-time churn -------------------------------------------------------
 
 
-def des_churn_run(
-    double_buffered: bool, params: Dict[str, float], seed: int
+def replay_churn_run(
+    mode: str, params: Dict[str, float], seed: int
 ) -> Dict[str, object]:
+    """One churn replay in ``mode`` ("blackout" or "swap")."""
     db = uniform_users(int(params["n_users"]), REGION, seed=seed)
-    sim = LBSSimulation(
-        REGION,
+    schedule = trajectory_schedule(
         db,
-        K,
-        request_rate_per_user=float(params["rate"]),
+        MOVE_FRACTION,
+        REGION,
+        rate_per_user=float(params["rate"]),
+        duration=float(params["duration"]),
         snapshot_period=float(params["snapshot_period"]),
-        move_fraction=MOVE_FRACTION,
         seed=seed,
-        double_buffered=double_buffered,
-        oracle_check=True,
     )
-    report = sim.run(float(params["duration"]))
+    provider = LBSProvider(
+        generate_pois(
+            REGION, {"rest": 60, "groc": 40, "cinema": 30}, seed=seed + 1
+        )
+    )
+    csp = CSP(REGION, K, db, provider)
+    run = replay_schedule(csp, schedule, mode=mode)
     return {
-        "mode": "swap" if double_buffered else "blackout",
-        "served": report.served,
-        "rejected": report.rejected,
-        "snapshots": report.snapshots,
-        "p50_ms": 1e3 * report.latency_percentile(50),
-        "p99_ms": 1e3 * report.latency_percentile(99),
-        "mean_queue_delay_ms": 1e3 * report.mean_queue_delay,
-        "repair_waits": report.repair_waits,
-        "served_while_repairing": report.served_while_repairing,
-        "oracle_mismatches": report.oracle_mismatches,
-        "served_by_rung": report.served_by_rung,
+        "mode": mode,
+        "served": len(run.served),
+        "rejected": run.rejected,
+        "snapshots": len(run.swaps),
+        # Rounded to the µs: loop-clock sums carry float noise.
+        "p50_ms": round(1e3 * run.latency_percentile(50), 3),
+        "p99_ms": round(1e3 * run.latency_percentile(99), 3),
+        "repair_waits": run.repair_waits,
+        "served_while_repairing": run.served_while_repairing,
+        "oracle_mismatches": oracle_mismatches(csp.manager, run),
+        "served_by_rung": run.served_by_rung,
     }
 
 
@@ -212,20 +222,20 @@ def build_churn_report(
             f"unknown scale {scale!r} (expected one of {sorted(CHURN_SCALES)})"
         )
     params = CHURN_SCALES[scale]
-    des_blackout = des_churn_run(False, params, seed)
-    des_swap = des_churn_run(True, params, seed)
+    virtual_blackout = replay_churn_run("blackout", params, seed)
+    virtual_swap = replay_churn_run("swap", params, seed)
     live_blackout = live_churn_run(False, params, seed)
     live_swap = live_churn_run(True, params, seed)
     gates = {
         # The swap path must strictly dominate: no latency regression,
         # no request ever waiting on a repair, and bit-identical cloaks.
-        "des_swap_p99_within_blackout": (
-            des_swap["p99_ms"] <= des_blackout["p99_ms"]
+        "virtual_swap_p99_within_blackout": (
+            virtual_swap["p99_ms"] <= virtual_blackout["p99_ms"]
         ),
-        "des_zero_repair_waits": des_swap["repair_waits"] == 0,
-        "des_zero_oracle_mismatches": (
-            des_swap["oracle_mismatches"] == 0
-            and des_blackout["oracle_mismatches"] == 0
+        "virtual_zero_repair_waits": virtual_swap["repair_waits"] == 0,
+        "virtual_zero_oracle_mismatches": (
+            virtual_swap["oracle_mismatches"] == 0
+            and virtual_blackout["oracle_mismatches"] == 0
         ),
         "live_swap_p99_within_blackout": (
             live_swap["p99_ms"] <= live_blackout["p99_ms"]
@@ -239,7 +249,7 @@ def build_churn_report(
         "seed": seed,
         "k": K,
         "move_fraction": MOVE_FRACTION,
-        "des": {"blackout": des_blackout, "swap": des_swap},
+        "virtual": {"blackout": virtual_blackout, "swap": virtual_swap},
         "live": {"blackout": live_blackout, "swap": live_swap},
         "gates": gates,
         "all_gates_pass": all(gates.values()),
@@ -248,16 +258,17 @@ def build_churn_report(
 
 def render_churn_report(report: Dict[str, object]) -> str:
     """The human-readable half of the artifact."""
-    des = report["des"]
+    virtual = report["virtual"]
     live = report["live"]
     lines = [
         f"== Churn report (scale={report['scale']}, "
         f"{100 * float(report['move_fraction']):g}% movement/snapshot, "
         f"k={report['k']}) ==",
         "",
-        "-- DES: blackout vs double-buffered swap --",
+        "-- virtual time: blackout vs double-buffered swap "
+        "(real CSP + gateway; latencies are modelled waits) --",
     ]
-    for row in (des["blackout"], des["swap"]):  # type: ignore[index]
+    for row in (virtual["blackout"], virtual["swap"]):  # type: ignore[index]
         lines.append(
             f"{row['mode']:>9}: p50 {row['p50_ms']:.2f} ms, "
             f"p99 {row['p99_ms']:.2f} ms, "

@@ -41,11 +41,10 @@ import numpy as np
 from ..core.errors import RecoveryError, ReproError
 from ..core.geometry import Rect
 from ..data import uniform_users
-from ..lbs.mobility import random_moves
+from ..lbs.mobility import poisson_schedule, random_moves
 from ..lbs.pipeline import CSP
 from ..lbs.poi import generate_pois
 from ..lbs.provider import LBSProvider
-from ..lbs.simulation import poisson_schedule
 from ..robustness.aio import VirtualTimeLoop
 from ..robustness.chaos import ReplicaKillPlan, destroy_replica
 from ..robustness.recovery import QuorumJournal

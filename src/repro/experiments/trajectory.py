@@ -6,16 +6,18 @@ Measures what the continuity-constrained cloaking defense
 
 1. **Served scenario** — one seeded mobility trace + Poisson arrival
    stream (:func:`~repro.lbs.mobility.trajectory_schedule`) replayed
-   twice through a real :class:`~repro.lbs.pipeline.CSP`: once
-   undefended (per-snapshot k only) and once with the
+   twice through a real :class:`~repro.lbs.pipeline.CSP` behind the
+   async gateway on virtual time
+   (:func:`~repro.experiments.replay.replay_schedule`): once undefended
+   (per-snapshot k only) and once with the
    :class:`~repro.trajectory.constraint.ContinuityConstraint` enforced.
    Both served streams are then attacked with the attacker's own
    tooling (:meth:`~repro.trajectory.audit.ServedTrajectories.audit`) —
    the closing audit gate.
-2. **DES cost** — the same workload shape through
-   :class:`~repro.lbs.simulation.LBSSimulation` with and without the
-   defense, measuring the p99 latency and mean-cloak-area overhead the
-   widening rung charges.
+2. **Cost** — from the same two runs: the mean-cloak-area overhead the
+   widening rung charges, and the p99 latency overhead.  Virtual time
+   charges no CPU, so the latencies are modelled waits (batching window
+   plus the 2 ms provider round) only.
 
 Gates (recorded in the artifact, asserted by the benches and CI): the
 defended stream keeps every user's surviving intersection ≥ k (100 %
@@ -29,21 +31,20 @@ import json
 import os
 from typing import Dict, List, Tuple
 
-from ..core.errors import ReproError, ServiceUnavailableError
+from ..core.errors import ReproError
 from ..core.geometry import Rect
 from ..data import uniform_users
 from ..lbs.mobility import trajectory_schedule
 from ..lbs.pipeline import CSP
 from ..lbs.poi import generate_pois
 from ..lbs.provider import LBSProvider
-from ..lbs.simulation import LBSSimulation
 from ..trajectory.audit import ServedTrajectories
 from ..trajectory.constraint import ContinuityConstraint
+from .replay import replay_schedule
 
 __all__ = [
     "TRAJECTORY_SCALES",
     "build_trajectory_report",
-    "des_trajectory_run",
     "render_trajectory_report",
     "scenario_run",
     "write_trajectory_report",
@@ -60,8 +61,6 @@ TRAJECTORY_SCALES: Dict[str, Dict[str, float]] = {
         "snapshot_period": 20.0,
         "move_fraction": 0.3,
         "max_move": 400.0,
-        "des_users": 300,
-        "des_duration": 120.0,
     },
     "default": {
         "n_users": 800,
@@ -70,8 +69,6 @@ TRAJECTORY_SCALES: Dict[str, Dict[str, float]] = {
         "snapshot_period": 20.0,
         "move_fraction": 0.3,
         "max_move": 400.0,
-        "des_users": 800,
-        "des_duration": 240.0,
     },
     "full": {
         "n_users": 2000,
@@ -80,8 +77,6 @@ TRAJECTORY_SCALES: Dict[str, Dict[str, float]] = {
         "snapshot_period": 20.0,
         "move_fraction": 0.3,
         "max_move": 400.0,
-        "des_users": 2000,
-        "des_duration": 400.0,
     },
 }
 
@@ -96,7 +91,9 @@ def scenario_run(
 
     The same ``seed`` fixes the entire workload, so the defended and
     undefended runs serve byte-identical traces — any difference in the
-    audit is the defense, nothing else.
+    audit is the defense, nothing else.  Each move set lands at its
+    boundary with no repair delay, so every arrival is served by the
+    snapshot it falls in.
     """
     db = uniform_users(int(params["n_users"]), REGION, seed=seed)
     schedule = trajectory_schedule(
@@ -116,78 +113,39 @@ def scenario_run(
     )
     trajectory = ContinuityConstraint(K) if defended else None
     csp = CSP(REGION, K, db, provider, trajectory=trajectory)
+    run = replay_schedule(csp, schedule, repair_seconds=0.0)
     stream = ServedTrajectories()
-    served = widened = rejected = 0
+    widened = 0
     area_sum = 0.0
-    batches = schedule.arrival_batches()
-    for index, batch in enumerate(batches):
-        for __, user, category in batch:
-            try:
-                result = csp.request(user, [("poi", category)])
-            except ServiceUnavailableError:
-                rejected += 1
-                continue
-            cloak = result.anonymized.cloak
-            served += 1
-            is_widened = cloak != csp.policy.cloak_for(user)
-            widened += is_widened
-            if isinstance(cloak, Rect):
-                area_sum += cloak.area
-            stream.observe(user, cloak, csp.policy, widened=is_widened)
-        if index < len(schedule.moves):
-            csp.advance_snapshot(schedule.moves[index])
+    for replayed in run.requests:
+        if not replayed.served:
+            continue
+        served = replayed.outcome
+        user = served.request.user_id  # type: ignore[union-attr]
+        cloak = served.anonymized.cloak  # type: ignore[union-attr]
+        policy = replayed.epoch.policy
+        is_widened = cloak != policy.cloak_for(user)
+        widened += is_widened
+        if isinstance(cloak, Rect):
+            area_sum += cloak.area
+        stream.observe(user, cloak, policy, widened=is_widened)
     audit = stream.audit(K)
+    served_count = len(run.served)
     return {
         "mode": "defended" if defended else "undefended",
-        "served": served,
+        "served": served_count,
         "widened": widened,
-        "rejected": rejected,
-        "mean_cloak_area": area_sum / served if served else 0.0,
+        "rejected": run.rejected,
+        "mean_cloak_area": area_sum / served_count if served_count else 0.0,
+        # Rounded to the µs: loop-clock sums carry float noise.
+        "p50_ms": round(1e3 * run.latency_percentile(50), 3),
+        "p99_ms": round(1e3 * run.latency_percentile(99), 3),
         "audited": audit.audited,
         "holding": audit.holding,
         "min_surviving": audit.min_surviving,
         "min_curve": list(audit.min_curve),
         "all_hold": audit.all_hold,
         "snapshots": schedule.n_snapshots,
-    }
-
-
-# -- DES cost ------------------------------------------------------------------
-
-
-def des_trajectory_run(
-    defended: bool, params: Dict[str, float], seed: int
-) -> Dict[str, object]:
-    """The latency/area cost of the defense under the DES timing model."""
-    db = uniform_users(int(params["des_users"]), REGION, seed=seed)
-    sim = LBSSimulation(
-        REGION,
-        db,
-        K,
-        request_rate_per_user=float(params["rate"]),
-        snapshot_period=float(params["snapshot_period"]),
-        move_fraction=float(params["move_fraction"]),
-        max_move=float(params["max_move"]),
-        seed=seed,
-        trajectory_defense=defended,
-        audit_stream=True,
-    )
-    report = sim.run(float(params["des_duration"]))
-    assert sim.stream is not None
-    audit = sim.stream.audit(K)
-    return {
-        "mode": "defended" if defended else "undefended",
-        "served": report.served,
-        "rejected": report.rejected,
-        "trajectory_widened": report.trajectory_widened,
-        "trajectory_rejected": report.trajectory_rejected,
-        "p50_ms": 1e3 * report.latency_percentile(50),
-        "p99_ms": 1e3 * report.latency_percentile(99),
-        "mean_cloak_area": report.mean_served_area,
-        "min_surviving": audit.min_surviving,
-        "all_hold": audit.all_hold,
-        "holding": audit.holding,
-        "audited": audit.audited,
     }
 
 
@@ -206,12 +164,10 @@ def build_trajectory_report(
     params = TRAJECTORY_SCALES[scale]
     scenario_undefended = scenario_run(False, params, seed)
     scenario_defended = scenario_run(True, params, seed)
-    des_undefended = des_trajectory_run(False, params, seed)
-    des_defended = des_trajectory_run(True, params, seed)
     area = float(scenario_defended["mean_cloak_area"])  # type: ignore[arg-type]
     base_area = float(scenario_undefended["mean_cloak_area"])  # type: ignore[arg-type]
-    p99 = float(des_defended["p99_ms"])  # type: ignore[arg-type]
-    base_p99 = float(des_undefended["p99_ms"])  # type: ignore[arg-type]
+    p99 = float(scenario_defended["p99_ms"])  # type: ignore[arg-type]
+    base_p99 = float(scenario_undefended["p99_ms"])  # type: ignore[arg-type]
     overheads = {
         "cloak_area_ratio": area / base_area if base_area else 0.0,
         "p99_latency_ratio": p99 / base_p99 if base_p99 else 0.0,
@@ -227,10 +183,6 @@ def build_trajectory_report(
         "undefended_scenario_erodes_below_k": (
             int(scenario_undefended["min_surviving"]) < K  # type: ignore[call-overload]
         ),
-        "defended_des_holds_all_users": bool(des_defended["all_hold"]),
-        "undefended_des_erodes_below_k": (
-            int(des_undefended["min_surviving"]) < K  # type: ignore[call-overload]
-        ),
     }
     return {
         "scale": scale,
@@ -241,7 +193,6 @@ def build_trajectory_report(
             "undefended": scenario_undefended,
             "defended": scenario_defended,
         },
-        "des": {"undefended": des_undefended, "defended": des_defended},
         "overheads": overheads,
         "gates": gates,
         "all_gates_pass": all(gates.values()),
@@ -257,13 +208,13 @@ def _curve_text(curve: List[int], width: int = 12) -> str:
 def render_trajectory_report(report: Dict[str, object]) -> str:
     """The human-readable half of the artifact."""
     scenario = report["scenario"]
-    des = report["des"]
     lines = [
         f"== Trajectory report (scale={report['scale']}, "
         f"{100 * float(report['move_fraction']):g}% movement/snapshot, "  # type: ignore[arg-type]
         f"k={report['k']}) ==",
         "",
-        "-- served scenario: linking attack on the real CSP stream --",
+        "-- served scenario: linking attack on the real CSP + gateway "
+        "stream --",
     ]
     for row in (scenario["undefended"], scenario["defended"]):  # type: ignore[index]
         lines.append(
@@ -278,15 +229,14 @@ def render_trajectory_report(report: Dict[str, object]) -> str:
             f"{_curve_text(list(row['min_curve']))}"
         )
     lines.append("")
-    lines.append("-- DES: latency/area cost of the defense --")
-    for row in (des["undefended"], des["defended"]):  # type: ignore[index]
+    lines.append(
+        "-- serving cost on virtual time (modelled waits: batching "
+        "window + provider round) --"
+    )
+    for row in (scenario["undefended"], scenario["defended"]):  # type: ignore[index]
         lines.append(
             f"{row['mode']:>11}: p50 {row['p50_ms']:.2f} ms, "
-            f"p99 {row['p99_ms']:.2f} ms, mean cloak "
-            f"{row['mean_cloak_area']:,.0f} m², "
-            f"{row['trajectory_widened']} widened / "
-            f"{row['trajectory_rejected']} trajectory-rejected, "
-            f"min surviving {row['min_surviving']}"
+            f"p99 {row['p99_ms']:.2f} ms"
         )
     overheads = report["overheads"]
     lines.append("")

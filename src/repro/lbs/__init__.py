@@ -6,6 +6,7 @@ from .locationdb import LocationDatabase, SnapshotSequence
 from .mobility import (
     TrajectorySchedule,
     movement_stream,
+    poisson_schedule,
     random_moves,
     trajectory_schedule,
     walk_snapshots,
@@ -17,12 +18,6 @@ from .pipeline import (
     ServedRequest,
 )
 from .poi import POI, POIDatabase, generate_pois
-from .simulation import (
-    LBSSimulation,
-    ServiceTimes,
-    SimulationReport,
-    poisson_schedule,
-)
 from .provider import LBSProvider, QueryAnswer
 
 __all__ = [
@@ -36,11 +31,8 @@ __all__ = [
     "MobilePositioningCenter",
     "POI",
     "POIDatabase",
-    "LBSSimulation",
     "QueryAnswer",
     "ServedRequest",
-    "ServiceTimes",
-    "SimulationReport",
     "SnapshotSequence",
     "TrajectorySchedule",
     "generate_pois",

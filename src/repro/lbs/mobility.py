@@ -4,7 +4,8 @@ The incremental-maintenance experiment moves a chosen percentage of
 users "to a point at a randomly selected distance (bounded by 200
 meters, the maximum possible movement within 10 seconds) in a randomly
 selected direction".  This module reproduces that model and provides a
-snapshot-stream convenience for longer simulations.
+snapshot-stream convenience for longer runs, plus the seeded Poisson
+arrival streams that serving replays pair with it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "random_moves",
     "movement_stream",
     "walk_snapshots",
+    "poisson_schedule",
     "trajectory_schedule",
     "TrajectorySchedule",
 ]
@@ -91,7 +93,7 @@ def walk_snapshots(
     """Apply a move-set sequence as a walk: snapshot *i+1* is snapshot
     *i* plus ``moves[i]``.  Returns all ``len(moves) + 1`` snapshots,
     starting with ``db`` itself — the one trace-replay helper shared by
-    the trajectory bench, the DES scenario, and the mobility tests."""
+    the trajectory bench and the mobility tests."""
     snapshots = [db]
     for move_set in moves:
         snapshots.append(snapshots[-1].with_moves(move_set))
@@ -102,9 +104,10 @@ def walk_snapshots(
 class TrajectorySchedule:
     """One seeded mobility trace paired with one Poisson arrival stream.
 
-    The pairing is the point: the trajectory bench and the DES both need
-    "users move every ``snapshot_period`` seconds *and* issue requests
-    in between", and generating the two halves from one seed keeps the
+    The pairing is the point: the trajectory, churn and §VII replays
+    (:func:`repro.experiments.replay.replay_schedule`) all need "users
+    move every ``snapshot_period`` seconds *and* issue requests in
+    between", and generating the two halves from one seed keeps the
     defended and undefended runs (and any test replaying them) on the
     byte-identical workload.
     """
@@ -141,6 +144,46 @@ class TrajectorySchedule:
         return batches
 
 
+def _check_categories(categories: Tuple[str, ...]) -> None:
+    if not categories:
+        raise WorkloadError("schedule needs at least one POI category")
+
+
+def poisson_schedule(
+    users: List[str],
+    rate_per_user: float,
+    duration: float,
+    categories: Tuple[str, ...] = ("rest", "groc", "cinema"),
+    seed=0,
+) -> List[Tuple[float, str, str]]:
+    """A deterministic Poisson arrival schedule: (time, user, category).
+
+    One global process of rate ``len(users) · rate_per_user`` with the
+    user and category of each arrival drawn uniformly.  Map each entry
+    to ``(time, user, [("poi", category)])`` and
+    :func:`repro.serving.gateway.serve_scheduled` replays it through the
+    real gateway — on a :class:`~repro.robustness.aio.VirtualTimeLoop`
+    for capacity sweeps, on the wall-clock loop to measure them.
+    """
+    if rate_per_user <= 0:
+        raise WorkloadError("rate_per_user must be > 0")
+    if duration <= 0:
+        raise WorkloadError("duration must be > 0")
+    if not users:
+        raise WorkloadError("schedule needs at least one user")
+    _check_categories(categories)
+    rng = _rng(seed)
+    global_rate = len(users) * rate_per_user
+    schedule: List[Tuple[float, str, str]] = []
+    t = float(rng.exponential(1.0 / global_rate))
+    while t < duration:
+        user = users[int(rng.integers(len(users)))]
+        category = categories[int(rng.integers(len(categories)))]
+        schedule.append((t, user, category))
+        t += float(rng.exponential(1.0 / global_rate))
+    return schedule
+
+
 def trajectory_schedule(
     db: LocationDatabase,
     fraction: float,
@@ -157,16 +200,14 @@ def trajectory_schedule(
 
     The mobility trace is drawn first, then the arrival stream, both
     from the same generator — so a given ``seed`` fixes the entire
-    workload, and two consumers (bench vs DES, defended vs undefended)
-    replay identical traces.
+    workload, and two consumers (defended vs undefended, blackout vs
+    swap) replay identical traces.
     """
     if snapshot_period <= 0:
         raise WorkloadError("snapshot_period must be > 0")
     if duration <= 0:
         raise WorkloadError("duration must be > 0")
-    # Local import: simulation imports this module at load time.
-    from .simulation import poisson_schedule
-
+    _check_categories(categories)
     rng = _rng(seed)
     n_boundaries = max(0, math.ceil(duration / snapshot_period) - 1)
     moves = tuple(

@@ -14,8 +14,9 @@ Injection sites used by the library (callers may invent more):
     per-jurisdiction solves in :func:`repro.parallel.engine.parallel_bulk_anonymize`
     (key = jurisdiction node id);
 ``"provider"``
-    LBS provider calls in the CSP pipeline and the DES simulation
-    (key = request id);
+    LBS provider calls in the CSP pipeline (key = request id) and
+    provider rounds of the async gateway (key = the round's first
+    request id);
 ``"mpc"``
     location lookups at the Mobile Positioning Center (key = user id,
     kind ``"stale"`` serves the previous snapshot's location);

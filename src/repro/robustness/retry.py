@@ -6,8 +6,8 @@ Everything here is deterministic and clock-injectable:
   jitter (a pure hash of ``(seed, attempt)``), so two runs of the same
   chaos schedule wait exactly as long — latency percentiles under
   faults are reproducible numbers, not noise;
-* :class:`ManualClock` lets tests and the DES simulation account for
-  backoff time without real sleeping;
+* :class:`ManualClock` lets tests and benches account for backoff
+  time without real sleeping;
 * :class:`CircuitBreaker` protects a dependency (the LBS provider) from
   retry storms: after ``failure_threshold`` consecutive failures it
   fails fast with :class:`~repro.core.errors.CircuitOpenError` until a
@@ -63,8 +63,8 @@ class SystemClock(Clock):
 class ManualClock(Clock):
     """A virtual clock: sleeping advances simulated time instantly.
 
-    ``slept`` accumulates total backoff time, which the DES simulation
-    and chaos bench charge to request latency.
+    ``slept`` accumulates total backoff time, which callers charge to
+    request latency.
     """
 
     def __init__(self, start: float = 0.0):

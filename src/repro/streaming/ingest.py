@@ -1,8 +1,8 @@
 """Delta-batched move ingest between epoch swaps.
 
 The accumulator is the write side of the double-buffered serving layer:
-location updates stream in continuously (from the MPC feed, the DES, or
-a fleet dispatcher) and are coalesced per user — only the *latest*
+location updates stream in continuously (from the MPC feed, a schedule
+replay, or a fleet dispatcher) and are coalesced per user — only the *latest*
 position matters for the next repair, so N moves by one user between
 two swaps cost exactly one dirty leaf.  :meth:`DirtyAccumulator.drain`
 hands the batch to the shadow repair atomically; if that repair fails

@@ -1,5 +1,5 @@
 """Adaptive (AIMD) admission: containment invariant, controller
-dynamics, and the gateway/DES integrations."""
+dynamics, and the gateway integrations on virtual time."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,7 @@ from repro.data import uniform_users
 from repro.lbs.pipeline import CSP
 from repro.lbs.poi import generate_pois
 from repro.lbs.provider import LBSProvider
-from repro.lbs.simulation import poisson_schedule
+from repro.lbs.mobility import poisson_schedule
 from repro.robustness import (
     FaultInjector,
     FaultPlan,

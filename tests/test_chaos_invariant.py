@@ -114,7 +114,8 @@ def test_no_fault_plan_ever_breaches_anonymity(plan):
 
 
 def test_simulation_under_chaos_reports_degradation():
-    from repro.lbs.simulation import LBSSimulation
+    from repro.experiments.replay import replay_schedule
+    from repro.lbs.mobility import trajectory_schedule
 
     region = Rect(0, 0, 4096, 4096)
     db = uniform_users(300, region, seed=201)
@@ -126,34 +127,62 @@ def test_simulation_under_chaos_reports_degradation():
         seed=31,
         name="des-chaos",
     )
-    sim = LBSSimulation(
-        region,
+    schedule = trajectory_schedule(
         db,
-        K,
-        request_rate_per_user=0.05,
+        0.02,
+        region,
+        rate_per_user=0.05,
+        duration=300.0,
         snapshot_period=30.0,
         seed=41,
-        injector=FaultInjector(plan),
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
-        max_stale_snapshots=1,
     )
-    report = sim.run(300.0)
-    assert 0.0 < report.availability <= 1.0
-    assert report.failed_snapshots > 0
-    assert report.provider_retries > 0
-    assert report.served + report.rejected > 0
-    assert "availability" in report.summary()
 
-    baseline = LBSSimulation(
-        region,
-        db,
-        K,
-        request_rate_per_user=0.05,
-        snapshot_period=30.0,
-        seed=41,
-    ).run(300.0)
+    def replay(injector=None, retry_policy=None):
+        csp = CSP(
+            region,
+            K,
+            db,
+            LBSProvider(generate_pois(region, {"rest": 30}, seed=5)),
+            injector=injector,
+            retry_policy=retry_policy,
+            max_stale_snapshots=1,
+        )
+        advance = csp.advance_snapshot
+        audits = []
+
+        def audited_advance(moves):
+            # After every tick, promoted or not: zero breaches.
+            report = advance(moves)
+            audits.append(audit_policy(csp.effective_policy, K))
+            return report
+
+        csp.advance_snapshot = audited_advance
+        run = replay_schedule(csp, schedule)
+        assert len(audits) == len(schedule.moves)
+        assert all(a.safe_policy_aware for a in audits), [
+            a.summary() for a in audits if not a.safe_policy_aware
+        ]
+        return run
+
+    injector = FaultInjector(plan)
+    run = replay(injector, RetryPolicy(max_attempts=3, base_delay=0.01))
+    assert 0.0 < run.availability <= 1.0
+    failed_repairs = sum(not swap.promoted for swap in run.swaps)
+    assert failed_repairs > 0
+    # Provider faults were retried: more failed attempts than rounds
+    # that ran out of attempts.
+    provider_rejections = sum(
+        not r.served and r.outcome.reason == "provider" for r in run.requests
+    )
+    assert injector.fired[("provider", "timeout")] > provider_rejections
+    assert len(run.served) + run.rejected > 0
+    # Degradation is visible: stale serving and typed rejections.
+    assert run.served_by_rung.get("stale", 0) > 0
+    assert run.rejected > 0
+
+    baseline = replay()
     assert baseline.availability == 1.0
-    assert report.availability <= baseline.availability
+    assert run.availability <= baseline.availability
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])

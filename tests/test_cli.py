@@ -185,8 +185,6 @@ class TestTrajectoryCommand:
         gates = report["gates"]
         assert gates["defended_scenario_holds_all_users"] is True
         assert gates["undefended_scenario_erodes_below_k"] is True
-        assert gates["defended_des_holds_all_users"] is True
-        assert gates["undefended_des_erodes_below_k"] is True
         defended = report["scenario"]["defended"]
         assert defended["holding"] == defended["audited"]
         assert report["scenario"]["undefended"]["min_surviving"] < report["k"]

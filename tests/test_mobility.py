@@ -6,6 +6,7 @@ from repro import Rect, WorkloadError
 from repro.data import uniform_users
 from repro.lbs import (
     movement_stream,
+    poisson_schedule,
     random_moves,
     trajectory_schedule,
     walk_snapshots,
@@ -134,3 +135,24 @@ class TestTrajectorySchedule:
                 db, 0.3, region,
                 rate_per_user=0.05, duration=10.0, snapshot_period=0.0,
             )
+
+    def test_empty_categories_rejected(self, db, region):
+        with pytest.raises(WorkloadError, match="category"):
+            trajectory_schedule(
+                db, 0.3, region,
+                rate_per_user=0.05, duration=10.0, snapshot_period=5.0,
+                categories=(),
+            )
+
+
+class TestPoissonSchedule:
+    def test_empty_categories_rejected(self, db):
+        with pytest.raises(WorkloadError, match="category"):
+            poisson_schedule(db.user_ids(), 1.0, 5.0, categories=())
+
+    def test_draws_from_the_given_categories(self, db):
+        schedule = poisson_schedule(
+            db.user_ids(), 0.5, 5.0, categories=("museum",), seed=3
+        )
+        assert schedule
+        assert {category for __, ___, category in schedule} == {"museum"}

@@ -376,38 +376,47 @@ class TestCSPRestart:
         assert restored.request(user, [("poi", "rest")]).degradation == "stale"
 
     def test_measured_restore_latency_replays_in_des(self, provider, journal):
-        """Close the loop: time a real journal restore, then replay that
-        latency as a DES process-restart blackout and read the cost off
-        the per-rung SLO report."""
+        """Close the loop: time a real journal restore, then replay a
+        schedule through the restored CSP and gateway on virtual time.
+        The restored policy serves on the "recovered" rung until the
+        first promoted advance, and "fresh" after it."""
         import time as _time
 
-        from repro.lbs.simulation import LBSSimulation
+        from repro.experiments.replay import replay_schedule
+        from repro.lbs.mobility import trajectory_schedule
 
         csp = self.make_csp(provider, journal)
         churn(csp, rounds=1)
+        db = csp.mpc.db
         del csp
         start = _time.perf_counter()
         restored = CSP.restore(provider, journal)
         measured = _time.perf_counter() - start
         assert restored.restored and measured > 0.0
 
-        sim = LBSSimulation(
+        schedule = trajectory_schedule(
+            db,
+            0.1,
             REGION,
-            uniform_users(90, REGION, seed=11),
-            K,
-            request_rate_per_user=0.5,
-            snapshot_period=20.0,
+            rate_per_user=0.5,
+            duration=15.0,
+            snapshot_period=7.0,
+            max_distance=120.0,
             seed=13,
-            restart_at=(7.0,),
-            restart_blackout=measured,
         )
-        report = sim.run(15.0)
-        assert report.restarts == 1
-        assert report.restart_seconds == pytest.approx(measured)
-        assert report.served_by_rung.get("recovered", 0) > 0
-        assert "restarts: 1" in report.slo_summary()
-        # The blackout is visible as queueing, bounded by the restore.
-        assert max(report.queue_delays) <= measured + 1e-9
+        run = replay_schedule(restored, schedule, repair_seconds=measured)
+        assert run.rejected == 0
+        assert [swap.promoted for swap in run.swaps] == [True, True]
+        installed = 7.0 + measured
+        rungs = {"recovered": 0, "fresh": 0}
+        for replayed in run.requests:
+            rung = replayed.outcome.degradation
+            rungs[rung] += 1
+            assert rung == (
+                "recovered" if replayed.arrival < installed else "fresh"
+            )
+        assert rungs["recovered"] > 0 and rungs["fresh"] > 0
+        assert not restored.restored
 
 
 class TestQuorumJournal:

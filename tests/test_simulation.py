@@ -1,10 +1,29 @@
-"""Tests for the discrete-event LBS simulation (§VII operating point)."""
+"""The §VII serving simulation, run on production code.
+
+:func:`repro.experiments.replay.replay_schedule` replays a seeded
+trajectory schedule (Poisson arrivals plus per-boundary move sets)
+through the real CSP and async gateway on virtual time; the gateway's
+capacity model replays bare arrival schedules the same way.
+"""
 
 import pytest
 
-from repro import Rect, WorkloadError
+from repro import Rect, ServiceUnavailableError, WorkloadError
+from repro.attacks.audit import audit_policy
 from repro.data import uniform_users
-from repro.lbs import LBSSimulation, ServiceTimes
+from repro.experiments.replay import oracle_mismatches, replay_schedule
+from repro.lbs import (
+    CSP,
+    LBSProvider,
+    TrajectorySchedule,
+    generate_pois,
+    trajectory_schedule,
+)
+from repro.lbs.mobility import random_moves
+from repro.robustness import FaultInjector, FaultPlan, FaultRule
+from repro.robustness.recovery import PolicyJournal
+
+K = 10
 
 
 @pytest.fixture
@@ -17,213 +36,312 @@ def db(region):
     return uniform_users(400, region, seed=241)
 
 
-def make_sim(region, db, **kwargs):
-    defaults = dict(
-        k=10,
-        request_rate_per_user=0.05,
+def make_schedule(region, db, **kwargs):
+    params = dict(
+        rate_per_user=0.05,
+        duration=60.0,
         snapshot_period=20.0,
-        move_fraction=0.05,
         seed=7,
     )
-    defaults.update(kwargs)
-    return LBSSimulation(region, db, **defaults)
+    params.update(kwargs)
+    fraction = params.pop("move_fraction", 0.05)
+    return trajectory_schedule(db, fraction, region, **params)
+
+
+def make_csp(region, db, **kwargs):
+    provider = LBSProvider(
+        generate_pois(region, {"rest": 40, "groc": 30, "cinema": 10}, seed=3)
+    )
+    return CSP(region, K, db, provider, **kwargs)
+
+
+def replay(region, db, schedule=None, csp_kwargs=None, **kwargs):
+    """A fresh CSP over ``db`` replaying ``schedule`` (default workload)."""
+    csp = make_csp(region, db, **(csp_kwargs or {}))
+    schedule = schedule or make_schedule(region, db)
+    return csp, replay_schedule(csp, schedule, **kwargs)
+
+
+def outcomes(run):
+    """What a rerun must reproduce: per request, arrival, latency, rung
+    or rejection reason, and cloak."""
+    rows = []
+    for r in run.requests:
+        if r.served:
+            rows.append((r.arrival, r.latency, r.outcome.degradation,
+                         r.outcome.anonymized.cloak))
+        else:
+            rows.append((r.arrival, r.latency, r.outcome.reason, None))
+    return rows
 
 
 class TestValidation:
     def test_rate_validated(self, region, db):
         with pytest.raises(WorkloadError):
-            make_sim(region, db, request_rate_per_user=0.0)
+            make_schedule(region, db, rate_per_user=0.0)
 
     def test_period_validated(self, region, db):
         with pytest.raises(WorkloadError):
-            make_sim(region, db, snapshot_period=-1)
+            make_schedule(region, db, snapshot_period=-1)
 
     def test_duration_validated(self, region, db):
         with pytest.raises(WorkloadError):
-            make_sim(region, db).run(0)
+            make_schedule(region, db, duration=0)
 
-    def test_service_times_validated(self):
-        with pytest.raises(WorkloadError):
-            ServiceTimes(cloak_lookup=-1).validate()
+    def test_service_times_validated(self, region, db):
+        """The modelled repair must fit inside one snapshot window, and
+        the repair mode must be one the driver knows."""
+        for kwargs in (
+            dict(repair_seconds=-1.0),
+            dict(repair_seconds=20.0),
+            dict(mode="pause"),
+        ):
+            with pytest.raises(WorkloadError):
+                replay(region, db, **kwargs)
 
 
 class TestRun:
     def test_request_volume_matches_poisson_rate(self, region, db):
-        sim = make_sim(region, db)
-        report = sim.run(60.0)
+        __, run = replay(region, db)
         expected = len(db) * 0.05 * 60.0  # n · λ · T
-        assert 0.6 * expected < report.served < 1.4 * expected
+        assert 0.6 * expected < len(run.served) < 1.4 * expected
 
     def test_snapshot_count(self, region, db):
-        report = make_sim(region, db, snapshot_period=15.0).run(60.0)
-        assert report.snapshots == 3  # ticks at 15, 30, 45
+        schedule = make_schedule(region, db, snapshot_period=15.0)
+        __, run = replay(region, db, schedule)
+        assert len(run.swaps) == 3  # ticks at 15, 30, 45
+        assert all(swap.promoted for swap in run.swaps)
 
     def test_latency_fields_consistent(self, region, db):
-        report = make_sim(region, db).run(30.0)
-        assert len(report.latencies) == report.served
-        assert report.mean_latency > 0
-        assert report.latency_percentile(99) >= report.latency_percentile(50)
+        __, run = replay(region, db)
+        assert len(run.requests) == len(run.served) + run.rejected
+        assert run.mean_latency > 0
+        assert run.latency_percentile(99) >= run.latency_percentile(50)
+        arrivals = [r.arrival for r in run.requests]
+        assert arrivals == sorted(arrivals)
 
     def test_deterministic_given_seed(self, region, db):
-        a = make_sim(region, db, seed=3).run(30.0)
-        b = make_sim(region, db, seed=3).run(30.0)
-        assert a.served == b.served
-        assert a.latencies == b.latencies
-        assert a.cache_hits == b.cache_hits
+        __, a = replay(region, db, make_schedule(region, db, seed=3))
+        __, b = replay(region, db, make_schedule(region, db, seed=3))
+        assert outcomes(a) == outcomes(b)
+        assert a.stats.cache_hits == b.stats.cache_hits
+        assert a.stats.provider_rounds == b.stats.provider_rounds
 
     def test_cache_reduces_lbs_load(self, region, db):
-        cached = make_sim(region, db, use_cache=True).run(40.0)
-        uncached = make_sim(region, db, use_cache=False).run(40.0)
-        assert cached.lbs_queries < uncached.lbs_queries
-        assert uncached.cache_hits == 0
-        assert cached.cache_hit_rate > 0
+        __, cached = replay(region, db, csp_kwargs={"use_cache": True})
+        __, uncached = replay(region, db, csp_kwargs={"use_cache": False})
+        assert cached.stats.provider_queries < uncached.stats.provider_queries
+        assert uncached.stats.cache_hits == 0
+        assert cached.stats.cache_hits > 0
 
     def test_milliseconds_per_query(self, region, db):
         """The §VII headline: requests cost milliseconds, not seconds."""
-        report = make_sim(region, db, snapshot_period=1000.0).run(60.0)
-        assert report.mean_latency < 0.01  # < 10 ms
+        __, run = replay(region, db, mode="blackout")
+        assert run.mean_latency < 0.01  # < 10 ms
 
     def test_requests_wait_for_reanonymization(self, region, db):
-        slow = ServiceTimes(reanonymization=5.0)
-        report = make_sim(
-            region, db, snapshot_period=10.0, times=slow
-        ).run(40.0)
+        schedule = make_schedule(region, db, snapshot_period=10.0, duration=40.0)
+        __, run = replay(
+            region, db, schedule, mode="blackout", repair_seconds=5.0
+        )
         # Some requests arrive during the 5-second repair window and
         # queue behind it.
-        assert max(report.queue_delays) > 0
-        assert report.latency_percentile(99) > 0.01
+        assert run.repair_waits > 0
+        assert max(r.latency for r in run.requests) > 1.0
+        assert run.latency_percentile(99) > 0.01
 
     def test_more_servers_shrink_the_blackout(self, region, db):
-        """Parallel anonymization (§V) cuts the post-snapshot serving
-        blackout ~n×, so tail latency improves with the server count."""
-        slow = ServiceTimes(reanonymization=4.0)
-        one = make_sim(
-            region, db, snapshot_period=10.0, times=slow, n_servers=1
-        ).run(40.0)
-        sixteen = make_sim(
-            region, db, snapshot_period=10.0, times=slow, n_servers=16
-        ).run(40.0)
-        assert max(sixteen.queue_delays) < max(one.queue_delays)
-        assert sixteen.latency_percentile(99) < one.latency_percentile(99)
-
-    def test_server_count_validated(self, region, db):
-        with pytest.raises(WorkloadError):
-            make_sim(region, db, n_servers=0)
+        """Parallel anonymization (§V) splits a repair across n
+        share-nothing servers (the Figure 4(a) model): replaying each
+        server's share as the repair time cuts the blackout tail."""
+        schedule = make_schedule(region, db, snapshot_period=10.0, duration=40.0)
+        runs = {
+            servers: replay(
+                region, db, schedule, mode="blackout",
+                repair_seconds=4.0 / servers,
+            )[1]
+            for servers in (1, 16)
+        }
+        worst = {n: max(r.latency for r in run.requests)
+                 for n, run in runs.items()}
+        assert worst[16] < worst[1]
+        assert runs[16].latency_percentile(99) < runs[1].latency_percentile(99)
 
     def test_zero_repair_time_means_no_queueing(self, region, db):
-        fast = ServiceTimes(reanonymization=0.0)
-        report = make_sim(region, db, times=fast).run(30.0)
-        assert max(report.queue_delays, default=0.0) == 0.0
+        __, run = replay(region, db, mode="blackout", repair_seconds=0.0)
+        assert run.repair_waits == 0
+        assert max(r.latency for r in run.requests) < 0.01
 
     def test_summary_renders(self, region, db):
-        report = make_sim(region, db).run(10.0)
-        text = report.summary()
-        assert "req/s" in text and "ms" in text
+        __, run = replay(region, db, make_schedule(region, db, duration=10.0))
+        text = run.summary()
+        assert "served" in text and "ms" in text
+        assert "modelled" in text
 
     def test_privacy_preserved_throughout(self, region, db):
-        sim = make_sim(region, db)
-        sim.run(60.0)
+        csp, run = replay(region, db)
+        assert all(swap.promoted for swap in run.swaps)
         # After all the snapshot churn the live policy still honours k.
-        assert sim.anonymizer.policy.min_group_size() >= 10
+        assert csp.policy.min_group_size() >= K
+        assert audit_policy(csp.effective_policy, K).safe_policy_aware
 
 
 class TestPerRungSLOs:
     def test_all_served_on_fresh_without_faults(self, region, db):
-        report = make_sim(region, db).run(30.0)
-        assert set(report.latencies_by_rung) == {"fresh"}
-        assert report.served_by_rung["fresh"] == report.served
+        __, run = replay(region, db)
+        assert run.served_by_rung == {"fresh": len(run.served)}
 
     def test_rungs_partition_served_requests(self, region, db):
-        from repro.robustness.faults import FaultInjector, FaultPlan, FaultRule
-
         plan = FaultPlan(
             rules=(
                 FaultRule(site="repair", kind="error", match="2"),
-                FaultRule(site="coarsen", kind="error", probability=0.1),
+                FaultRule(site="mpc", kind="stale", probability=0.5),
             ),
             seed=5,
         )
-        sim = make_sim(
-            region, db, injector=FaultInjector(plan), max_stale_snapshots=2
+        schedule = make_schedule(
+            region, db, duration=120.0, move_fraction=0.3
         )
-        report = sim.run(120.0)
-        assert sum(report.served_by_rung.values()) == report.served
-        assert report.served == len(report.latencies)
-        assert report.served_by_rung.get("stale", 0) == report.stale_served
-        # Snapshot 2's repair fails, so its window is stale and the next
-        # successful repair opens a recovered window.
-        assert report.served_by_rung.get("stale", 0) > 0
-        assert report.served_by_rung.get("recovered", 0) > 0
-        assert report.served_by_rung.get("coarsened", 0) > 0
+        __, run = replay(
+            region,
+            db,
+            schedule,
+            csp_kwargs={
+                "injector": FaultInjector(plan),
+                "max_stale_snapshots": 2,
+            },
+        )
+        rungs = run.served_by_rung
+        assert sum(rungs.values()) == len(run.served)
+        assert run.rejected == 0
+        # Snapshot 2's repair fails, so its window serves stale; stale
+        # MPC reads off the fine cloak coarsen.
+        assert not run.swaps[1].promoted and run.swaps[2].promoted
+        assert rungs.get("stale", 0) > 0
+        assert rungs.get("coarsened", 0) > 0
+        assert rungs.get("fresh", 0) > 0
 
-    def test_rung_percentiles_and_summary(self, region, db):
-        report = make_sim(region, db).run(30.0)
-        p50 = report.rung_latency_percentile("fresh", 50)
-        p99 = report.rung_latency_percentile("fresh", 99)
-        assert 0.0 < p50 <= p99
-        assert report.rung_mean_latency("fresh") > 0.0
-        # Absent rungs report zero, not an error.
-        assert report.rung_latency_percentile("stale", 99) == 0.0
-        assert "fresh:" in report.slo_summary()
+
+def _restored_csp(region, db, directory, **kwargs):
+    """A CSP journalled in ``directory``, churned twice, killed, and
+    restored."""
+    journal = PolicyJournal(str(directory))
+    csp = make_csp(region, db, journal=journal)
+    for seed in (100, 101):
+        csp.advance_snapshot(random_moves(csp.mpc.db, 0.1, region, seed=seed))
+    provider = csp.base_provider
+    del csp
+    return CSP.restore(provider, journal, **kwargs)
 
 
 class TestProcessRestart:
-    def test_restart_params_validated(self, region, db):
-        with pytest.raises(WorkloadError):
-            make_sim(region, db, restart_blackout=-1.0)
-        with pytest.raises(WorkloadError):
-            make_sim(region, db, restart_at=(0.0,))
+    def test_restart_is_deterministic(self, region, db, tmp_path):
+        schedule = make_schedule(region, db, duration=30.0)
+        runs = []
+        for name in ("a", "b"):
+            restored = _restored_csp(region, db, tmp_path / name)
+            runs.append(replay_schedule(restored, schedule))
+        assert outcomes(runs[0]) == outcomes(runs[1])
+        assert runs[0].served_by_rung == runs[1].served_by_rung
 
-    def test_restart_blacks_out_and_recovers(self, region, db):
-        blackout = 0.8
-        sim = make_sim(
-            region, db, restart_at=(10.0,), restart_blackout=blackout
+    def test_snapshot_repair_closes_recovered_window(self, region, db, tmp_path):
+        """A restored policy serves "recovered"; a crashed first repair
+        ages it to "stale"; only a promoted repair serves "fresh"."""
+        plan = FaultPlan(
+            rules=(FaultRule(site="repair", kind="crash", match="3"),),
+            seed=1,
         )
-        report = sim.run(20.0)
-        assert report.restarts == 1
-        assert report.restart_seconds == pytest.approx(blackout)
-        # Arrivals inside the blackout queue for it: the worst queueing
-        # delay approaches the full restore latency.
-        assert max(report.queue_delays) > blackout * 0.5
-        # The post-restore window serves on the recovered rung until the
-        # next snapshot repair — never silently relabelled "fresh".
-        assert report.served_by_rung.get("recovered", 0) > 0
-        assert "restarts: 1" in report.slo_summary()
+        restored = _restored_csp(
+            region, db, tmp_path / "journal", injector=FaultInjector(plan)
+        )
+        schedule = make_schedule(region, db, duration=60.0)
+        run = replay_schedule(restored, schedule, repair_seconds=0.0)
+        assert [swap.promoted for swap in run.swaps] == [False, True]
+        windows = {"recovered": (0.0, 20.0), "stale": (20.0, 40.0),
+                   "fresh": (40.0, 60.0)}
+        for r in run.requests:
+            low, high = windows[r.outcome.degradation]
+            assert low <= r.arrival < high
 
-    def test_restart_is_deterministic(self, region, db):
-        kwargs = dict(restart_at=(5.0, 12.0), restart_blackout=0.3, seed=3)
-        a = make_sim(region, db, **kwargs).run(30.0)
-        b = make_sim(region, db, **kwargs).run(30.0)
-        assert a.restarts == b.restarts == 2
-        assert a.latencies == b.latencies
-        assert a.served_by_rung == b.served_by_rung
 
-    def test_restart_loses_the_cache(self, region, db):
-        calm = make_sim(region, db, snapshot_period=100.0).run(30.0)
-        restarted = make_sim(
-            region,
-            db,
-            snapshot_period=100.0,
-            restart_at=(10.0, 20.0),
-            restart_blackout=0.0,
-        ).run(30.0)
-        # Same workload, but the restart dropped the warm answer cache
-        # twice — the provider absorbs the re-fills.
-        assert restarted.lbs_queries > calm.lbs_queries
+class TestReplayDriver:
+    def test_two_runs_identical_under_chaos(self, region, db):
+        plan = FaultPlan(
+            rules=(
+                FaultRule("provider", "timeout", probability=0.2),
+                FaultRule("repair", "crash", probability=0.5),
+            ),
+            seed=9,
+        )
+        runs = []
+        for __ in range(2):
+            __, run = replay(
+                region, db, mode="blackout",
+                csp_kwargs={"injector": FaultInjector(plan)},
+            )
+            runs.append(run)
+        assert outcomes(runs[0]) == outcomes(runs[1])
+        assert [s.promoted for s in runs[0].swaps] == [
+            s.promoted for s in runs[1].swaps
+        ]
 
-    def test_snapshot_repair_closes_recovered_window(self, region, db):
-        sim = make_sim(
-            region,
-            db,
+    def test_boundary_arrival_sees_new_snapshot(self, region, db):
+        """Moves land before an arrival with the same timestamp."""
+        user = db.user_ids()[0]
+        old = db.location_of(user)
+        far = type(old)(region.x2 - old.x, region.y2 - old.y)
+        schedule = TrajectorySchedule(
+            region=region,
+            duration=20.0,
             snapshot_period=10.0,
-            restart_at=(11.0,),
-            restart_blackout=0.2,
+            arrivals=((10.0, user, "rest"),),
+            moves=({user: far},),
         )
-        report = sim.run(40.0)
-        # Only the restart's own window (t∈[11, 20)) is recovered; the
-        # repairs at 20/30 restore fresh serving.
-        assert report.served_by_rung.get("recovered", 0) > 0
-        assert report.served_by_rung.get("fresh", 0) > 0
+        csp, run = replay(region, db, schedule, repair_seconds=0.0)
+        (request,) = run.requests
+        assert request.epoch is csp.manager.active
+        cloak = request.outcome.anonymized.cloak
+        assert cloak == csp.policy.cloak_for(user)
+        assert cloak.contains(far) and not cloak.contains(old)
+
+    def test_blackout_waits_and_swap_does_not(self, region, db):
+        __, blackout = replay(region, db, mode="blackout")
+        __, swap = replay(region, db, mode="swap")
+        assert blackout.repair_waits > 0
+        assert blackout.served_while_repairing == 0
+        assert swap.repair_waits == 0
+        assert swap.served_while_repairing == blackout.repair_waits
+        assert swap.latency_percentile(99) <= blackout.latency_percentile(99)
+
+    @pytest.mark.parametrize("mode", ["blackout", "swap"])
+    def test_zero_oracle_mismatches(self, region, db, mode):
+        csp, run = replay(region, db, mode=mode)
+        assert len({r.epoch.serial for r in run.requests}) == 3
+        assert oracle_mismatches(csp.manager, run) == 0
+
+    def test_typed_rejections_counted_never_dropped(self, region, db):
+        plan = FaultPlan(
+            rules=(
+                FaultRule("provider", "error", probability=0.3),
+                FaultRule("repair", "crash", match="2"),
+            ),
+            seed=4,
+        )
+        schedule = make_schedule(region, db)
+        __, run = replay(
+            region, db, schedule,
+            csp_kwargs={"injector": FaultInjector(plan),
+                        "max_stale_snapshots": 0},
+        )
+        assert len(run.requests) == len(schedule.arrivals)
+        rejected = [r.outcome for r in run.requests if not r.served]
+        assert run.rejected == len(rejected) == run.stats.errors > 0
+        assert all(isinstance(e, ServiceUnavailableError) for e in rejected)
+        reasons = {e.reason for e in rejected}
+        # No retry policy: every provider fault rejects its round; the
+        # crashed repair at tick 2 leaves the policy one swap stale,
+        # past the bound of 0.
+        assert reasons == {"provider", "stale"}
 
 
 class TestGatewaySimulation:
