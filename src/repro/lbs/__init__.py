@@ -1,7 +1,7 @@
 """The privacy-conscious LBS substrate (§II): location database, POIs,
 the untrusted provider, the CSP pipeline, caching, and user mobility."""
 
-from .cache import AnswerCache, AsyncAnswerCache, CacheStats
+from .cache import AnswerCache, CacheStats
 from .locationdb import LocationDatabase, SnapshotSequence
 from .mobility import (
     TrajectorySchedule,
@@ -22,7 +22,6 @@ from .provider import LBSProvider, QueryAnswer
 
 __all__ = [
     "AnswerCache",
-    "AsyncAnswerCache",
     "CSP",
     "CacheStats",
     "PreparedRequest",

@@ -15,19 +15,23 @@ tallied separately in ``stats.errors`` and never counted as misses, so
 ``hits + misses`` always equals the number of successfully answered
 fetches.  An optional :class:`~repro.robustness.retry.RetryPolicy`
 (plus circuit breaker and deadline) retries the provider call itself.
+
+This is the synchronous cache of the ``CSP.request`` oracle.  The async
+gateway's answer store, with single-flight coalescing of in-flight
+duplicates, is :class:`~repro.serving.batcher.CoalescingBatcher`; the
+gateway folds its deferred billing into this cache's at close.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.requests import AnonymizedRequest
 from ..robustness.retry import CircuitBreaker, Clock, RetryPolicy, retry_call
 from .provider import QueryAnswer
 
-__all__ = ["CacheStats", "AnswerCache", "AsyncAnswerCache"]
+__all__ = ["CacheStats", "AnswerCache"]
 
 #: Cache key: the information the LBS would have seen.
 CacheKey = Tuple[object, tuple]
@@ -41,9 +45,6 @@ class CacheStats:
     errors: int = 0
     #: extra provider attempts beyond the first, across all fetches.
     retries: int = 0
-    #: fetches that joined another fetch's in-flight fill instead of
-    #: calling the provider themselves (async single-flight only).
-    coalesced: int = 0
 
     @property
     def total(self) -> int:
@@ -145,138 +146,3 @@ class AnswerCache:
     def __len__(self) -> int:
         return len(self._answers)
 
-
-class AsyncAnswerCache:
-    """Single-flight async answer cache for the serving gateway.
-
-    Same key and billing semantics as :class:`AnswerCache`, with one
-    extra guarantee the concurrent world needs: a **single-flight fill**
-    per key.  When many in-flight requests miss on the same
-    ``(cloak, payload)`` simultaneously, exactly one of them runs the
-    loader (one provider call, one cache write, one ``misses`` tick);
-    the rest await the same fill and are tallied as ``coalesced`` —
-    never as extra misses, and never as hits (the answer was not in the
-    cache when they asked).  A failed fill propagates the *same*
-    exception instance to every waiter and leaves the cache and stats
-    untouched, so a retried fetch is indistinguishable from a first
-    attempt, exactly like the sync cache's failure contract.
-
-    Cancellation safety: the fill runs in its own task, so a cancelled
-    *waiter* never cancels the shared fill for the others.  If the fill
-    itself is cancelled (gateway shutdown), waiters see the
-    cancellation and the in-flight slot is cleared.
-    """
-
-    def __init__(self):
-        self._answers: Dict[CacheKey, QueryAnswer] = {}
-        self._inflight: Dict[CacheKey, "asyncio.Future[QueryAnswer]"] = {}
-        self._fills: Dict[CacheKey, "asyncio.Task"] = {}
-        self.stats = CacheStats()
-        #: duplicates withheld from the LBS, per category (for billing).
-        self.deferred_billing: Dict[str, int] = {}
-
-    @staticmethod
-    def _key(request: AnonymizedRequest) -> CacheKey:
-        return (request.cloak, request.payload)
-
-    def _record_duplicate(self, request: AnonymizedRequest) -> None:
-        category = dict(request.payload).get("poi", "?")
-        self.deferred_billing[category] = (
-            self.deferred_billing.get(category, 0) + 1
-        )
-
-    async def fetch(
-        self,
-        request: AnonymizedRequest,
-        loader: Callable[[AnonymizedRequest], Awaitable[QueryAnswer]],
-    ) -> Tuple[QueryAnswer, bool, bool]:
-        """Resolve ``request`` → ``(answer, cache_hit, coalesced)``.
-
-        ``loader`` is awaited at most once per key per fill, no matter
-        how many fetches race on the key.
-        """
-        key = self._key(request)
-        cached = self._answers.get(key)
-        if cached is not None:
-            self.stats.hits += 1
-            self._record_duplicate(request)
-            # Re-stamp with this request's id; the payload is identical.
-            return QueryAnswer(request.request_id, cached.candidates), True, False
-        future = self._inflight.get(key)
-        if future is not None:
-            self.stats.coalesced += 1
-            self._record_duplicate(request)
-            answer = await asyncio.shield(future)
-            return QueryAnswer(request.request_id, answer.candidates), False, True
-        loop = asyncio.get_event_loop()
-        future = loop.create_future()
-        # Pre-consume the exception so a fill whose every waiter was
-        # cancelled does not warn "exception was never retrieved" under
-        # asyncio debug mode; waiters still receive it via await.
-        future.add_done_callback(
-            lambda f: None if f.cancelled() else f.exception()
-        )
-        self._inflight[key] = future
-        fill = loop.create_task(self._fill(key, request, loader, future))
-        self._fills[key] = fill
-        try:
-            answer = await asyncio.shield(future)
-        except asyncio.CancelledError:
-            # The *waiter* was cancelled, not the fill — let the fill
-            # finish for the coalesced others; shield already detached.
-            raise
-        return answer, False, False
-
-    async def _fill(self, key, request, loader, future) -> None:
-        try:
-            answer = await loader(request)
-        except asyncio.CancelledError:
-            if not future.done():
-                future.cancel()
-            raise
-        except BaseException as exc:  # noqa: BLE001 — fan the failure out
-            if not future.done():
-                future.set_exception(exc)
-            # The waiters consume the exception; nothing re-raises here.
-        else:
-            self.stats.misses += 1
-            self._answers[key] = answer
-            if not future.done():
-                future.set_result(answer)
-        finally:
-            self._inflight.pop(key, None)
-            self._fills.pop(key, None)
-
-    async def close(self) -> None:
-        """Cancel in-flight fills (gateway shutdown).
-
-        Only the cancellation we just requested is swallowed here; any
-        other exception a fill task surfaces is a bug (``_fill`` fans
-        loader failures into the waiters' future and never re-raises),
-        so it propagates instead of being silently dropped.
-        """
-        for task in list(self._fills.values()):
-            task.cancel()
-        for task in list(self._fills.values()):
-            try:
-                await task
-            except asyncio.CancelledError:  # noqa: PERF203
-                pass
-        # A fill cancelled before its first step never runs ``_fill``'s
-        # handler, so its waiters' future would stay pending forever;
-        # cancel any survivors so every waiter observes the shutdown.
-        for future in list(self._inflight.values()):
-            if not future.done():
-                future.cancel()
-        self._fills.clear()
-        self._inflight.clear()
-
-    def flush(self) -> Dict[str, int]:
-        """Empty the cache and hand back deferred billing totals."""
-        settled = dict(self.deferred_billing)
-        self._answers.clear()
-        self.deferred_billing.clear()
-        return settled
-
-    def __len__(self) -> int:
-        return len(self._answers)

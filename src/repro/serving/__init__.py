@@ -1,6 +1,7 @@
-"""Async serving gateway: admission control, request coalescing, and a
-pooled non-blocking LBS provider client in front of the synchronous CSP
-(the sync path stays the bit-identical oracle)."""
+"""Async serving gateway: admission control, one keyed batcher (answer
+store, single-flight coalescing, provider rounds), and a pooled
+non-blocking LBS provider client in front of the synchronous CSP (the
+sync path stays the bit-identical oracle)."""
 
 from .admission import AdmissionConfig, AdmissionController
 from .aio_provider import AsyncProviderClient, ClientStats, PooledConnection

@@ -13,16 +13,16 @@ Request lifecycle::
     submit ──► admission control ──► prepare (sync cloak lookup)
                  │                        │
                  │ shed / throttle        ▼
-                 ▼                 single-flight async cache
-          ServiceUnavailableError         │ miss
-                                          ▼
-                                 coalescing batcher (by cloak)
+                 ▼          coalescing batcher, keyed (cloak, payload):
+          ServiceUnavailableError   hit ─► stored answer
+                                    pending ─► join the key's future
+                                    new ─► open window
                                           │ window flush
                                           ▼
                           retry/breaker (async) ► pooled client ► LBS
                                           │
                                           ▼
-                            fan-out ► client filter ► ServedRequest
+                   store + fan-out ► client filter ► ServedRequest
 
 Admission control is fail-closed and layered:
 
@@ -55,7 +55,6 @@ from ..core.errors import (
     ReproError,
     ServiceUnavailableError,
 )
-from ..lbs.cache import AsyncAnswerCache
 from ..robustness.aio import AsyncClock, LoopClock, retry_call_async
 from ..robustness.degrade import DegradationEvent
 from ..robustness.faults import FaultInjectingAsyncClient
@@ -127,9 +126,9 @@ class GatewayStats:
     #: failed with a typed error past admission (provider, stale, ...).
     errors: int = 0
     cancelled: int = 0
-    #: answers shared from the cache (previous fills).
+    #: answers shared from the batcher's store (previous rounds).
     cache_hits: int = 0
-    #: requests that joined an in-flight fill or a pending batch key.
+    #: requests that joined a pending key's future.
     coalesced: int = 0
     #: provider queries actually issued (distinct cloaks flushed).
     provider_queries: int = 0
@@ -178,10 +177,11 @@ class _TokenBucket:
 class AsyncGateway:
     """Admission-controlled async frontend over one CSP.
 
-    The gateway owns the async half of serving (cache fills, batching,
-    pooled provider I/O, retry/breaker) and delegates the privacy half
-    (cloak computation, degradation ladder, client filter) to the CSP's
-    synchronous methods — the sync path remains the oracle.
+    The gateway owns the async half of serving (the batcher's answer
+    store and windows, pooled provider I/O, retry/breaker) and delegates
+    the privacy half (cloak computation, degradation ladder, client
+    filter) to the CSP's synchronous methods — the sync path remains
+    the oracle.
     """
 
     def __init__(
@@ -225,8 +225,8 @@ class AsyncGateway:
             self._provider_round,
             max_batch=self.config.max_batch,
             max_wait=self.config.max_wait,
+            cache=csp.cache is not None,
         )
-        self.cache = AsyncAnswerCache() if csp.cache is not None else None
         self.stats = GatewayStats()
         self._semaphore: Optional[asyncio.Semaphore] = None
         self._pending = 0
@@ -404,17 +404,7 @@ class AsyncGateway:
         self, user_id: str, payload: Iterable[Tuple[str, str]]
     ) -> "ServedRequest":
         prepared = self.csp.prepare(user_id, payload)
-        if self.cache is not None:
-            answer, cache_hit, coalesced = await self.cache.fetch(
-                prepared.anonymized, self.batcher.fetch
-            )
-        else:
-            answer = await self.batcher.fetch(prepared.anonymized)
-            cache_hit, coalesced = False, False
-        if cache_hit:
-            self.stats.cache_hits += 1
-        if coalesced:
-            self.stats.coalesced += 1
+        answer, cache_hit = await self.batcher.fetch(prepared.anonymized)
         served = self.csp.complete(
             prepared,
             answer,
@@ -427,17 +417,27 @@ class AsyncGateway:
     # -- lifecycle -----------------------------------------------------------
 
     def _roll_up(self) -> None:
-        """Fold client/batcher counters into the gateway stats."""
-        self.stats.coalesced += self.batcher.stats.coalesced
-        self.stats.provider_queries = self.batcher.stats.keys_flushed
-        self.stats.provider_rounds = self.batcher.stats.rounds
+        """Copy the batcher's counters into the gateway stats."""
+        counts = self.batcher.stats
+        self.stats.cache_hits = counts.hits
+        self.stats.coalesced = counts.coalesced
+        self.stats.provider_queries = counts.keys_flushed
+        self.stats.provider_rounds = counts.rounds
 
     async def close(self) -> None:
-        """Drain in-flight rounds and release resources."""
+        """Drain in-flight rounds and release resources.
+
+        The duplicates the batcher withheld from the LBS move into the
+        CSP cache's ``deferred_billing``, so one ``csp.cache.flush()``
+        settles the sync and async paths together.
+        """
         await self.batcher.drain()
-        if self.cache is not None:
-            await self.cache.close()
         await self.batcher.close()
+        settled = self.batcher.flush()
+        if self.csp.cache is not None:
+            billing = self.csp.cache.deferred_billing
+            for category, count in settled.items():
+                billing[category] = billing.get(category, 0) + count
         self._roll_up()
 
 

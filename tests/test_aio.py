@@ -1,5 +1,5 @@
 """Async robustness primitives: retry/backoff port, clocks, the
-virtual-time event loop, and the single-flight answer cache.
+virtual-time event loop, and the batcher's single-flight answer store.
 
 The async ports must be semantically identical to their sync twins —
 same policies, same delays (deterministic jitter included), shareable
@@ -18,7 +18,6 @@ from repro.core.errors import (
     ReproError,
 )
 from repro.core.requests import AnonymizedRequest, normalize_payload
-from repro.lbs.cache import AsyncAnswerCache
 from repro.lbs.provider import QueryAnswer
 from repro.robustness import (
     CircuitBreaker,
@@ -30,6 +29,7 @@ from repro.robustness import (
     retry_call,
     retry_call_async,
 )
+from repro.serving import CoalescingBatcher
 
 
 def run(coro):
@@ -380,111 +380,122 @@ class CountingLoader:
         return QueryAnswer(request.request_id, ())
 
 
+def _batcher(loader, **kwargs):
+    """The gateway's keyed layer with its answer store on, over a
+    ``round_fn`` that asks ``loader`` once per distinct key."""
+
+    async def round_fn(requests):
+        return [await loader(request) for request in requests]
+
+    return CoalescingBatcher(round_fn, cache=True, **kwargs)
+
+
 class TestAsyncAnswerCache:
+    """The single-flight answer store, now inside ``CoalescingBatcher``."""
+
     def test_single_flight_fill(self):
-        cache = AsyncAnswerCache()
         loader = CountingLoader(delay=0.01)
+        batcher = _batcher(loader)
 
         async def drive():
             return await asyncio.gather(
-                *(cache.fetch(_request(i), loader) for i in range(8))
+                *(batcher.fetch(_request(i)) for i in range(8))
             )
 
         results = run(drive())
         assert loader.calls == 1  # one provider call for 8 racers
-        assert cache.stats.misses == 1
-        assert cache.stats.coalesced == 7
-        assert cache.stats.hits == 0
+        assert batcher.stats.keys_flushed == 1
+        assert batcher.stats.coalesced == 7
+        assert batcher.stats.hits == 0
         # Everyone got the answer, re-stamped with their own id.
-        assert [a.request_id for a, __, ___ in results] == list(range(8))
-        hit_flags = [hit for __, hit, ___ in results]
-        coalesced_flags = [c for __, ___, c in results]
+        assert [a.request_id for a, __ in results] == list(range(8))
+        hit_flags = [hit for __, hit in results]
         assert hit_flags.count(True) == 0
-        assert coalesced_flags.count(True) == 7
 
     def test_hit_after_fill(self):
-        cache = AsyncAnswerCache()
         loader = CountingLoader()
+        batcher = _batcher(loader)
 
         async def drive():
-            await cache.fetch(_request(1), loader)
-            return await cache.fetch(_request(2), loader)
+            await batcher.fetch(_request(1))
+            return await batcher.fetch(_request(2))
 
-        answer, hit, coalesced = run(drive())
-        assert hit and not coalesced
+        answer, hit = run(drive())
+        assert hit and batcher.stats.coalesced == 0
         assert loader.calls == 1
-        assert cache.stats.hits == 1
-        assert cache.deferred_billing == {"rest": 1}
+        assert batcher.stats.hits == 1
+        assert batcher.deferred_billing == {"rest": 1}
         assert answer.request_id == 2
 
     def test_distinct_keys_do_not_share(self):
-        cache = AsyncAnswerCache()
         loader = CountingLoader()
+        batcher = _batcher(loader)
 
         async def drive():
             await asyncio.gather(
-                cache.fetch(_request(1, cloak="a"), loader),
-                cache.fetch(_request(2, cloak="b"), loader),
+                batcher.fetch(_request(1, cloak="a")),
+                batcher.fetch(_request(2, cloak="b")),
             )
 
         run(drive())
         assert loader.calls == 2
-        assert cache.stats.misses == 2
+        assert batcher.stats.keys_flushed == 2
 
     def test_failed_fill_fans_same_exception_and_leaves_no_trace(self):
-        cache = AsyncAnswerCache()
         boom = ConnectionError("wire down")
         loader = CountingLoader(delay=0.01, exc=boom)
+        batcher = _batcher(loader)
 
         async def drive():
             return await asyncio.gather(
-                *(cache.fetch(_request(i), loader) for i in range(5)),
+                *(batcher.fetch(_request(i)) for i in range(5)),
                 return_exceptions=True,
             )
 
         results = run(drive())
         assert all(exc is boom for exc in results)  # the same instance
-        assert len(cache) == 0
-        assert cache.stats.misses == 0  # failures are not misses
-        assert cache.stats.hits == 0
+        assert batcher._answers == {}
+        assert batcher.stats.keys_flushed == 0  # failures are not misses
+        assert batcher.stats.hits == 0
         # A later fetch retries from scratch and can succeed.
-        ok_loader = CountingLoader()
-        answer, hit, coalesced = run(cache.fetch(_request(9), ok_loader))
-        assert not hit and not coalesced
-        assert ok_loader.calls == 1
+        loader.exc = None
+        coalesced = batcher.stats.coalesced
+        answer, hit = run(batcher.fetch(_request(9)))
+        assert not hit and batcher.stats.coalesced == coalesced
+        assert loader.calls == 2  # the failed round's call, then this one
 
     def test_cancelled_waiter_does_not_kill_shared_fill(self):
-        cache = AsyncAnswerCache()
         loader = CountingLoader(delay=0.02)
+        batcher = _batcher(loader)
 
         async def drive():
-            first = asyncio.ensure_future(cache.fetch(_request(1), loader))
+            first = asyncio.ensure_future(batcher.fetch(_request(1)))
             await asyncio.sleep(0.001)
-            second = asyncio.ensure_future(cache.fetch(_request(2), loader))
+            second = asyncio.ensure_future(batcher.fetch(_request(2)))
             await asyncio.sleep(0.001)
             second.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await second
             return await first
 
-        answer, hit, coalesced = run(drive())
+        answer, hit = run(drive())
         assert answer.request_id == 1
         assert loader.calls == 1
-        assert cache.stats.misses == 1
+        assert batcher.stats.keys_flushed == 1
 
     def test_flush_returns_billing(self):
-        cache = AsyncAnswerCache()
         loader = CountingLoader()
+        batcher = _batcher(loader)
 
         async def drive():
-            await cache.fetch(_request(1), loader)
-            await cache.fetch(_request(2), loader)
-            await cache.fetch(_request(3), loader)
+            await batcher.fetch(_request(1))
+            await batcher.fetch(_request(2))
+            await batcher.fetch(_request(3))
 
         run(drive())
-        assert cache.flush() == {"rest": 2}
-        assert len(cache) == 0
-        assert cache.deferred_billing == {}
+        assert batcher.flush() == {"rest": 2}
+        assert batcher._answers == {}
+        assert batcher.deferred_billing == {}
 
 
 class TestAsyncCacheCloseDiscipline:
@@ -492,21 +503,23 @@ class TestAsyncCacheCloseDiscipline:
     only the cancellation it requested; anything else propagates."""
 
     def test_close_cancels_inflight_fills_quietly(self):
-        cache = AsyncAnswerCache()
         loader = CountingLoader(delay=60.0)
+        # max_batch=1 launches the round at once, so close() meets a
+        # round task that has not taken its first step yet.
+        batcher = _batcher(loader, max_batch=1)
 
         async def drive():
-            waiter = asyncio.ensure_future(cache.fetch(_request(1), loader))
+            waiter = asyncio.ensure_future(batcher.fetch(_request(1)))
             await asyncio.sleep(0)
-            await cache.close()
+            await batcher.close()
             with pytest.raises(asyncio.CancelledError):
                 await waiter
 
         run(drive())
-        assert len(cache._fills) == 0 and len(cache._inflight) == 0
+        assert len(batcher._rounds) == 0 and len(batcher._pending) == 0
 
     def test_close_propagates_unexpected_task_failure(self):
-        cache = AsyncAnswerCache()
+        batcher = _batcher(CountingLoader())
 
         async def explode():
             raise ValueError("boom — not a cancellation")
@@ -514,20 +527,20 @@ class TestAsyncCacheCloseDiscipline:
         async def drive():
             task = asyncio.get_event_loop().create_task(explode())
             await asyncio.sleep(0)
-            cache._fills["bogus"] = task
+            batcher._rounds[task] = []
             with pytest.raises(ValueError, match="boom"):
-                await cache.close()
+                await batcher.close()
 
         run(drive())
 
     def test_loader_failure_reaches_waiters_not_close(self):
-        cache = AsyncAnswerCache()
         loader = CountingLoader(exc=TimeoutError("wire down"))
+        batcher = _batcher(loader)
 
         async def drive():
             with pytest.raises(TimeoutError):
-                await cache.fetch(_request(1), loader)
-            await cache.close()  # nothing left to swallow or raise
+                await batcher.fetch(_request(1))
+            await batcher.close()  # nothing left to swallow or raise
 
         run(drive())
-        assert cache.stats.misses == 0 and len(cache) == 0
+        assert batcher.stats.keys_flushed == 0 and batcher._answers == {}

@@ -8,6 +8,7 @@ different anonymity decision.
 """
 
 import asyncio
+import copy
 
 import pytest
 
@@ -406,3 +407,58 @@ class TestGauges:
         )
         assert stats.queue_depth_high_water == 0
         assert stats.inflight_high_water == 0
+
+
+class TestOneDedupLayer:
+    """The batcher is the gateway's only keyed layer: its counters,
+    billing and fan-out must add up under both cache settings."""
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_counters_partition_served_requests(self, db, provider, use_cache):
+        workload = workload_for(db, 200)
+        oracle = make_csp(db, LBSProvider(provider.pois), use_cache=use_cache)
+        expected = [oracle.request(uid, payload) for uid, payload in workload]
+
+        csp = make_csp(db, provider, use_cache=use_cache)
+        results, stats = csp.serve_async(
+            workload, GatewayConfig(rtt=0.002, max_batch=8)
+        )
+        assert stats.served == len(workload)
+        assert stats.coalesced > 0  # duplicates really fanned out
+        if not use_cache:
+            assert stats.cache_hits == 0
+        assert (
+            stats.cache_hits + stats.coalesced + stats.provider_queries
+            == stats.served
+        )
+        assert stats.provider_queries == csp.base_provider.served
+        for served, want in zip(results, expected):
+            assert served.anonymized.cloak == want.anonymized.cloak
+            assert served.result == want.result
+
+    def test_close_settles_async_billing_into_csp_cache(self, db, provider):
+        csp = make_csp(db, provider)
+        results, stats = csp.serve_async(
+            workload_for(db, 120), GatewayConfig(rtt=0.002, max_batch=32)
+        )
+        withheld = stats.cache_hits + stats.coalesced
+        assert withheld > 0
+        assert sum(csp.cache.flush().values()) == withheld
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_second_close_leaves_stats_unchanged(self, db, provider, use_cache):
+        csp = make_csp(db, provider, use_cache=use_cache)
+        gateway = AsyncGateway(csp, GatewayConfig(rtt=0.002, max_batch=32))
+
+        async def drive():
+            await serve_all(gateway, workload_for(db, 120))
+            first = copy.deepcopy(gateway.stats)
+            billing = dict(csp.cache.deferred_billing) if use_cache else None
+            await gateway.close()
+            if use_cache:
+                assert csp.cache.deferred_billing == billing
+            return first
+
+        first = asyncio.run(drive())
+        assert first.coalesced > 0
+        assert gateway.stats == first
