@@ -176,7 +176,9 @@ class AnalysisConfig:
     #: attribute names of the ledger's state structures whose stores,
     #: rebinds, and mutating calls TJ001 audits.
     trajectory_state_fields: FrozenSet[str] = _fs(
-        "_traj_entries", "_traj_surviving", "_traj_rows"
+        "_traj_ids", "_traj_index", "_traj_surviving", "_traj_row",
+        "_traj_users", "_traj_count", "_traj_serial", "_traj_cloak",
+        "_traj_candidates", "_traj_widened",
     )
 
     # -- lockset concurrency (CC) --------------------------------------------

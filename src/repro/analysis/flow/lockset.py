@@ -3,7 +3,7 @@
 The contract is annotation-driven.  A shared attribute declares its
 lock at the assignment that creates it::
 
-    self._traj_entries = {}   # guarded-by: self._lock
+    self._traj_surviving = []   # guarded-by: self._lock
 
 Two spec forms:
 

@@ -1,8 +1,9 @@
 """TJ: trajectory-ledger ownership.
 
 The :class:`~repro.trajectory.ledger.TrajectoryLedger` is the defense's
-memory: the per-user running intersections (``_traj_surviving``) and
-history windows (``_traj_entries``) are exactly what the continuity
+memory: the intern table (``_traj_ids``/``_traj_index``), the per-user
+running intersections (``_traj_surviving``) and history-window columns
+(``_traj_count``, ``_traj_serial``, ...) are exactly what the continuity
 constraint consults before admitting a cloak.  Serving layers consume
 decisions and hand ledger *snapshots* around (``to_state`` /
 ``subset_state`` / ``adopt_state``); none of them may edit the history
@@ -29,10 +30,11 @@ from ..model import Finding
 
 __all__ = ["TrajectoryLedgerRule"]
 
-#: receiver methods that mutate a dict/deque in place.
+#: receiver methods that mutate a dict/list/deque/ndarray in place.
 _MUTATORS = frozenset(
     {"clear", "pop", "popitem", "setdefault", "update", "append",
-     "appendleft", "extend"}
+     "appendleft", "extend", "insert", "remove", "sort", "fill", "put",
+     "resize"}
 )
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -64,7 +63,7 @@ from ..core.requests import (
     normalize_payload,
     request_id_factory,
 )
-from ..robustness.degrade import DegradationEvent
+from ..robustness.degrade import DegradationEvent, EventLog
 from ..robustness.faults import (
     FaultInjectingProvider,
     FaultInjector,
@@ -348,8 +347,8 @@ class CSP:
         return self.manager.effective_policy
 
     @property
-    def events(self) -> List[DegradationEvent]:
-        """The degradation timeline — one list, the manager's."""
+    def events(self) -> EventLog:
+        """The degradation timeline — one bounded log, the manager's."""
         return self.manager.events
 
     @property

@@ -37,6 +37,8 @@ at least k users.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional
 
@@ -47,6 +49,8 @@ from ..core.policy import CloakingPolicy
 __all__ = [
     "DEGRADATION_LEVELS",
     "DegradationEvent",
+    "EVENT_CAP",
+    "EventLog",
     "coarsening_ancestor",
     "coarsen_overrides",
     "policy_with_overrides",
@@ -63,6 +67,28 @@ class DegradationEvent:
     level: str
     reason: str
     detail: str = ""
+
+
+#: how many degradation events a serving layer keeps.  A widened or
+#: rejected request appends one, so an unbounded timeline would grow for
+#: as long as the process serves.
+EVENT_CAP = 1024
+
+
+class EventLog(deque[DegradationEvent]):
+    """The newest :data:`EVENT_CAP` degradation events, oldest first;
+    :attr:`dropped` counts the older ones let go."""
+
+    def __init__(self) -> None:
+        super().__init__(maxlen=EVENT_CAP)
+        self.dropped = 0
+        self._lock = threading.Lock()
+
+    def append(self, event: DegradationEvent) -> None:
+        with self._lock:
+            if len(self) == self.maxlen:
+                self.dropped += 1
+            super().append(event)
 
 
 def _covers(outer: Rect, inner) -> bool:

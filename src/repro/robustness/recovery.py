@@ -35,6 +35,12 @@ of re-running bulk anonymization.  The sidecar is a pure performance
 artifact: if it is missing or fails validation the restore proceeds
 *cold* (the recovered policy still serves; the first repair is one bulk
 solve) — privacy never depends on it.
+
+The trajectory ledger (:meth:`~repro.trajectory.ledger.TrajectoryLedger.
+to_state`) is the opposite: privacy state.  Its arrays are written as an
+uncompressed ``.ledger.npz`` beside the document, whose checksum the
+checksummed document carries, so quorum votes cover it; a missing or
+mismatched ledger file fails the restore closed.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import io
 import json
 import os
 import time
+import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -79,7 +86,7 @@ __all__ = [
 SOLVER_FINGERPRINT: Dict[str, object] = {"engine": "flat", "prune": True}
 
 _FORMAT = "repro-snapshot"
-_VERSION = 1
+_VERSION = 2
 _JOURNAL_FILE = "journal.log"
 
 
@@ -146,6 +153,8 @@ class EncodedCommit:
     checksum: str
     #: the DP sidecar's ``.npz`` bytes, ``None`` for a policy alone.
     sidecar: Optional[bytes] = field(default=None, repr=False)
+    #: the trajectory ledger's ``.ledger.npz`` bytes, ``None`` without one.
+    ledger: Optional[bytes] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -186,7 +195,7 @@ class RecoveredSnapshot:
     #: state, when the committer ran the trajectory-continuity defense —
     #: a restore that dropped it would let post-restart cloak choices
     #: forget served history and erode linked anonymity below k.
-    trajectory: Optional[Dict[str, object]] = field(
+    trajectory: Optional[Dict[str, np.ndarray]] = field(
         default=None, repr=False
     )
 
@@ -306,6 +315,17 @@ class PolicyJournal:
     def _sidecar_file(serial: int) -> str:
         return f"snapshot-{serial:06d}.npz"
 
+    @staticmethod
+    def _ledger_file(serial: int) -> str:
+        return f"snapshot-{serial:06d}.ledger.npz"
+
+    def _artifacts(self, serial: int) -> Tuple[str, str, str]:
+        return (
+            self._snapshot_file(serial),
+            self._sidecar_file(serial),
+            self._ledger_file(serial),
+        )
+
     def commit(
         self,
         policy: Union[CloakingPolicy, EncodedCommit],
@@ -329,11 +349,12 @@ class PolicyJournal:
         encoded = policy if isinstance(policy, EncodedCommit) else self.encode(
             policy, serial, fingerprint, solution, state  # type: ignore[arg-type]
         )
-        if encoded.sidecar is not None:
-            atomic_write_bytes(
-                os.path.join(self.root, self._sidecar_file(encoded.serial)),
-                encoded.sidecar,
-            )
+        for name, payload in (
+            (self._sidecar_file(encoded.serial), encoded.sidecar),
+            (self._ledger_file(encoded.serial), encoded.ledger),
+        ):
+            if payload is not None:
+                atomic_write_bytes(os.path.join(self.root, name), payload)
         snapshot_name = self._snapshot_file(encoded.serial)
         self._append(
             {
@@ -373,7 +394,10 @@ class PolicyJournal:
         ``state`` is the committer's serving state —
         ``{"policy_age": int, "rung": str}`` — journalled inside the
         checksummed document so a restore inherits accumulated staleness
-        instead of silently resetting to fresh.
+        instead of silently resetting to fresh.  Its ``"trajectory"``
+        entry, a ledger's :meth:`~repro.trajectory.ledger.TrajectoryLedger.
+        to_state` arrays, becomes the ``.ledger.npz`` file the document
+        names with its checksum.
         """
         document: Dict[str, object] = {
             "format": _FORMAT,
@@ -382,16 +406,24 @@ class PolicyJournal:
             "fingerprint": dict(fingerprint),
             "policy": policy_to_dict(policy),
         }
+        ledger = None
         if state is not None:
-            document["state"] = {
+            block: Dict[str, object] = {
                 "policy_age": int(state.get("policy_age", 0)),  # type: ignore[arg-type]
                 "rung": str(state.get("rung", "fresh")),
             }
             trajectory = state.get("trajectory")
             if trajectory is not None:
-                # The continuity ledger rides the checksummed document:
-                # it is already plain JSON (TrajectoryLedger.to_state).
-                document["state"]["trajectory"] = dict(trajectory)  # type: ignore[arg-type, index]
+                # Raw arrays, uncompressed: deflating them costs more
+                # than writing them.  The document pins the bytes.
+                buffer = io.BytesIO()
+                np.savez(buffer, **trajectory)  # type: ignore[arg-type]
+                ledger = buffer.getvalue()
+                block["trajectory"] = {
+                    "file": cls._ledger_file(serial),
+                    "checksum": _digest(ledger),
+                }
+            document["state"] = block
         sidecar = cls._dp_payload(solution)
         payload = None
         if sidecar is not None:
@@ -402,7 +434,7 @@ class PolicyJournal:
                 "structure": structure,
             }
         raw = canonical_dumps(document).encode("utf-8")
-        return EncodedCommit(int(serial), raw, _digest(raw), payload)
+        return EncodedCommit(int(serial), raw, _digest(raw), payload, ledger)
 
     def prune(self, keep_last: int) -> Tuple[int, ...]:
         """Retain only the newest ``keep_last`` committed serials.
@@ -415,7 +447,7 @@ class PolicyJournal:
            only the surviving serials' intent/commit records remain, so
            the journal file stops growing one pair per commit;
         2. then the dropped serials' snapshot documents are deleted;
-        3. then their DP sidecars.
+        3. then their DP sidecars and ledger files.
 
         A crash between (1) and (2) merely leaves orphaned files that
         the next prune removes; the reverse order could leave a log
@@ -441,10 +473,7 @@ class PolicyJournal:
         )
         atomic_write_bytes(self._journal_path, compacted.encode("utf-8"))
         for serial in dropped:
-            for name in (
-                self._snapshot_file(serial),
-                self._sidecar_file(serial),
-            ):
+            for name in self._artifacts(serial):
                 path = os.path.join(self.root, name)
                 try:
                     os.remove(path)
@@ -618,11 +647,8 @@ class PolicyJournal:
         state = raw_state if isinstance(raw_state, dict) else {}
         policy_age = int(state.get("policy_age", 0))
         rung = str(state.get("rung", "fresh"))
-        raw_trajectory = state.get("trajectory")
-        trajectory = (
-            raw_trajectory if isinstance(raw_trajectory, dict) else None
-        )
         _check_stale(policy_age, serial, current_serial, max_stale_snapshots)
+        trajectory = self._load_ledger(serial, state.get("trajectory"))
         # Masking re-validates here — a corrupted-but-checksum-colliding
         # payload still cannot smuggle in a non-masking policy.
         policy = policy_from_dict(document["policy"])
@@ -643,12 +669,40 @@ class PolicyJournal:
 
     def files_for_serial(self, serial: int) -> List[str]:
         """Names of the on-disk artifacts of one committed serial that
-        actually exist (snapshot document, DP sidecar)."""
-        names = []
-        for name in (self._snapshot_file(serial), self._sidecar_file(serial)):
-            if os.path.exists(os.path.join(self.root, name)):
-                names.append(name)
-        return names
+        actually exist (snapshot document, DP sidecar, ledger)."""
+        return [
+            name
+            for name in self._artifacts(serial)
+            if os.path.exists(os.path.join(self.root, name))
+        ]
+
+    def _load_ledger(
+        self, serial: int, meta: object
+    ) -> Optional[Dict[str, np.ndarray]]:
+        """The ledger arrays the document names — fail closed on doubt.
+
+        Unlike the DP sidecar this is privacy state: a restore without
+        it would forget served history, so a missing, torn or altered
+        file raises :class:`RecoveryError`.  Never unpickles.
+        """
+        if meta is None:
+            return None
+        name = self._ledger_file(serial)
+        try:
+            if not isinstance(meta, dict) or meta.get("file") != name:
+                raise ValueError("the snapshot names another file")
+            with open(os.path.join(self.root, name), "rb") as handle:
+                raw = handle.read()
+            if _digest(raw) != meta.get("checksum"):
+                raise ValueError("checksum mismatch (torn write or bit flip)")
+            with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
+                return {key: archive[key] for key in archive.files}
+        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise RecoveryError(
+                f"trajectory ledger {name!r}: {exc}; refusing to restore "
+                "without the served history",
+                reason="corrupt",
+            ) from exc
 
     def _load_sidecar(
         self, document: Mapping[str, object]

@@ -83,6 +83,7 @@ from ..core.policy import CloakingPolicy
 from ..core.locationdb import LocationDatabase
 from ..robustness.degrade import (
     DegradationEvent,
+    EventLog,
     coarsen_overrides,
     policy_with_overrides,
 )
@@ -339,7 +340,8 @@ class EpochManager:
         #: can SIGKILL the repairer between swap-intent and swap-commit.
         self.swap_chaos = swap_chaos
         self.accumulator = DirtyAccumulator()
-        self.events: List[DegradationEvent] = []
+        #: the degradation timeline, bounded (:class:`EventLog`).
+        self.events = EventLog()
         #: advance() ticks, and how many of them promoted a swap.
         self.ticks = 0
         self.promotions = 0
@@ -421,6 +423,11 @@ class EpochManager:
     @property
     def orientation(self) -> str:
         return getattr(self._shadow.tree, "orientation", "vertical")
+
+    @property
+    def events_dropped(self) -> int:
+        """Degradation events let go from the front of :attr:`events`."""
+        return self.events.dropped
 
     def _ladder(self, age: int, epoch: Epoch) -> Tuple[str, int]:
         """(rung, coarsen-levels) for an epoch ``age`` swaps behind."""

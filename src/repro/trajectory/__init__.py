@@ -10,11 +10,12 @@ is only served under a cloak whose candidate-sender set, intersected
 with the user's surviving candidates from every prior served request,
 still holds ≥ k senders.
 
-* :class:`TrajectoryLedger` — per-user served-cloak history: a bounded
-  observability window plus the running full-history intersection the
-  constraint actually needs (bounded memory, monotone non-increasing).
-  Serializes into the :class:`~repro.robustness.recovery.PolicyJournal`
-  state block so restarts resume continuity state.
+* :class:`TrajectoryLedger` — per-user served-cloak history over
+  interned ``int32`` user indices: a bounded observability window plus
+  the running full-history intersection the constraint actually needs
+  (bounded memory, monotone non-increasing).  Its arrays are journalled
+  beside every :class:`~repro.robustness.recovery.PolicyJournal`
+  snapshot (``.ledger.npz``) so restarts resume continuity state.
 * :class:`ContinuityConstraint` — the admissibility solver: fine cloak
   when it keeps the intersection ≥ k, else the smallest geometric
   ancestor (the same deterministic halving hierarchy the streaming

@@ -46,3 +46,13 @@ def random_instance(seed: int, n_range=(4, 30), k_range=(2, 6), side=64.0):
     k = int(rng.integers(*k_range))
     coords = rng.uniform(0, side, size=(n, 2))
     return Rect(0, 0, side, side), LocationDatabase.from_array(coords), k
+
+
+def same_ledger_state(a, b) -> bool:
+    """Two ``TrajectoryLedger.to_state`` snapshots hold the same arrays:
+    same keys, dtypes, shapes and values."""
+    return sorted(a) == sorted(b) and all(
+        np.asarray(a[key]).dtype == np.asarray(b[key]).dtype
+        and np.array_equal(a[key], b[key])
+        for key in a
+    )

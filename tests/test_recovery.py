@@ -6,6 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
+from conftest import same_ledger_state
 
 from repro import Rect
 from repro.attacks.audit import audit_policy
@@ -764,7 +765,7 @@ class TestTrajectoryStateBlock:
             build_policy(), 2, self.FP, state={"trajectory": state}
         )
         snapshot = journal.recover()
-        assert snapshot.trajectory == state
+        assert same_ledger_state(snapshot.trajectory, state)
 
     def test_stateless_commit_has_no_trajectory(self, journal):
         journal.commit(build_policy(), 0, self.FP)
@@ -814,7 +815,7 @@ class TestTrajectoryStateBlock:
         successor = self._constraint()
         restored = CSP.restore(provider, journal, trajectory=successor)
         assert restored.restored
-        assert successor.ledger.to_state() == expected_state
+        assert same_ledger_state(successor.ledger.to_state(), expected_state)
 
         twin = self._constraint()
         twin.ledger.adopt_state(twin_state)
@@ -857,15 +858,122 @@ class TestTrajectoryStateBlock:
         assert successor.ledger.surviving(db.user_ids()[0]) is not None
 
 
+class TestLedgerFile:
+    """The ledger's ``.ledger.npz`` is privacy state: recovery fails
+    closed without it, quorum repair and retention carry it, and it is
+    never unpickled."""
+
+    FP = FINGERPRINT
+    LEDGER = "snapshot-000000.ledger.npz"
+
+    def _commit(self, journal, serial=0):
+        ledger = TrajectoryLedger(window=2)
+        ledger.record(
+            "u1", Rect(0, 0, 64, 64), ["u1", "u2", "u3"], serial=serial
+        )
+        state = ledger.to_state()
+        journal.commit(
+            build_policy(), serial, self.FP, state={"trajectory": state}
+        )
+        return state
+
+    @staticmethod
+    def _damage(path, how):
+        if how == "missing":
+            os.remove(path)
+            return
+        raw = bytearray(open(path, "rb").read())
+        if how == "truncated":
+            raw = raw[: len(raw) // 2]
+        else:
+            raw[len(raw) // 2] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(raw)
+
+    @pytest.mark.parametrize("how", ["missing", "truncated", "bit-flipped"])
+    def test_single_journal_fails_closed(self, journal, how):
+        self._commit(journal)
+        self._damage(os.path.join(journal.root, self.LEDGER), how)
+        with pytest.raises(RecoveryError) as err:
+            journal.recover()
+        assert err.value.reason == "corrupt"
+
+    @pytest.mark.parametrize("how", ["missing", "truncated", "bit-flipped"])
+    def test_quorum_majority_damage_fails_closed(self, tmp_path, how):
+        roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
+        quorum = QuorumJournal(roots)
+        self._commit(quorum)
+        for root in roots[:2]:
+            self._damage(os.path.join(root, self.LEDGER), how)
+        with pytest.raises(RecoveryError) as err:
+            quorum.recover()
+        assert err.value.reason == "quorum"
+
+    @pytest.mark.parametrize("how", ["missing", "truncated", "bit-flipped"])
+    def test_quorum_minority_damage_is_repaired(self, tmp_path, how):
+        roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
+        quorum = QuorumJournal(roots)
+        state = self._commit(quorum)
+        self._damage(os.path.join(roots[0], self.LEDGER), how)
+        snapshot = quorum.recover()
+        assert same_ledger_state(snapshot.trajectory, state)
+        assert quorum.last_recovery.repaired == (0,)
+        assert _journal_files(roots[0]) == _journal_files(roots[1])
+        assert same_ledger_state(
+            PolicyJournal(roots[0]).recover().trajectory, state
+        )
+
+    def test_a_valid_ledger_of_another_commit_is_refused(self, journal):
+        """The document pins the file's bytes, not just its format:
+        an intact ledger file from another commit does not restore."""
+        self._commit(journal, serial=0)
+        older = open(os.path.join(journal.root, self.LEDGER), "rb").read()
+        self._commit(journal, serial=1)
+        with open(
+            os.path.join(journal.root, "snapshot-000001.ledger.npz"), "wb"
+        ) as handle:
+            handle.write(older)
+        with pytest.raises(RecoveryError) as err:
+            journal.recover()
+        assert "checksum" in str(err.value)
+
+    def test_retention_prunes_the_ledger_file(self, tmp_path):
+        journal = PolicyJournal(str(tmp_path / "journal"), keep_last=1)
+        self._commit(journal, serial=0)
+        state = self._commit(journal, serial=1)
+        assert sorted(os.listdir(journal.root)) == [
+            "journal.log", "snapshot-000001.json", "snapshot-000001.ledger.npz"
+        ]
+        assert journal.files_for_serial(1) == [
+            "snapshot-000001.json", "snapshot-000001.ledger.npz"
+        ]
+        assert same_ledger_state(journal.recover().trajectory, state)
+
+    def test_ledger_file_is_never_unpickled(self, journal):
+        """An object array in the file (its checksum intact) is refused,
+        not unpickled."""
+        ledger = TrajectoryLedger()
+        ledger.record("u1", Rect(0, 0, 64, 64), ["u1", "u2"])
+        state = ledger.to_state()
+        state["ids"] = state["ids"].astype(object)
+        journal.commit(
+            build_policy(), 0, self.FP, state={"trajectory": state}
+        )
+        with pytest.raises(RecoveryError) as err:
+            journal.recover()
+        assert err.value.reason == "corrupt"
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "journal_golden")
 
 
 def write_golden_commits(journal):
     """The two fixed commits behind ``tests/data/journal_golden``.
 
-    A 60-user policy with a trajectory state block and no DP sidecar
-    (``.npz`` bytes depend on the zlib build).  Returns the policy and
-    the last committed ledger state.
+    A 60-user policy with a trajectory ledger (an uncompressed
+    ``.ledger.npz``) and no DP sidecar (compressed ``.npz`` bytes depend
+    on the zlib build).  Returns the policy and the last committed
+    ledger state.
     """
     policy = build_policy(seed=7, n=60)
     ids = sorted(policy.db.user_ids())
@@ -909,7 +1017,11 @@ class TestEncodedBytes:
     def test_golden_bytes_single_and_quorum(self, tmp_path, roots):
         expected = _journal_files(os.path.join(GOLDEN, "single"))
         assert sorted(expected) == [
-            "journal.log", "snapshot-000000.json", "snapshot-000001.json"
+            "journal.log",
+            "snapshot-000000.json",
+            "snapshot-000000.ledger.npz",
+            "snapshot-000001.json",
+            "snapshot-000001.ledger.npz",
         ]
         write_golden_commits(PolicyJournal(str(tmp_path / "single")))
         assert _journal_files(str(tmp_path / "single")) == expected
@@ -934,9 +1046,31 @@ class TestEncodedBytes:
         ):
             assert (snapshot.serial, snapshot.policy_age) == (1, 1)
             assert snapshot.rung == "stale"
-            assert snapshot.trajectory == state
+            assert same_ledger_state(snapshot.trajectory, state)
             assert_bit_identical(policy, snapshot.policy)
         assert quorum.last_recovery.repaired == ()
+
+    def test_parent_format_journal_is_never_misread(self, tmp_path):
+        """``v1/`` holds the same two commits in the previous format
+        (ledger rows as JSON inside the document): both journal types
+        refuse it whole, so no fresh or partial ledger can be adopted,
+        and the refused files are left as they were."""
+        shutil.copytree(os.path.join(GOLDEN, "v1"), str(tmp_path / "v1"))
+        roots = [str(tmp_path / "v1" / "single")] + [
+            str(tmp_path / "v1" / "quorum" / f"replica-{i}") for i in range(3)
+        ]
+        before = {root: _journal_files(root) for root in roots}
+        with pytest.raises(RecoveryError) as err:
+            PolicyJournal(roots[0]).recover(fingerprint=self.FP)
+        assert err.value.reason == "corrupt"
+        assert "unknown format/version" in str(err.value)
+        quorum = QuorumJournal(roots[1:])
+        with pytest.raises(RecoveryError) as err:
+            quorum.recover(fingerprint=self.FP)
+        assert err.value.reason == "quorum"
+        assert "states: corrupt, corrupt, corrupt" in str(err.value)
+        assert quorum.last_recovery is None
+        assert {root: _journal_files(root) for root in roots} == before
 
     def test_quorum_commit_encodes_once(self, provider, roots, monkeypatch):
         """One CSP tick is one 3-replica commit: the document and the DP
