@@ -25,15 +25,16 @@ identical subtrees — ubiquitous in uniform regions, and re-materialized
 constantly by ``resolve_dirty`` — are solved once and shared.
 
 Extraction (§IV, Lemma 1) runs over the arrays too: a payload-carrying
-flat tree turns straight into a ``{user: cloak}`` mapping.  Every
-production policy comes out of :func:`extract_cloaks` — parallel
-workers call it on their shipped subtrees, and
-:meth:`FlatTreeSolution.policy` on a payload compile of its own tree.
+flat tree turns straight into policy rows (user, coordinates, cloak
+group).  Every production policy comes out of :func:`_extract_rows` —
+parallel workers run it on their shipped subtrees, and
+:meth:`FlatTreeSolution.policy` on a payload compile of its own tree —
+and is checked by :meth:`CloakingPolicy.from_rows`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -349,7 +350,7 @@ class FlatTreeSolution(TreeSolution):
     Fully API-compatible (extraction, cost queries) — it carries the
     compiled arrays and the subtree memo so incremental repair can keep
     batching and keep sharing across snapshots.  Extraction runs
-    :func:`extract_cloaks` over the arrays; the object walk of
+    :func:`_extract_rows` over the arrays; the object walk of
     :meth:`TreeSolution.configuration` stays the ``engine="object"``
     oracle.
     """
@@ -377,16 +378,25 @@ class FlatTreeSolution(TreeSolution):
         cloak — what an epoch publisher ships to readers.
 
         Each cloak is the object tree's own node rectangle, so the
-        policy equals the object walk's cloak for cloak.
+        policy equals the object walk's cloak for cloak.  Masking is
+        checked against the payload's coordinates, which the tree copied
+        from ``tree.db``.
         """
         flat = FlatTree.compile(self.tree, with_payload=True)
         ids = flat.ids.tolist()
         vecs = [self.solutions[nid].vec for nid in ids]
+        rows, group, cloaking, __ = _extract_rows(flat, vecs, self.k)
+        users, coords = flat.payload_rows(rows)
         nodes = self.tree.nodes
-        cloaks = extract_cloaks(
-            flat, vecs, self.k, rect_of=lambda i: nodes[ids[i]].rect
+        policy = CloakingPolicy.from_rows(
+            users,
+            coords,
+            group,
+            [nodes[ids[i]].rect for i in cloaking.tolist()],
+            self.tree.db,
+            name=name,
         )
-        return CloakingPolicy(cloaks, self.tree.db, name=name), flat
+        return policy, flat
 
     def policy(self, name: str = "policy-aware-optimal") -> CloakingPolicy:
         return self.extract(name)[0]
@@ -597,32 +607,28 @@ def _batch_split_scan(
     return best_val, ua, ub
 
 
-def extract_cloaks(
-    flat: FlatTree,
-    vecs: Sequence[np.ndarray],
-    k: int,
-    rect_of: Optional[Callable[[int], Any]] = None,
-) -> Dict[str, Any]:
-    """Extract one optimal ``{user: cloak}`` policy from flat state.
+def _extract_rows(
+    flat: FlatTree, vecs: Sequence[np.ndarray], k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One optimal policy over flat state, as rows.
 
     The §IV extraction over arrays: re-derive each node's pass-up count
     top-down (``TreeSolution.configuration()``), then materialize it by
-    Lemma 1, cloaking the lowest rows first.  The mapping equals the
-    object walk's cloak for cloak and in insertion order.  Requires a
-    payload-carrying flat tree (rects + leaf rows + user ids).
-
-    ``rect_of(i)`` builds the cloak of flat node ``i``, once per cloaking
-    node, so a node's whole group shares one object; the default is the
-    node's rect tuple, which pickles back from a worker.  As a side
-    effect ``flat.cloaks`` receives every local row's cloak box — the
-    column a publisher ships so readers need no solve.
+    Lemma 1, cloaking the lowest rows first.  Returns ``(rows, group,
+    nodes, boxes)``: local point rows in the object walk's insertion
+    order, each row's cloak as an index into ``nodes``, the cloaking
+    flat nodes in walk order and their rects.  Requires a
+    payload-carrying flat tree (rects + leaf rows + user ids).  As a
+    side effect ``flat.cloaks`` receives every local row's cloak box —
+    the column a publisher ships so readers need no solve.
     """
     if flat.rects is None or flat.user_ids is None:
         raise ReproError("extract_cloaks needs a payload-carrying FlatTree")
     n = flat.n_nodes
     if n == 0 or flat.count[0] == 0:
         flat.cloaks = np.empty((0, 4), dtype=np.float64)
-        return {}
+        none = np.empty(0, dtype=np.int64)
+        return none, none, none, flat.cloaks
     root_vec = vecs[0]
     if len(root_vec) == 0 or not np.isfinite(root_vec[0]):
         raise NoFeasiblePolicyError(
@@ -704,14 +710,28 @@ def extract_cloaks(
     if len(leftovers.get(0, ())) != 0:
         raise ReproError("flat extraction left users uncloaked")
     flat.cloaks = flat.rects[assign]
-    # Every row is assigned (the root-leftover check above).
-    order = np.concatenate(list(cloaked.values())).tolist()
-    cloak_of = {
-        i: tuple(flat.rects[i].tolist()) if rect_of is None else rect_of(i)
-        for i in cloaked
-    }
-    users = flat.user_ids
-    return {
-        users[r]: cloak_of[a]
-        for r, a in zip(order, assign[order].tolist())
-    }
+    # Every row is assigned (the root-leftover check above); a node's
+    # rows are contiguous in walk order, so its group is its position.
+    pools = list(cloaked.values())
+    group = np.repeat(
+        np.arange(len(pools)), np.fromiter(map(len, pools), np.int64, len(pools))
+    )
+    nodes = np.fromiter(cloaked, np.int64, len(pools))
+    return np.concatenate(pools), group, nodes, flat.rects[nodes]
+
+
+def extract_cloaks(
+    flat: FlatTree, vecs: Sequence[np.ndarray], k: int
+) -> Dict[str, Tuple[float, float, float, float]]:
+    """Extract one optimal ``{user: cloak box}`` policy from flat state.
+
+    The mapping equals the object walk's cloak for cloak and in
+    insertion order; a node's whole group shares one box tuple.  The
+    production paths take the same extraction as rows
+    (:func:`_extract_rows`) and check it with
+    :meth:`CloakingPolicy.from_rows`.
+    """
+    rows, group, __, boxes = _extract_rows(flat, vecs, k)
+    users, __ = flat.payload_rows(rows)
+    cloaks = list(map(tuple, boxes.tolist()))
+    return dict(zip(users, map(cloaks.__getitem__, group.tolist())))

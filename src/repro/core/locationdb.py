@@ -11,7 +11,9 @@ lookups, and both must be O(1)/O(n).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+)
 
 import numpy as np
 
@@ -73,6 +75,19 @@ class LocationDatabase:
     def location_of(self, user_id: str) -> Optional[Point]:
         """The recorded location of ``user_id``, or None if absent."""
         return self._locations.get(str(user_id))
+
+    def has_users(self, user_ids: AbstractSet[str]) -> bool:
+        """True when ``user_ids`` (a set or a dict's key view) holds
+        exactly this snapshot's user ids."""
+        return self._locations.keys() == user_ids
+
+    def agrees_with(self, other: "LocationDatabase") -> bool:
+        """True when every user of ``other`` is located here exactly as
+        there.  One list comparison: identity-fast when ``other`` is a
+        :meth:`subset` of this snapshot (shared points), value equality
+        otherwise."""
+        theirs = other._locations
+        return list(map(self._locations.get, theirs)) == list(theirs.values())
 
     def rows(self) -> Iterator[Tuple[str, float, float]]:
         """Iterate relation rows ``(userid, locx, locy)``."""

@@ -36,9 +36,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..core.binary_dp import solve
 from ..core.errors import ReproError, ServiceUnavailableError
-from ..core.flat_dp import extract_cloaks, solve_arrays
+from ..core.flat_dp import _extract_rows, solve_arrays
 from ..core.geometry import Point, Rect
 from ..core.locationdb import LocationDatabase
 from ..core.policy import CloakingPolicy
@@ -67,11 +69,17 @@ def adjacent_rects(a: Rect, b: Rect, tol: float = 1e-9) -> bool:
     return (x_touch and y_overlap) or (y_touch and x_overlap)
 
 
+#: a worker's extracted policy: local rows in insertion order, each
+#: row's group, and one cloak box per group — what crosses the process
+#: boundary instead of a ``{user: box}`` dict.
+SolvedRows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _solve_jurisdiction_flat(
     flat: FlatTree, k: int, kill: bool = False
-) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
-    """One server's work over a compiled flat subtree: returns
-    ``{user_id: cloak rect tuple}`` and elapsed time.
+) -> Tuple[SolvedRows, float]:
+    """One server's work over a compiled flat subtree: returns its
+    policy as rows and the elapsed time.
 
     The master already owns the spatial structure (the partition tree),
     so the worker receives the jurisdiction's structure-of-arrays slice
@@ -88,20 +96,22 @@ def _solve_jurisdiction_flat(
     vecs = solve_arrays(flat, k)
     if kill:
         kill_current_process()
-    cloaks = extract_cloaks(flat, vecs, k)
-    return cloaks, time.perf_counter() - start
+    rows, group, __, boxes = _extract_rows(flat, vecs, k)
+    solved = (rows.astype(np.int32), group.astype(np.int32), boxes)
+    return solved, time.perf_counter() - start
 
 
-def _policy_from_cloaks(
-    cloaks: Dict[str, Tuple[float, float, float, float]],
-    db: LocationDatabase,
-    name: str,
+def _server_policy(
+    flat: FlatTree, solved: SolvedRows, db: LocationDatabase, name: str
 ) -> CloakingPolicy:
-    """A server's policy from a worker's cloak tuples: one ``Rect`` per
-    cloaking node, shared by its whole group."""
-    rects = {box: Rect(*box) for box in set(cloaks.values())}
-    return CloakingPolicy(
-        {uid: rects[box] for uid, box in cloaks.items()}, db, name=name
+    """A server's policy from a worker's rows, checked against the
+    master's own payload compile ``flat`` of the same subtree: its ids
+    and coordinates, not the worker's, decide who is cloaked where.
+    One ``Rect`` per cloaking node, shared by its whole group."""
+    rows, group, boxes = solved
+    users, coords = flat.payload_rows(rows)
+    return CloakingPolicy.from_rows(
+        users, coords, group, [Rect(*box) for box in boxes.tolist()], db, name=name
     )
 
 
@@ -132,8 +142,8 @@ def handoff_shards(
     Each shard's subtree of the territory tree is compiled to a payload
     :class:`~repro.trees.flat.FlatTree` and solved by
     :func:`_solve_jurisdiction_flat`.  ``solver`` delegates that call:
-    ``solver(shard_flat, shard_index)`` must return
-    ``({user_id: cloak rect tuple}, solve seconds)``.  The engine uses
+    ``solver(shard_flat, shard_index)`` must return what it returns,
+    ``(policy rows, solve seconds)``.  The engine uses
     this to route hand-off solves through its worker pool (with the
     kill-chaos hook live inside them); ``None`` solves in the calling
     process.  Both paths run the identical deterministic DP, so the
@@ -171,11 +181,11 @@ def handoff_shards(
             tree, root=tree.nodes[shard.node_id], with_payload=True
         )
         if solver is None:
-            cloaks, elapsed = _solve_jurisdiction_flat(flat, k)
+            solved, elapsed = _solve_jurisdiction_flat(flat, k)
         else:
-            cloaks, elapsed = solver(flat, offset)
-        policy = _policy_from_cloaks(
-            cloaks, local_db.subset(members), f"handoff-{shard_id}"
+            solved, elapsed = solver(flat, offset)
+        policy = _server_policy(
+            flat, solved, local_db.subset(members), f"handoff-{shard_id}"
         )
         out.append((jur, policy, elapsed))
     return out

@@ -60,7 +60,8 @@ from ..trees.binarytree import BinaryTree
 from ..trees.flat import FlatTree, SharedFlatTree, SharedTreeHandle
 from ..trees.partition import Jurisdiction, greedy_partition, load_imbalance
 from .dynamic import (
-    _policy_from_cloaks,
+    SolvedRows,
+    _server_policy,
     _solve_jurisdiction_flat,
     assign_adopters,
     handoff_shards,
@@ -166,7 +167,7 @@ class ParallelResult:
 
 def _solve_jurisdiction_shm(
     handle: SharedTreeHandle, k: int, kill: bool = False
-) -> Tuple[Dict[str, Tuple[float, float, float, float]], float]:
+) -> Tuple[SolvedRows, float]:
     """One server's work over a *published* flat subtree.
 
     The worker receives only a :class:`SharedTreeHandle` (a few hundred
@@ -174,16 +175,16 @@ def _solve_jurisdiction_shm(
     blocks read-only — zero copies of the spatial structure cross the
     process boundary.  The attachment is scoped to the solve: the flat
     worker's views are gone before ``close()`` (they dangle afterwards),
-    and only plain cloak tuples leave the function.  ``kill`` as in
+    and only freshly allocated row arrays leave the function.  ``kill`` as in
     :func:`~repro.parallel.dynamic._solve_jurisdiction_flat`.
     """
     start = time.perf_counter()
     shared = SharedFlatTree.attach(handle)
     try:
-        cloaks, __ = _solve_jurisdiction_flat(shared.tree, k, kill)
+        solved, __ = _solve_jurisdiction_flat(shared.tree, k, kill)
     finally:
         shared.close()
-    return cloaks, time.perf_counter() - start
+    return solved, time.perf_counter() - start
 
 
 #: what a dispatch ships per jurisdiction: compiled arrays, a shared
@@ -250,11 +251,11 @@ def _judged(
     users: Sequence[str],
     attempt: int,
     timeout: Optional[float],
-    cloaks: Dict[str, Tuple[float, float, float, float]],
+    solved: SolvedRows,
     elapsed: float,
 ) -> object:
-    """A finished solve → ``(cloaks, elapsed)``, or a timeout failure
-    when it overran the straggler budget."""
+    """A finished solve → ``(policy rows, elapsed)``, or a timeout
+    failure when it overran the straggler budget."""
     if timeout is not None and elapsed > timeout:
         return _solve_error(
             jur,
@@ -263,7 +264,7 @@ def _judged(
             "timeout",
             f"exceeded its {timeout:g}s solve budget ({elapsed:.3f}s)",
         )
-    return cloaks, elapsed
+    return solved, elapsed
 
 
 def _worker_for(payload: TaskPayload):
@@ -282,16 +283,16 @@ def _attempt_simulated(
     injector: Optional[FaultInjector],
     timeout: Optional[float],
 ) -> object:
-    """One simulated solve attempt → ``(cloaks, elapsed)`` or its
+    """One simulated solve attempt → ``(policy rows, elapsed)`` or its
     :class:`JurisdictionSolveError`."""
     extra, error = _injected(injector, jur, users, attempt)
     if error is not None:
         return error
     try:
-        cloaks, elapsed = _worker_for(payload)(payload, k)
+        solved, elapsed = _worker_for(payload)(payload, k)
     except Exception as exc:  # real solver errors carry the node id too
         return _solve_error(jur, users, attempt, "error", f"failed: {exc}")
-    return _judged(jur, users, attempt, timeout, cloaks, elapsed + extra)
+    return _judged(jur, users, attempt, timeout, solved, elapsed + extra)
 
 
 class _ProcessPool:
@@ -385,8 +386,12 @@ def parallel_bulk_anonymize(
     Every server solves its jurisdiction's subtree of the partition
     tree, compiled by the master into :class:`~repro.trees.flat.FlatTree`
     arrays (depths rebased to the jurisdiction root, leaf→point index
-    and geometry attached); workers run the level-batched DP and
-    :func:`~repro.core.flat_dp.extract_cloaks` directly on the arrays.
+    and geometry attached); workers run the level-batched DP and the
+    row extraction directly on the arrays and send back the policy as
+    rows (local row, cloak group, one box per group).  The master checks
+    those rows against its own compile of the subtree, once, with
+    :meth:`~repro.core.policy.CloakingPolicy.from_rows`: a corrupted box
+    raises :class:`~repro.core.errors.PolicyError`.
     Compilation is master-side prep and is charged to
     ``partition_seconds``, like the partitioning itself.  ``transport``
     selects how the arrays reach a server.  With ``'flat'`` (the
@@ -448,18 +453,22 @@ def parallel_bulk_anonymize(
     jurisdictions = greedy_partition(partition_tree, n_servers, k)
 
     tasks: List[Tuple[Jurisdiction, List[str], TaskPayload]] = []
+    #: the master's own payload compile per populated jurisdiction: a
+    #: worker's rows are checked against its ids and coordinates.
+    compiled: Dict[int, FlatTree] = {}
     for jur in jurisdictions:
         # Membership comes from the partition tree's row assignment, so
         # a user sitting exactly on a shared boundary belongs to exactly
         # one jurisdiction (rect containment alone would double-count
         # her).
         node = partition_tree.nodes[jur.node_id]
-        users = partition_tree.users_of(node)
+        users: List[str] = []
         payload: TaskPayload = None
-        if users:
-            payload = FlatTree.compile(
+        if node.count:
+            payload = compiled[jur.node_id] = FlatTree.compile(
                 partition_tree, root=node, with_payload=True
             )
+            users = payload.user_ids or []  # the node's users, in row order
         tasks.append((jur, users, payload))
     published: List[SharedFlatTree] = []
     if transport == "shm":
@@ -552,9 +561,12 @@ def parallel_bulk_anonymize(
                         retry_seconds += jurisdiction_timeout
                     still_failing.append((jur, users, payload))
                 else:
-                    cloaks, elapsed = outcome
-                    policies[jur.node_id] = _policy_from_cloaks(
-                        cloaks, db.subset(users), f"server-{jur.node_id}"
+                    solved, elapsed = outcome
+                    policies[jur.node_id] = _server_policy(
+                        compiled[jur.node_id],
+                        solved,
+                        db.subset(users),
+                        f"server-{jur.node_id}",
                     )
                     seconds[jur.node_id] = elapsed
                     if jur.node_id in crashed_ids:
@@ -744,7 +756,7 @@ def _process_round(
     def collect(jur, users, future, extra):
         """Await one future → (outcome, pool_broke)."""
         try:
-            cloaks, elapsed = future.result(timeout=timeout)
+            solved, elapsed = future.result(timeout=timeout)
         except FutureTimeoutError:
             future.cancel()
             what = f"exceeded its {timeout:g}s solve budget"
@@ -756,7 +768,7 @@ def _process_round(
         except Exception as exc:
             what = f"failed: {exc}"
             return _solve_error(jur, users, attempt, "error", what), False
-        outcome = _judged(jur, users, attempt, timeout, cloaks, elapsed + extra)
+        outcome = _judged(jur, users, attempt, timeout, solved, elapsed + extra)
         return outcome, False
 
     if isolate:

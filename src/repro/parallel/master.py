@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..core.errors import PolicyError, UnknownUserError
+from ..core.errors import UnknownUserError
 from ..core.policy import CloakingPolicy
 from ..core.requests import AnonymizedRequest, ServiceRequest, request_id_factory
 from ..trees.partition import Jurisdiction
@@ -45,19 +45,18 @@ class MasterPolicy:
     def __init__(self, servers: Sequence[ServerPolicy], db):
         self.servers = list(servers)
         self.db = db
-        merged: Dict[str, object] = {}
+        # Each server's policy was checked for masking when it was built;
+        # the merge checks only that the parts tile ``db``'s users and
+        # locate them where ``db`` does (CloakingPolicy.union).
+        self.merged = CloakingPolicy.union(
+            [s.policy for s in self.servers if s.policy is not None],
+            db,
+            name="master",
+        )
         self._server_of: Dict[str, ServerPolicy] = {}
         for server in self.servers:
-            if server.policy is None:
-                continue
-            for user_id, region in server.policy.items():
-                if user_id in merged:
-                    raise PolicyError(
-                        f"user {user_id!r} claimed by two jurisdictions"
-                    )
-                merged[user_id] = region
-                self._server_of[user_id] = server
-        self.merged = CloakingPolicy(merged, db, name="master")
+            if server.policy is not None:
+                self._server_of.update(dict.fromkeys(server.policy.db, server))
         self._next_request_id = request_id_factory()
 
     # -- dispatch ------------------------------------------------------------

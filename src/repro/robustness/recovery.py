@@ -58,7 +58,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ..core.errors import RecoveryError
+from ..core.errors import RecoveryError, ReproError
 from ..core.policy import CloakingPolicy
 from ..core.serialization import (
     atomic_write_bytes,
@@ -683,8 +683,12 @@ class PolicyJournal:
 
         Unlike the DP sidecar this is privacy state: a restore without
         it would forget served history, so a missing, torn or altered
-        file raises :class:`RecoveryError`.  Never unpickles.
+        file raises :class:`RecoveryError`, and so does a ledger state
+        of another version or with inconsistent arrays (checked by
+        adopting it into a scratch ledger).  Never unpickles.
         """
+        from ..trajectory.ledger import TrajectoryLedger
+
         if meta is None:
             return None
         name = self._ledger_file(serial)
@@ -696,8 +700,12 @@ class PolicyJournal:
             if _digest(raw) != meta.get("checksum"):
                 raise ValueError("checksum mismatch (torn write or bit flip)")
             with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
-                return {key: archive[key] for key in archive.files}
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+                state = {key: archive[key] for key in archive.files}
+            TrajectoryLedger.from_state(state)
+            return state
+        except (
+            OSError, KeyError, ValueError, zipfile.BadZipFile, ReproError
+        ) as exc:
             raise RecoveryError(
                 f"trajectory ledger {name!r}: {exc}; refusing to restore "
                 "without the served history",

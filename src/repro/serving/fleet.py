@@ -320,8 +320,9 @@ def _build_worker_csp(spec: _FleetSpec, trajectory_state: _ShardState) -> Any:
 
     The segment carries every user's id, coordinates and cloak, so the
     worker copies three columns out and serves exactly the manager's
-    policy without solving.  Views are dropped before the segment is
-    closed.
+    policy without solving; the rows are checked as any extracted
+    policy is (``CloakingPolicy.from_rows``).  Views are dropped before
+    the segment is closed.
     """
     from ..lbs.pipeline import CSP
 
@@ -331,19 +332,21 @@ def _build_worker_csp(spec: _FleetSpec, trajectory_state: _ShardState) -> Any:
         if flat.coords is None or flat.cloaks is None:
             raise TreeError(f"{spec.handle.segment!r} is not an epoch segment")
         user_ids = flat.user_ids or []
-        coords = flat.coords.tolist()
+        coords = np.array(flat.coords)
         boxes, group = np.unique(flat.cloaks, axis=0, return_inverse=True)
         del flat
     finally:
         shared.close()
     db = LocationDatabase(
-        (uid, x, y) for uid, (x, y) in zip(user_ids, coords)
+        (uid, x, y) for uid, (x, y) in zip(user_ids, coords.tolist())
     )
     # One Rect per distinct cloak, shared by its group's users like the
     # manager's own policy.
-    rects = [Rect(*box) for box in boxes.tolist()]
-    policy = CloakingPolicy(
-        dict(zip(user_ids, map(rects.__getitem__, group.ravel().tolist()))),
+    policy = CloakingPolicy.from_rows(
+        user_ids,
+        coords,
+        group.ravel(),
+        [Rect(*box) for box in boxes.tolist()],
         db,
         name="fleet-worker",
     )

@@ -34,9 +34,11 @@ that speak user ids.
 
 State round-trips through :meth:`to_state`/:meth:`from_state` as a
 handful of plain numpy arrays (no object arrays, so it loads without
-pickle): the journal writes them as a raw ``.npz`` file whose checksum
-rides the checksummed snapshot document, and the fleet pickles them to
-a worker on respawn and epoch swaps.
+pickle; the intern table is UTF-8 JSON bytes as ``uint8``, the way
+:class:`~repro.trees.flat.SharedFlatTree` ships user ids): the journal
+writes them as a raw ``.npz`` file whose checksum rides the checksummed
+snapshot document, and the fleet pickles them to a worker on respawn
+and epoch swaps.
 
 TJ001 (:mod:`repro.analysis.rules.trajectory`) enforces that the
 ``_traj_*`` structures are mutated only inside this package: serving
@@ -45,6 +47,7 @@ layers consume decisions, they never edit history.
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -65,7 +68,8 @@ from ..core.geometry import Rect
 
 __all__ = ["LedgerEntry", "TrajectoryLedger"]
 
-_STATE_VERSION = 2
+#: 3: ``ids`` holds the intern table as UTF-8 JSON bytes (2: ``<U``).
+_STATE_VERSION = 3
 
 #: the arrays of a :meth:`TrajectoryLedger.to_state` snapshot.
 _STATE_KEYS = (
@@ -86,6 +90,24 @@ class LedgerEntry:
     #: True when the continuity solver had to widen past the policy's
     #: fine cloak to keep the intersection ≥ k.
     widened: bool
+
+
+def _encode_ids(ids: List[str]) -> np.ndarray:
+    return np.frombuffer(json.dumps(ids).encode("utf-8"), np.uint8)
+
+
+def _decode_ids(encoded: np.ndarray) -> List[str]:
+    try:
+        if encoded.dtype != np.uint8 or encoded.ndim != 1:
+            raise ValueError(f"a {encoded.dtype} array of shape {encoded.shape}")
+        ids = json.loads(encoded.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ReproError(
+            f"trajectory ledger intern table is not UTF-8 JSON: {exc}"
+        ) from None
+    if not isinstance(ids, list) or not all(isinstance(u, str) for u in ids):
+        raise ReproError("trajectory ledger intern table is not a list of ids")
+    return ids
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -321,10 +343,23 @@ class TrajectoryLedger:
 
     # -- serialization -------------------------------------------------------
 
-    def _state_locked(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
+    def _state_locked(
+        self, rows: np.ndarray, shard: bool = False
+    ) -> Dict[str, np.ndarray]:
         users = [self._traj_users[r] for r in rows.tolist()]
         held = [self._traj_surviving[u] for u in users]
         sizes = np.array([len(s) for s in held], dtype=np.int64)  # type: ignore[arg-type]
+        indices = np.array(users, dtype=np.int32)
+        surviving = np.concatenate(held or [np.empty(0, np.int32)])  # type: ignore[arg-type]
+        ids = self._traj_ids
+        if shard:
+            # Keep only the ids the rows name, renumbered in table order;
+            # ``named`` is sorted, so renumbering keeps each row sorted.
+            named = np.union1d(indices, surviving)
+            renumber = np.zeros(len(ids), dtype=np.int32)
+            renumber[named] = np.arange(len(named), dtype=np.int32)
+            ids = [ids[i] for i in named.tolist()]
+            indices, surviving = renumber[indices], renumber[surviving]
         # Only live ring slots leave the ledger: a ring fills from slot 0.
         count = self._traj_count[rows]
         live = np.arange(self.window) < np.minimum(count, self.window)[:, None]
@@ -332,11 +367,11 @@ class TrajectoryLedger:
             "meta": np.array(
                 [_STATE_VERSION, self.window, self.recorded], dtype=np.int64
             ),
-            "ids": np.array(self._traj_ids, dtype=np.str_),
-            "users": np.array(users, dtype=np.int32),
+            "ids": _encode_ids(ids),
+            "users": indices,
             "count": count,
             "surviving_ptr": np.concatenate([[0], np.cumsum(sizes)]),
-            "surviving": np.concatenate(held or [np.empty(0, np.int32)]),  # type: ignore[arg-type]
+            "surviving": surviving,
             "serial": self._traj_serial[rows][live],
             "cloak": self._traj_cloak[rows][live],
             "candidates": self._traj_candidates[rows][live],
@@ -346,15 +381,16 @@ class TrajectoryLedger:
     def to_state(self) -> Dict[str, np.ndarray]:
         """The ledger as fresh arrays (journal ``.npz``, fleet shards).
 
-        ``ids`` is the whole intern table and ``users`` the served
-        users' indices in first-serve order; ``count`` is aligned with
-        ``users``, and ``surviving[surviving_ptr[i]:surviving_ptr[i+1]]``
-        is user ``i``'s intersection.  ``serial``, ``cloak``,
-        ``candidates`` and ``widened`` hold the live window slots only:
-        the first ``min(count[i], window)`` ring slots of each user, in
-        ``users`` order (slot ``count[i] % window`` is written next).
-        Nothing returned aliases the ledger, so later records never
-        change a state handed out.
+        ``ids`` is the whole intern table (UTF-8 JSON bytes) and
+        ``users`` the served users' indices in first-serve order;
+        ``count`` is aligned with ``users``, and
+        ``surviving[surviving_ptr[i]:surviving_ptr[i+1]]`` is user
+        ``i``'s intersection.  ``serial``, ``cloak``, ``candidates`` and
+        ``widened`` hold the live window slots only: the first
+        ``min(count[i], window)`` ring slots of each user, in ``users``
+        order (slot ``count[i] % window`` is written next).  Nothing
+        returned aliases the ledger, so later records never change a
+        state handed out.
         """
         with self._lock:
             return self._state_locked(np.arange(len(self._traj_users)))
@@ -372,15 +408,7 @@ class TrajectoryLedger:
             index, row = self._traj_index, self._traj_row
             wanted = {index[u] for u in map(str, user_ids) if u in index}
             rows = sorted(row[u] for u in wanted if row[u] >= 0)
-            state = self._state_locked(np.array(rows, dtype=np.int64))
-        named = np.union1d(state["users"], state["surviving"])
-        renumber = np.zeros(len(state["ids"]), dtype=np.int32)
-        renumber[named] = np.arange(len(named), dtype=np.int32)
-        state["ids"] = state["ids"][named]
-        # ``named`` is sorted, so renumbering keeps each row sorted.
-        state["users"] = renumber[state["users"]]
-        state["surviving"] = renumber[state["surviving"]]
-        return state
+            return self._state_locked(np.array(rows, dtype=np.int64), shard=True)
 
     def adopt_state(self, state: Mapping[str, np.ndarray]) -> None:
         """Replace this ledger's histories with a serialized snapshot.
@@ -402,7 +430,7 @@ class TrajectoryLedger:
                 f"unknown trajectory ledger state version {version!r}"
             )
         window, recorded = int(meta[1]), int(meta[2])
-        ids = [str(uid) for uid in arrays["ids"].tolist()]
+        ids = _decode_ids(arrays["ids"])
         users = arrays["users"].astype(np.int64)
         ptr = arrays["surviving_ptr"].astype(np.int64)
         flat = arrays["surviving"].astype(np.int64)

@@ -1050,20 +1050,20 @@ class TestEncodedBytes:
             assert_bit_identical(policy, snapshot.policy)
         assert quorum.last_recovery.repaired == ()
 
-    def test_parent_format_journal_is_never_misread(self, tmp_path):
-        """``v1/`` holds the same two commits in the previous format
-        (ledger rows as JSON inside the document): both journal types
-        refuse it whole, so no fresh or partial ledger can be adopted,
-        and the refused files are left as they were."""
-        shutil.copytree(os.path.join(GOLDEN, "v1"), str(tmp_path / "v1"))
-        roots = [str(tmp_path / "v1" / "single")] + [
-            str(tmp_path / "v1" / "quorum" / f"replica-{i}") for i in range(3)
+    def _assert_refused(self, tmp_path, version, why):
+        """Both journal types refuse the golden ``version/`` copy whole,
+        so no fresh or partial ledger can be adopted, and the refused
+        files are left as they were."""
+        shutil.copytree(os.path.join(GOLDEN, version), str(tmp_path / version))
+        roots = [str(tmp_path / version / "single")] + [
+            str(tmp_path / version / "quorum" / f"replica-{i}")
+            for i in range(3)
         ]
         before = {root: _journal_files(root) for root in roots}
         with pytest.raises(RecoveryError) as err:
             PolicyJournal(roots[0]).recover(fingerprint=self.FP)
         assert err.value.reason == "corrupt"
-        assert "unknown format/version" in str(err.value)
+        assert why in str(err.value)
         quorum = QuorumJournal(roots[1:])
         with pytest.raises(RecoveryError) as err:
             quorum.recover(fingerprint=self.FP)
@@ -1071,6 +1071,19 @@ class TestEncodedBytes:
         assert "states: corrupt, corrupt, corrupt" in str(err.value)
         assert quorum.last_recovery is None
         assert {root: _journal_files(root) for root in roots} == before
+
+    def test_parent_format_journal_is_never_misread(self, tmp_path):
+        """``v1/`` holds the same two commits in the first format
+        (ledger rows as JSON inside the document)."""
+        self._assert_refused(tmp_path, "v1", "unknown format/version")
+
+    def test_previous_ledger_version_is_never_misread(self, tmp_path):
+        """``v2/`` holds the same two commits with ledger state version 2
+        (the intern table as a numpy ``<U`` array): the documents are
+        of today's format, the ledger files are not."""
+        self._assert_refused(
+            tmp_path, "v2", "unknown trajectory ledger state version 2"
+        )
 
     def test_quorum_commit_encodes_once(self, provider, roots, monkeypatch):
         """One CSP tick is one 3-replica commit: the document and the DP
