@@ -126,15 +126,19 @@ class LocationDatabase:
         """A new snapshot where the users in ``moves`` are relocated.
 
         Unknown user ids are rejected — a move must concern a device the
-        MPC already tracks.
+        MPC already tracks.  The (immutable) points of unmoved users are
+        shared, as :meth:`subset` shares them; only moved users get a
+        new point.
         """
         unknown = [uid for uid in moves if str(uid) not in self._locations]
         if unknown:
             raise ReproError(f"cannot move unknown users: {unknown[:5]!r}")
         updated = dict(self._locations)
         for uid, p in moves.items():
-            updated[str(uid)] = p
-        return LocationDatabase.from_points(updated)
+            updated[str(uid)] = Point(float(p.x), float(p.y))
+        out = LocationDatabase()
+        out._locations = updated
+        return out
 
     def subset(self, user_ids: Sequence[str]) -> "LocationDatabase":
         """The restriction of this snapshot to ``user_ids``; the

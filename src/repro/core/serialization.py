@@ -18,7 +18,9 @@ import io
 import json
 import os
 import tempfile
-from typing import Dict, TextIO, Union
+from typing import Dict, List, TextIO, Union
+
+import numpy as np
 
 from .errors import ReproError
 from .geometry import Circle, Point, Rect
@@ -37,6 +39,8 @@ __all__ = [
     "file_checksum",
     "atomic_write_json",
     "atomic_write_bytes",
+    "encode_ids",
+    "decode_ids",
 ]
 
 _FORMAT = "repro-policy"
@@ -125,6 +129,29 @@ def load_policy(path: str) -> CloakingPolicy:
     """Read a policy back; masking is re-validated on load."""
     with open(path, "r", encoding="utf-8") as handle:
         return policy_from_dict(json.load(handle))
+
+
+def encode_ids(ids: List[str]) -> np.ndarray:
+    """User ids as UTF-8 JSON bytes in a ``uint8`` array: how the
+    trajectory ledger's intern table and the journal's policy rows carry
+    ids through an ``.npz`` without pickle."""
+    return np.frombuffer(json.dumps(ids).encode("utf-8"), np.uint8)
+
+
+def decode_ids(encoded: np.ndarray, what: str) -> List[str]:
+    """The ids :func:`encode_ids` wrote; :class:`ReproError` naming
+    ``what`` for an array that is not such an encoding (deeply nested
+    JSON raises :class:`RecursionError` in the parser; it is refused the
+    same way)."""
+    try:
+        if encoded.dtype != np.uint8 or encoded.ndim != 1:
+            raise ValueError(f"a {encoded.dtype} array of shape {encoded.shape}")
+        ids = json.loads(encoded.tobytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ReproError(f"{what} is not UTF-8 JSON: {exc}") from None
+    if not isinstance(ids, list) or not all(isinstance(u, str) for u in ids):
+        raise ReproError(f"{what} is not a list of ids")
+    return ids
 
 
 # -- durable, checksummed writes (the recovery substrate) ----------------------

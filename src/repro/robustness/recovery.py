@@ -6,41 +6,58 @@ that policy *is* the CSP's state: losing it on a restart forces a full
 ``Bulk_dp`` re-run while requests queue.  This module makes the
 (policy, db-serial) pair durable with the classic write-ahead recipe:
 
-1. an **intent** record is appended (and fsync'd) to an append-only
-   journal, naming the snapshot file and its content checksum;
-2. the snapshot document's bytes, encoded once per commit
+1. the commit's **arrays file** (and DP sidecar, if any) is written to a
+   temporary file and atomically renamed into place;
+2. an **intent** record is appended (and fsync'd) to an append-only
+   journal, naming the snapshot document and its content checksum;
+3. the snapshot document's bytes, encoded once per commit
    (:meth:`PolicyJournal.encode`) and shared by every quorum replica,
-   are written to a temporary file and atomically renamed into place;
-3. a **commit** record is appended and fsync'd.
+   are written and atomically renamed into place;
+4. a **commit** record is appended and fsync'd.
 
-A reader therefore never observes a torn snapshot: a crash between (1)
-and (3) leaves an intent without a commit, which recovery skips, falling
+A reader therefore never observes a torn snapshot: a crash between (2)
+and (4) leaves an intent without a commit, which recovery skips, falling
 back to the previous committed serial.  Anything *else* that fails
 validation — a journal line corrupted in the middle of the history, a
 committed snapshot whose checksum no longer matches, an embedded serial
 disagreeing with the journal, an engine fingerprint from a different
 deployment — is storage corruption, not a crash, and recovery **fails
 closed** with :class:`~repro.core.errors.RecoveryError` rather than
-serve state it cannot prove it journalled.  The policy payload itself is
-re-validated for masking on load (:func:`policy_from_dict`), so even a
-checksum-colliding forgery cannot smuggle in a non-masking policy.
+serve state it cannot prove it journalled.
+
+The document is a small canonical-JSON header: format, version, serial,
+engine fingerprint, policy name, the serving ``state`` block
+(``policy_age``, ``rung``), the ``dp`` sidecar block and the name and
+blake2b of the commit's ``snapshot-NNNNNN.arrays.npz``.  That file is
+an uncompressed ``np.savez`` of raw arrays, never unpickled:
+
+* the policy as rows — ``policy/ids`` (the user ids as UTF-8 JSON bytes
+  in a ``uint8`` array), ``policy/coords`` (``(n, 2)`` float64
+  locations), ``policy/group`` (``int32`` cloak index per row) and
+  ``policy/boxes`` (``(m, 4)`` float64, one box per distinct cloak
+  object);
+* with the trajectory defense on, the ledger's
+  :meth:`~repro.trajectory.ledger.TrajectoryLedger.to_state` arrays
+  under ``trajectory/`` keys.
+
+Restore rebuilds the snapshot from the rows and the policy through
+:meth:`~repro.core.policy.CloakingPolicy.from_rows`, so Definition 4 is
+re-checked on load: even a checksum-colliding forgery cannot smuggle in
+a non-masking policy, and any file that does not rebuild — torn,
+altered, from another commit, with object arrays, bad shapes, duplicate
+ids or a non-masking row — fails the restore closed.
 
 Alongside the policy, a committed snapshot may carry a **DP sidecar**:
-the flat engine's per-node cost vectors (``.npz``).  On restore the
-(deterministic) tree is rebuilt from the journalled locations, compiled
-to flat arrays, and — if the structural digest matches — the vectors are
-rehydrated into a full :class:`~repro.core.flat_dp.FlatTreeSolution`, so
-the next snapshot repairs forward through ``resolve_dirty_flat`` instead
-of re-running bulk anonymization.  The sidecar is a pure performance
-artifact: if it is missing or fails validation the restore proceeds
-*cold* (the recovered policy still serves; the first repair is one bulk
-solve) — privacy never depends on it.
-
-The trajectory ledger (:meth:`~repro.trajectory.ledger.TrajectoryLedger.
-to_state`) is the opposite: privacy state.  Its arrays are written as an
-uncompressed ``.ledger.npz`` beside the document, whose checksum the
-checksummed document carries, so quorum votes cover it; a missing or
-mismatched ledger file fails the restore closed.
+the flat engine's per-node cost vectors (an uncompressed ``.npz``).  On
+restore the (deterministic) tree is rebuilt from the journalled
+locations, compiled to flat arrays, and — if the structural digest
+matches — the vectors are rehydrated into a full
+:class:`~repro.core.flat_dp.FlatTreeSolution`, so the next snapshot
+repairs forward through ``resolve_dirty_flat`` instead of re-running
+bulk anonymization.  The sidecar is a pure performance artifact: if it
+is missing or fails validation the restore proceeds *cold* (the
+recovered policy still serves; the first repair is one bulk solve) —
+privacy never depends on it.
 """
 
 from __future__ import annotations
@@ -49,23 +66,27 @@ import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import time
 import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.errors import RecoveryError, ReproError
+from ..core.geometry import Rect
+from ..core.locationdb import LocationDatabase
 from ..core.policy import CloakingPolicy
 from ..core.serialization import (
     atomic_write_bytes,
     canonical_dumps,
+    decode_ids,
+    encode_ids,
     file_checksum,
-    policy_from_dict,
-    policy_to_dict,
 )
 
 __all__ = [
@@ -86,8 +107,14 @@ __all__ = [
 SOLVER_FINGERPRINT: Dict[str, object] = {"engine": "flat", "prune": True}
 
 _FORMAT = "repro-snapshot"
-_VERSION = 2
+#: 3: the policy and the ledger are rows in one ``.arrays.npz`` (2: the
+#: policy as per-user JSON in the document, the ledger in ``.ledger.npz``).
+_VERSION = 3
 _JOURNAL_FILE = "journal.log"
+#: the arrays-file key prefix of the trajectory ledger's state.
+_LEDGER_PREFIX = "trajectory/"
+_XY = operator.attrgetter("x", "y")
+_BOX = operator.attrgetter("x1", "y1", "x2", "y2")
 
 
 def flat_structure_digest(flat, k: int, prune: bool) -> str:
@@ -141,20 +168,86 @@ def _digest(payload: bytes) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
+def _policy_arrays(policy: CloakingPolicy) -> Dict[str, np.ndarray]:
+    """``policy`` as rows, in its insertion order: ids, locations, the
+    cloak index of each row and one box per distinct cloak object.
+
+    Raises :class:`ReproError` for a cloak that is not a ``Rect``; no
+    journalling caller produces one.
+    """
+    cloaks = dict(policy.items())
+    ids = list(cloaks)
+    keys = list(map(id, cloaks.values()))
+    # Distinct cloak objects in order of first use; keyed by identity,
+    # so equal-but-distinct rectangles keep their own boxes.
+    distinct = dict(zip(keys, cloaks.values()))
+    for region in distinct.values():
+        if not isinstance(region, Rect):
+            user_id = ids[keys.index(id(region))]
+            raise ReproError(
+                f"cannot journal user {user_id!r}'s cloak {region!r}: "
+                "the journal stores rectangles only"
+            )
+    slot_of = dict(zip(distinct, range(len(distinct))))
+    located = dict(policy.db.items())
+    return {
+        "policy/ids": encode_ids(ids),
+        "policy/coords": np.fromiter(
+            chain.from_iterable(map(_XY, map(located.__getitem__, ids))),
+            dtype=np.float64,
+            count=2 * len(ids),
+        ).reshape(-1, 2),
+        "policy/group": np.fromiter(
+            map(slot_of.__getitem__, keys), dtype=np.int32, count=len(keys)
+        ),
+        "policy/boxes": np.array(
+            list(map(_BOX, distinct.values())), dtype=np.float64
+        ).reshape(-1, 4),
+    }
+
+
+def _policy_from_arrays(arrays: Mapping[str, np.ndarray], name: str) -> CloakingPolicy:
+    """The policy :func:`_policy_arrays` wrote, masking re-checked.
+
+    Raises ``ValueError``/``KeyError`` on arrays of the wrong kind and
+    :class:`ReproError` on ids that do not decode, duplicate ids, a
+    degenerate box, group indices out of range or a row outside its
+    cloak.
+    """
+    ids = decode_ids(arrays["policy/ids"], "the policy's ids")
+    coords = arrays["policy/coords"]
+    group = arrays["policy/group"]
+    boxes = arrays["policy/boxes"]
+    if (
+        coords.dtype != np.float64 or coords.shape != (len(ids), 2)
+        or group.dtype != np.int32
+        or boxes.dtype != np.float64 or boxes.ndim != 2 or boxes.shape[1] != 4
+    ):
+        raise ValueError(
+            f"policy rows disagree: {len(ids)} ids, coords {coords.dtype} "
+            f"{coords.shape}, groups {group.dtype} {group.shape}, boxes "
+            f"{boxes.dtype} {boxes.shape}"
+        )
+    db = LocationDatabase(zip(ids, coords[:, 0].tolist(), coords[:, 1].tolist()))
+    rects = [Rect(*box) for box in boxes.tolist()]
+    return CloakingPolicy.from_rows(ids, coords, group, rects, db, name=name)
+
+
 @dataclass(frozen=True)
 class EncodedCommit:
     """One commit's bytes (:meth:`PolicyJournal.encode`), written as they
     are to every journal that receives it."""
 
     serial: int
-    #: the snapshot document in canonical JSON.
+    #: the snapshot document (its header) in canonical JSON.
     document: bytes = field(repr=False)
     #: digest of ``document`` — what the intent record names.
     checksum: str
+    #: the ``.arrays.npz`` bytes: the policy's rows and, with the
+    #: trajectory defense on, the ledger's arrays.
+    arrays: bytes = field(repr=False)
     #: the DP sidecar's ``.npz`` bytes, ``None`` for a policy alone.
     sidecar: Optional[bytes] = field(default=None, repr=False)
-    #: the trajectory ledger's ``.ledger.npz`` bytes, ``None`` without one.
-    ledger: Optional[bytes] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -316,14 +409,14 @@ class PolicyJournal:
         return f"snapshot-{serial:06d}.npz"
 
     @staticmethod
-    def _ledger_file(serial: int) -> str:
-        return f"snapshot-{serial:06d}.ledger.npz"
+    def _arrays_file(serial: int) -> str:
+        return f"snapshot-{serial:06d}.arrays.npz"
 
     def _artifacts(self, serial: int) -> Tuple[str, str, str]:
         return (
             self._snapshot_file(serial),
             self._sidecar_file(serial),
-            self._ledger_file(serial),
+            self._arrays_file(serial),
         )
 
     def commit(
@@ -351,7 +444,7 @@ class PolicyJournal:
         )
         for name, payload in (
             (self._sidecar_file(encoded.serial), encoded.sidecar),
-            (self._ledger_file(encoded.serial), encoded.ledger),
+            (self._arrays_file(encoded.serial), encoded.arrays),
         ):
             if payload is not None:
                 atomic_write_bytes(os.path.join(self.root, name), payload)
@@ -387,7 +480,10 @@ class PolicyJournal:
     ) -> EncodedCommit:
         """Build one commit's bytes, once, for any number of journals.
 
-        ``solution`` may be a flat-engine
+        The policy becomes rows in the ``.arrays.npz`` file the document
+        names with its checksum; a cloak that is not a ``Rect`` raises
+        :class:`ReproError` before any byte is written.  ``solution``
+        may be a flat-engine
         :class:`~repro.core.flat_dp.FlatTreeSolution`, in which case its
         cost vectors are persisted as the DP sidecar enabling warm
         restarts; any other value (or ``None``) commits the policy alone.
@@ -396,34 +492,34 @@ class PolicyJournal:
         checksummed document so a restore inherits accumulated staleness
         instead of silently resetting to fresh.  Its ``"trajectory"``
         entry, a ledger's :meth:`~repro.trajectory.ledger.TrajectoryLedger.
-        to_state` arrays, becomes the ``.ledger.npz`` file the document
-        names with its checksum.
+        to_state` arrays, joins the arrays file under ``trajectory/`` keys.
         """
+        arrays = _policy_arrays(policy)
         document: Dict[str, object] = {
             "format": _FORMAT,
             "version": _VERSION,
             "serial": int(serial),
             "fingerprint": dict(fingerprint),
-            "policy": policy_to_dict(policy),
+            "name": policy.name,
         }
-        ledger = None
         if state is not None:
-            block: Dict[str, object] = {
+            document["state"] = {
                 "policy_age": int(state.get("policy_age", 0)),  # type: ignore[arg-type]
                 "rung": str(state.get("rung", "fresh")),
             }
             trajectory = state.get("trajectory")
             if trajectory is not None:
-                # Raw arrays, uncompressed: deflating them costs more
-                # than writing them.  The document pins the bytes.
-                buffer = io.BytesIO()
-                np.savez(buffer, **trajectory)  # type: ignore[arg-type]
-                ledger = buffer.getvalue()
-                block["trajectory"] = {
-                    "file": cls._ledger_file(serial),
-                    "checksum": _digest(ledger),
-                }
-            document["state"] = block
+                for key, value in trajectory.items():  # type: ignore[attr-defined]
+                    arrays[_LEDGER_PREFIX + key] = value
+        # Raw arrays, uncompressed: deflating them costs more than
+        # writing them.  The document pins the bytes.
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        packed = buffer.getvalue()
+        document["arrays"] = {
+            "file": cls._arrays_file(serial),
+            "checksum": _digest(packed),
+        }
         sidecar = cls._dp_payload(solution)
         payload = None
         if sidecar is not None:
@@ -434,7 +530,7 @@ class PolicyJournal:
                 "structure": structure,
             }
         raw = canonical_dumps(document).encode("utf-8")
-        return EncodedCommit(int(serial), raw, _digest(raw), payload, ledger)
+        return EncodedCommit(int(serial), raw, _digest(raw), packed, payload)
 
     def prune(self, keep_last: int) -> Tuple[int, ...]:
         """Retain only the newest ``keep_last`` committed serials.
@@ -447,7 +543,7 @@ class PolicyJournal:
            only the surviving serials' intent/commit records remain, so
            the journal file stops growing one pair per commit;
         2. then the dropped serials' snapshot documents are deleted;
-        3. then their DP sidecars and ledger files.
+        3. then their DP sidecars and arrays files.
 
         A crash between (1) and (2) merely leaves orphaned files that
         the next prune removes; the reverse order could leave a log
@@ -483,7 +579,8 @@ class PolicyJournal:
 
     @staticmethod
     def _dp_payload(solution) -> Optional[Tuple[bytes, str]]:
-        """Serialize a flat solution's vectors to npz bytes + digest."""
+        """Serialize a flat solution's vectors to uncompressed npz bytes
+        + structural digest."""
         from ..core.flat_dp import FlatTreeSolution
 
         if not isinstance(solution, FlatTreeSolution):
@@ -494,7 +591,7 @@ class PolicyJournal:
             for i in flat.ids
         ]
         buffer = io.BytesIO()
-        np.savez_compressed(
+        np.savez(
             buffer,
             offsets=np.cumsum([0] + [len(v) for v in vecs], dtype=np.int64),
             data=np.concatenate(vecs) if vecs else np.empty(0),
@@ -614,26 +711,38 @@ class PolicyJournal:
             )
         try:
             document = json.loads(raw)
+            if not isinstance(document, dict):
+                raise ValueError("not a JSON object")
         except ValueError as exc:
             raise RecoveryError(
                 f"committed snapshot {intent['file']!r} is unreadable: {exc}",
                 reason="corrupt",
             ) from exc
-        if document.get("format") != _FORMAT or int(
-            document.get("version", -1)
-        ) != _VERSION:
+        if document.get("format") != _FORMAT or document.get("version") != _VERSION:
             raise RecoveryError(
                 f"snapshot {intent['file']!r} has unknown format/version",
                 reason="corrupt",
             )
-        if int(document.get("serial", -1)) != serial:
+        if document.get("serial") != serial:
             raise RecoveryError(
                 f"snapshot {intent['file']!r} embeds db-serial "
                 f"{document.get('serial')!r} but the journal committed "
                 f"{serial}; refusing stale/mismatched state",
                 reason="stale",
             )
-        committed_fp = dict(document.get("fingerprint", {}))
+        committed_fp = document.get("fingerprint")
+        state = document.get("state", {})
+        # A header of the wrong shape is forged or corrupt: the state
+        # block in particular must not silently reset the staleness.
+        if (
+            not isinstance(committed_fp, dict)
+            or not isinstance(state, dict)
+            or type(state.get("policy_age", 0)) is not int
+        ):
+            raise RecoveryError(
+                f"snapshot {intent['file']!r} has a malformed header",
+                reason="corrupt",
+            )
         if fingerprint is not None:
             for key, value in dict(fingerprint).items():
                 if committed_fp.get(key) != value:
@@ -643,15 +752,12 @@ class PolicyJournal:
                         f"deployment expects {value!r}",
                         reason="fingerprint",
                     )
-        raw_state = document.get("state")
-        state = raw_state if isinstance(raw_state, dict) else {}
-        policy_age = int(state.get("policy_age", 0))
+        policy_age = state.get("policy_age", 0)
         rung = str(state.get("rung", "fresh"))
         _check_stale(policy_age, serial, current_serial, max_stale_snapshots)
-        trajectory = self._load_ledger(serial, state.get("trajectory"))
-        # Masking re-validates here — a corrupted-but-checksum-colliding
-        # payload still cannot smuggle in a non-masking policy.
-        policy = policy_from_dict(document["policy"])
+        policy, trajectory = self._load_arrays(
+            serial, document.get("arrays"), str(document.get("name", "loaded"))
+        )
         dp_vecs, dp_structure, dp_layout = self._load_sidecar(document)
         return RecoveredSnapshot(
             policy=policy,
@@ -669,48 +775,55 @@ class PolicyJournal:
 
     def files_for_serial(self, serial: int) -> List[str]:
         """Names of the on-disk artifacts of one committed serial that
-        actually exist (snapshot document, DP sidecar, ledger)."""
+        actually exist (snapshot document, DP sidecar, arrays file)."""
         return [
             name
             for name in self._artifacts(serial)
             if os.path.exists(os.path.join(self.root, name))
         ]
 
-    def _load_ledger(
-        self, serial: int, meta: object
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """The ledger arrays the document names — fail closed on doubt.
+    def _load_arrays(
+        self, serial: int, meta: object, name: str
+    ) -> Tuple[CloakingPolicy, Optional[Dict[str, np.ndarray]]]:
+        """The policy and ledger state of the arrays file the document
+        names — fail closed on doubt.
 
-        Unlike the DP sidecar this is privacy state: a restore without
-        it would forget served history, so a missing, torn or altered
-        file raises :class:`RecoveryError`, and so does a ledger state
-        of another version or with inconsistent arrays (checked by
-        adopting it into a scratch ledger).  Never unpickles.
+        Both are privacy state, so a missing, torn or altered file, a
+        policy that does not rebuild (Definition 4 is re-checked by
+        :meth:`CloakingPolicy.from_rows`) and a ledger state of another
+        version or with inconsistent arrays (checked by adopting it into
+        a scratch ledger) all raise :class:`RecoveryError`.  Never
+        unpickles.
         """
         from ..trajectory.ledger import TrajectoryLedger
 
-        if meta is None:
-            return None
-        name = self._ledger_file(serial)
+        file = self._arrays_file(serial)
         try:
-            if not isinstance(meta, dict) or meta.get("file") != name:
+            if not isinstance(meta, dict) or meta.get("file") != file:
                 raise ValueError("the snapshot names another file")
-            with open(os.path.join(self.root, name), "rb") as handle:
+            with open(os.path.join(self.root, file), "rb") as handle:
                 raw = handle.read()
             if _digest(raw) != meta.get("checksum"):
                 raise ValueError("checksum mismatch (torn write or bit flip)")
             with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
-                state = {key: archive[key] for key in archive.files}
-            TrajectoryLedger.from_state(state)
-            return state
+                arrays = {key: archive[key] for key in archive.files}
+            policy = _policy_from_arrays(arrays, name)
+            trajectory = {
+                key[len(_LEDGER_PREFIX):]: value
+                for key, value in arrays.items()
+                if key.startswith(_LEDGER_PREFIX)
+            } or None
+            if trajectory is not None:
+                TrajectoryLedger.from_state(trajectory)
         except (
             OSError, KeyError, ValueError, zipfile.BadZipFile, ReproError
         ) as exc:
             raise RecoveryError(
-                f"trajectory ledger {name!r}: {exc}; refusing to restore "
-                "without the served history",
+                f"snapshot arrays {file!r}: {exc}; refusing to restore "
+                "a policy or served history it cannot prove",
                 reason="corrupt",
             ) from exc
+        return policy, trajectory
 
     def _load_sidecar(
         self, document: Mapping[str, object]

@@ -14,8 +14,9 @@ still holds ≥ k senders.
   interned ``int32`` user indices: a bounded observability window plus
   the running full-history intersection the constraint actually needs
   (bounded memory, monotone non-increasing).  Its arrays are journalled
-  beside every :class:`~repro.robustness.recovery.PolicyJournal`
-  snapshot (``.ledger.npz``) so restarts resume continuity state.
+  with the policy's rows in every
+  :class:`~repro.robustness.recovery.PolicyJournal` commit's
+  ``.arrays.npz`` so restarts resume continuity state.
 * :class:`ContinuityConstraint` — the admissibility solver: fine cloak
   when it keeps the intersection ≥ k, else the smallest geometric
   ancestor (the same deterministic halving hierarchy the streaming

@@ -36,8 +36,9 @@ State round-trips through :meth:`to_state`/:meth:`from_state` as a
 handful of plain numpy arrays (no object arrays, so it loads without
 pickle; the intern table is UTF-8 JSON bytes as ``uint8``, the way
 :class:`~repro.trees.flat.SharedFlatTree` ships user ids): the journal
-writes them as a raw ``.npz`` file whose checksum rides the checksummed
-snapshot document, and the fleet pickles them to a worker on respawn
+writes them under ``trajectory/`` keys into each commit's raw
+``.arrays.npz``, whose checksum rides the checksummed snapshot
+document, and the fleet pickles them to a worker on respawn
 and epoch swaps.
 
 TJ001 (:mod:`repro.analysis.rules.trajectory`) enforces that the
@@ -47,7 +48,6 @@ layers consume decisions, they never edit history.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -65,6 +65,7 @@ import numpy as np
 
 from ..core.errors import ReproError
 from ..core.geometry import Rect
+from ..core.serialization import decode_ids, encode_ids
 
 __all__ = ["LedgerEntry", "TrajectoryLedger"]
 
@@ -90,24 +91,6 @@ class LedgerEntry:
     #: True when the continuity solver had to widen past the policy's
     #: fine cloak to keep the intersection ≥ k.
     widened: bool
-
-
-def _encode_ids(ids: List[str]) -> np.ndarray:
-    return np.frombuffer(json.dumps(ids).encode("utf-8"), np.uint8)
-
-
-def _decode_ids(encoded: np.ndarray) -> List[str]:
-    try:
-        if encoded.dtype != np.uint8 or encoded.ndim != 1:
-            raise ValueError(f"a {encoded.dtype} array of shape {encoded.shape}")
-        ids = json.loads(encoded.tobytes().decode("utf-8"))
-    except ValueError as exc:
-        raise ReproError(
-            f"trajectory ledger intern table is not UTF-8 JSON: {exc}"
-        ) from None
-    if not isinstance(ids, list) or not all(isinstance(u, str) for u in ids):
-        raise ReproError("trajectory ledger intern table is not a list of ids")
-    return ids
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -367,7 +350,7 @@ class TrajectoryLedger:
             "meta": np.array(
                 [_STATE_VERSION, self.window, self.recorded], dtype=np.int64
             ),
-            "ids": _encode_ids(ids),
+            "ids": encode_ids(ids),
             "users": indices,
             "count": count,
             "surviving_ptr": np.concatenate([[0], np.cumsum(sizes)]),
@@ -430,7 +413,7 @@ class TrajectoryLedger:
                 f"unknown trajectory ledger state version {version!r}"
             )
         window, recorded = int(meta[1]), int(meta[2])
-        ids = _decode_ids(arrays["ids"])
+        ids = decode_ids(arrays["ids"], "trajectory ledger intern table")
         users = arrays["users"].astype(np.int64)
         ptr = arrays["surviving_ptr"].astype(np.int64)
         flat = arrays["surviving"].astype(np.int64)

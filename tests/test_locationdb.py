@@ -93,6 +93,18 @@ class TestMoves:
         with pytest.raises(ReproError, match="unknown"):
             db.with_moves({"z": Point(1, 1)})
 
+    def test_with_moves_shares_unmoved_points(self):
+        db = LocationDatabase([("a", 0, 0), ("b", 1, 1), ("c", 2, 2)])
+        before = db.points()
+        moved = db.with_moves({"b": Point(7, 8)})
+        assert moved.user_ids() == ["a", "b", "c"]
+        assert moved.location_of("a") is db.location_of("a")
+        assert moved.location_of("c") is db.location_of("c")
+        assert moved.location_of("b") == Point(7.0, 8.0)
+        assert isinstance(moved.location_of("b").x, float)
+        assert db.points() == before
+        assert [p is q for p, q in zip(db.points(), before)] == [True] * 3
+
 
 class TestSnapshotSequence:
     def test_advance_and_history(self):

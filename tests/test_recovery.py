@@ -1,5 +1,6 @@
 """Crash-consistent snapshot store and CSP kill-and-restart recovery."""
 
+import io
 import json
 import os
 import shutil
@@ -11,8 +12,17 @@ from conftest import same_ledger_state
 from repro import Rect
 from repro.attacks.audit import audit_policy
 from repro.core.binary_dp import solve
-from repro.core.errors import RecoveryError
-from repro.core.serialization import file_checksum, policy_to_dict
+from repro.core.errors import RecoveryError, ReproError
+from repro.core.flat_dp import solve_flat
+from repro.core.geometry import Circle, Point
+from repro.core.locationdb import LocationDatabase
+from repro.core.policy import CloakingPolicy
+from repro.core.serialization import (
+    canonical_dumps,
+    decode_ids,
+    encode_ids,
+    file_checksum,
+)
 from repro.data import uniform_users
 from repro.lbs.mobility import random_moves
 from repro.lbs.pipeline import CSP
@@ -20,7 +30,11 @@ from repro.lbs.poi import generate_pois
 from repro.lbs.provider import LBSProvider
 import repro.robustness.recovery as recovery
 from repro.robustness.chaos import ReplicaKillPlan, destroy_replica
-from repro.robustness.recovery import PolicyJournal, QuorumJournal
+from repro.robustness.recovery import (
+    PolicyJournal,
+    QuorumJournal,
+    flat_structure_digest,
+)
 from repro.trajectory.ledger import TrajectoryLedger
 from repro.trees import BinaryTree
 
@@ -230,7 +244,9 @@ class TestJournalRetention:
         kept = journal.committed_serials()
         assert len(kept) == 1
         npz = [f for f in os.listdir(journal.root) if f.endswith(".npz")]
-        assert npz == [journal._sidecar_file(kept[0])]
+        assert sorted(npz) == [
+            journal._arrays_file(kept[0]), journal._sidecar_file(kept[0])
+        ]
         # The surviving sidecar still enables a warm restore.
         del csp
         assert CSP.restore(provider, journal).manager._shadow.solution is not None
@@ -858,13 +874,35 @@ class TestTrajectoryStateBlock:
         assert successor.ledger.surviving(db.user_ids()[0]) is not None
 
 
+#: forgeries of a committed ledger's arrays that keep every checksum
+#: intact, with the refusal each must name.
+LEDGER_FORGERIES = {
+    "state-version": (
+        lambda a: a["trajectory/meta"].__setitem__(0, 2),
+        "unknown trajectory ledger state version 2",
+    ),
+    "surviving-ptr": (
+        lambda a: a["trajectory/surviving_ptr"].__setitem__(
+            -1, a["trajectory/surviving_ptr"][-1] + 1
+        ),
+        "trajectory ledger state arrays are inconsistent",
+    ),
+    "nested-ids": (
+        lambda a: a.__setitem__(
+            "trajectory/ids", np.frombuffer(b"[" * 5000 + b"]" * 5000, np.uint8)
+        ),
+        "trajectory ledger intern table is not UTF-8 JSON",
+    ),
+}
+
+
 class TestLedgerFile:
-    """The ledger's ``.ledger.npz`` is privacy state: recovery fails
-    closed without it, quorum repair and retention carry it, and it is
-    never unpickled."""
+    """The ``.arrays.npz`` holding the ledger is privacy state: recovery
+    fails closed without it, quorum repair and retention carry it, and
+    it is never unpickled."""
 
     FP = FINGERPRINT
-    LEDGER = "snapshot-000000.ledger.npz"
+    ARRAYS = "snapshot-000000.arrays.npz"
 
     def _commit(self, journal, serial=0):
         ledger = TrajectoryLedger(window=2)
@@ -893,7 +931,7 @@ class TestLedgerFile:
     @pytest.mark.parametrize("how", ["missing", "truncated", "bit-flipped"])
     def test_single_journal_fails_closed(self, journal, how):
         self._commit(journal)
-        self._damage(os.path.join(journal.root, self.LEDGER), how)
+        self._damage(os.path.join(journal.root, self.ARRAYS), how)
         with pytest.raises(RecoveryError) as err:
             journal.recover()
         assert err.value.reason == "corrupt"
@@ -904,7 +942,7 @@ class TestLedgerFile:
         quorum = QuorumJournal(roots)
         self._commit(quorum)
         for root in roots[:2]:
-            self._damage(os.path.join(root, self.LEDGER), how)
+            self._damage(os.path.join(root, self.ARRAYS), how)
         with pytest.raises(RecoveryError) as err:
             quorum.recover()
         assert err.value.reason == "quorum"
@@ -914,7 +952,7 @@ class TestLedgerFile:
         roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
         quorum = QuorumJournal(roots)
         state = self._commit(quorum)
-        self._damage(os.path.join(roots[0], self.LEDGER), how)
+        self._damage(os.path.join(roots[0], self.ARRAYS), how)
         snapshot = quorum.recover()
         assert same_ledger_state(snapshot.trajectory, state)
         assert quorum.last_recovery.repaired == (0,)
@@ -927,25 +965,50 @@ class TestLedgerFile:
         """The document pins the file's bytes, not just its format:
         an intact ledger file from another commit does not restore."""
         self._commit(journal, serial=0)
-        older = open(os.path.join(journal.root, self.LEDGER), "rb").read()
+        older = open(os.path.join(journal.root, self.ARRAYS), "rb").read()
         self._commit(journal, serial=1)
         with open(
-            os.path.join(journal.root, "snapshot-000001.ledger.npz"), "wb"
+            os.path.join(journal.root, "snapshot-000001.arrays.npz"), "wb"
         ) as handle:
             handle.write(older)
         with pytest.raises(RecoveryError) as err:
             journal.recover()
         assert "checksum" in str(err.value)
 
+    @pytest.mark.parametrize("forgery", sorted(LEDGER_FORGERIES))
+    def test_forged_ledger_fails_closed(self, journal, forgery):
+        """A ledger of another state version or with inconsistent arrays,
+        its checksums redone, is refused by adopting it into a scratch
+        ledger on load."""
+        mutate, why = LEDGER_FORGERIES[forgery]
+        self._commit(journal)
+        _forge_arrays(journal.root, 0, mutate)
+        with pytest.raises(RecoveryError) as err:
+            journal.recover()
+        assert err.value.reason == "corrupt"
+        assert why in str(err.value)
+
+    @pytest.mark.parametrize("forgery", sorted(LEDGER_FORGERIES))
+    def test_forged_ledger_replica_is_outvoted(self, tmp_path, forgery):
+        roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
+        quorum = QuorumJournal(roots)
+        state = self._commit(quorum)
+        _forge_arrays(roots[0], 0, LEDGER_FORGERIES[forgery][0])
+        snapshot = quorum.recover()
+        assert same_ledger_state(snapshot.trajectory, state)
+        assert quorum.last_recovery.repaired == (0,)
+        assert quorum.last_recovery.replica_states == ("corrupt", "ok", "ok")
+        assert _journal_files(roots[0]) == _journal_files(roots[1])
+
     def test_retention_prunes_the_ledger_file(self, tmp_path):
         journal = PolicyJournal(str(tmp_path / "journal"), keep_last=1)
         self._commit(journal, serial=0)
         state = self._commit(journal, serial=1)
         assert sorted(os.listdir(journal.root)) == [
-            "journal.log", "snapshot-000001.json", "snapshot-000001.ledger.npz"
+            "journal.log", "snapshot-000001.arrays.npz", "snapshot-000001.json"
         ]
         assert journal.files_for_serial(1) == [
-            "snapshot-000001.json", "snapshot-000001.ledger.npz"
+            "snapshot-000001.json", "snapshot-000001.arrays.npz"
         ]
         assert same_ledger_state(journal.recover().trajectory, state)
 
@@ -964,18 +1027,214 @@ class TestLedgerFile:
         assert err.value.reason == "corrupt"
 
 
+def _random_policy(seed, n=40):
+    """A policy over ``n`` users whose points sit on cloak corners,
+    edges and inside, with some cloaks shared by several users and some
+    equal to another cloak but a distinct object."""
+    rng = np.random.default_rng(seed)
+    rects = []
+    for __ in range(6):
+        x1, y1 = rng.uniform(0, 900, size=2)
+        w, h = rng.uniform(0, 100, size=2)
+        rects.append(Rect(x1, y1, x1 + w, y1 + h))
+    rects += [Rect(r.x1, r.y1, r.x2, r.y2) for r in rects[:3]]
+    rows, cloaks = [], {}
+    for index in range(n):
+        rect = rects[int(rng.integers(len(rects)))]
+        x, y = rng.uniform(rect.x1, rect.x2), rng.uniform(rect.y1, rect.y2)
+        where = int(rng.integers(4))
+        if where in (1, 3):  # on a vertical edge, or a corner
+            x = (rect.x1, rect.x2)[int(rng.integers(2))]
+        if where in (2, 3):  # on a horizontal edge, or a corner
+            y = (rect.y1, rect.y2)[int(rng.integers(2))]
+        uid = f"user-{int(rng.integers(10**6))}-{index}"
+        rows.append((uid, x, y))
+        cloaks[uid] = rect
+    return CloakingPolicy(cloaks, LocationDatabase(rows), name=f"random-{seed}")
+
+
+def _forge_document(root, serial, edit):
+    """Rewrite one commit's document through ``edit`` and checksum it
+    again in the journal's intent record."""
+    journal = PolicyJournal(root)
+    path = os.path.join(root, journal._snapshot_file(serial))
+    raw = canonical_dumps(edit(json.load(open(path)))).encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    records = [json.loads(line) for line in open(journal._journal_path)]
+    for record in records:
+        if record["op"] == "intent" and record["serial"] == serial:
+            record["checksum"] = recovery._digest(raw)
+    with open(journal._journal_path, "w", encoding="utf-8") as handle:
+        handle.write("".join(canonical_dumps(r) + "\n" for r in records))
+
+
+def _forge_arrays(root, serial, mutate):
+    """Rewrite one commit's arrays file through ``mutate`` and checksum
+    it again all the way up: the document names the forged file's digest
+    and the journal's intent the forged document's."""
+    path = os.path.join(root, PolicyJournal._arrays_file(serial))
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    mutate(arrays)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    with open(path, "wb") as handle:
+        handle.write(buffer.getvalue())
+
+    def rename(document):
+        document["arrays"]["checksum"] = recovery._digest(buffer.getvalue())
+        return document
+
+    _forge_document(root, serial, rename)
+
+
+def _set_ids(arrays, edit):
+    ids = decode_ids(arrays["policy/ids"], "ids")
+    edit(ids)
+    arrays["policy/ids"] = encode_ids(ids)
+
+
+def _user_outside(arrays):
+    box = arrays["policy/boxes"][arrays["policy/group"][0]]
+    arrays["policy/coords"][0] = (box[2] + 1.0, box[3])
+
+
+#: forgeries of a policy's rows that keep every checksum intact.
+FORGERIES = {
+    "user-outside-cloak": _user_outside,
+    "duplicate-id": lambda a: _set_ids(a, lambda ids: ids.__setitem__(1, ids[0])),
+    "id-count": lambda a: _set_ids(a, lambda ids: ids.pop()),
+    "group-out-of-range": lambda a: a["policy/group"].__setitem__(
+        0, len(a["policy/boxes"])
+    ),
+    "group-dtype": lambda a: a.__setitem__(
+        "policy/group", a["policy/group"].astype(np.int64)
+    ),
+    "coords-shape": lambda a: a.__setitem__(
+        "policy/coords", a["policy/coords"][:-1]
+    ),
+    "degenerate-box": lambda a: a["policy/boxes"].__setitem__(
+        0, a["policy/boxes"][0][[2, 1, 0, 3]]
+    ),
+    "object-ids": lambda a: a.__setitem__(
+        "policy/ids", a["policy/ids"].astype(object)
+    ),
+    "missing-boxes": lambda a: a.pop("policy/boxes"),
+    "nested-ids": lambda a: a.__setitem__(
+        "policy/ids", np.frombuffer(b"[" * 5000 + b"]" * 5000, np.uint8)
+    ),
+}
+
+
+class TestPolicyArrays:
+    """The policy is journalled as rows in ``.arrays.npz`` and restored
+    through ``CloakingPolicy.from_rows``: it round-trips item for item,
+    and a forged file fails closed even with every checksum intact."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_round_trip_keeps_items_order_and_cloak_sharing(self, journal, seed):
+        policy = _random_policy(seed)
+        journal.commit(policy, seed, FINGERPRINT)
+        restored = journal.recover().policy
+        assert restored.name == policy.name
+        assert list(restored.items()) == list(policy.items())
+        assert list(restored.db.rows()) == list(policy.db.rows())
+
+        def sharing(p):
+            first = {}
+            return [first.setdefault(id(r), len(first)) for __, r in p.items()]
+
+        assert sharing(restored) == sharing(policy)
+
+    def test_non_rect_cloak_is_refused_before_any_write(self, tmp_path):
+        db = LocationDatabase([("a", 1.0, 1.0), ("b", 5.0, 5.0)])
+        policy = CloakingPolicy(
+            {"a": Rect(0, 0, 8, 8), "b": Circle(Point(4.0, 4.0), 4.0)}, db
+        )
+        single = PolicyJournal(str(tmp_path / "single"))
+        roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
+        with pytest.raises(ReproError, match="rectangles only"):
+            single.commit(policy, 0, FINGERPRINT)
+        with pytest.raises(ReproError, match="rectangles only"):
+            QuorumJournal(roots).commit(policy, 0, FINGERPRINT)
+        for root in [single.root] + roots:
+            assert os.listdir(root) == []
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_forged_arrays_fail_closed(self, journal, forgery):
+        journal.commit(build_policy(), 0, FINGERPRINT)
+        _forge_arrays(journal.root, 0, FORGERIES[forgery])
+        with pytest.raises(RecoveryError) as err:
+            journal.recover()
+        assert err.value.reason == "corrupt"
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_forged_replica_is_outvoted_and_repaired(self, tmp_path, forgery):
+        roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
+        quorum = QuorumJournal(roots)
+        policy = build_policy()
+        quorum.commit(policy, 0, FINGERPRINT)
+        _forge_arrays(roots[0], 0, FORGERIES[forgery])
+        snapshot = quorum.recover()
+        assert_bit_identical(policy, snapshot.policy)
+        assert quorum.last_recovery.repaired == (0,)
+        assert quorum.last_recovery.replica_states == ("corrupt", "ok", "ok")
+        assert _journal_files(roots[0]) == _journal_files(roots[1])
+
+
+#: document headers of the wrong shape, checksummed as if committed.
+FORGED_HEADERS = {
+    "not-an-object": lambda doc: [doc],
+    "version-not-an-int": lambda doc: dict(doc, version="three"),
+    "fingerprint-not-an-object": lambda doc: dict(doc, fingerprint=["k"]),
+    "state-not-an-object": lambda doc: dict(doc, state="fresh"),
+    "age-not-an-int": lambda doc: dict(
+        doc, state={"policy_age": "0", "rung": "fresh"}
+    ),
+}
+
+
+class TestForgedHeader:
+    """A document header of the wrong shape fails closed as corrupt, so
+    on a quorum the healthy replicas outvote and repair it instead of
+    the error escaping recovery."""
+
+    STATE = {"policy_age": 0, "rung": "fresh"}
+
+    @pytest.mark.parametrize("forgery", sorted(FORGED_HEADERS))
+    def test_single_journal_fails_closed(self, journal, forgery):
+        journal.commit(build_policy(), 0, FINGERPRINT, state=self.STATE)
+        _forge_document(journal.root, 0, FORGED_HEADERS[forgery])
+        with pytest.raises(RecoveryError) as err:
+            journal.recover()
+        assert err.value.reason == "corrupt"
+
+    @pytest.mark.parametrize("forgery", sorted(FORGED_HEADERS))
+    def test_forged_replica_is_outvoted_and_repaired(self, tmp_path, forgery):
+        roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
+        quorum = QuorumJournal(roots)
+        policy = build_policy()
+        quorum.commit(policy, 0, FINGERPRINT, state=self.STATE)
+        _forge_document(roots[0], 0, FORGED_HEADERS[forgery])
+        assert_bit_identical(policy, quorum.recover().policy)
+        assert quorum.last_recovery.repaired == (0,)
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "journal_golden")
 
 
 def write_golden_commits(journal):
     """The two fixed commits behind ``tests/data/journal_golden``.
 
-    A 60-user policy with a trajectory ledger (an uncompressed
-    ``.ledger.npz``) and no DP sidecar (compressed ``.npz`` bytes depend
-    on the zlib build).  Returns the policy and the last committed
-    ledger state.
+    A 60-user flat-engine policy with its DP sidecar and a trajectory
+    ledger; every ``.npz`` is uncompressed, so the bytes do not depend
+    on the zlib build.  Returns the policy, the last committed ledger
+    state and the solution.
     """
-    policy = build_policy(seed=7, n=60)
+    db = uniform_users(60, REGION, seed=7)
+    solution = solve_flat(BinaryTree.build(REGION, db, K), K)
+    policy = solution.policy()
     ids = sorted(policy.db.user_ids())
     ledger = TrajectoryLedger(window=3)
     state = None
@@ -993,9 +1252,10 @@ def write_golden_commits(journal):
             policy,
             serial,
             FINGERPRINT,
+            solution=solution,
             state={"policy_age": age, "rung": rung, "trajectory": state},
         )
-    return policy, state
+    return policy, state, solution
 
 
 def _journal_files(root):
@@ -1018,10 +1278,12 @@ class TestEncodedBytes:
         expected = _journal_files(os.path.join(GOLDEN, "single"))
         assert sorted(expected) == [
             "journal.log",
+            "snapshot-000000.arrays.npz",
             "snapshot-000000.json",
-            "snapshot-000000.ledger.npz",
+            "snapshot-000000.npz",
+            "snapshot-000001.arrays.npz",
             "snapshot-000001.json",
-            "snapshot-000001.ledger.npz",
+            "snapshot-000001.npz",
         ]
         write_golden_commits(PolicyJournal(str(tmp_path / "single")))
         assert _journal_files(str(tmp_path / "single")) == expected
@@ -1031,7 +1293,7 @@ class TestEncodedBytes:
             assert _journal_files(root) == _journal_files(golden)
 
     def test_golden_fixture_restores(self, tmp_path):
-        policy, state = write_golden_commits(
+        policy, state, solution = write_golden_commits(
             PolicyJournal(str(tmp_path / "scratch"))
         )
         shutil.copytree(GOLDEN, str(tmp_path / "golden"))
@@ -1048,6 +1310,10 @@ class TestEncodedBytes:
             assert snapshot.rung == "stale"
             assert same_ledger_state(snapshot.trajectory, state)
             assert_bit_identical(policy, snapshot.policy)
+            assert snapshot.dp_structure == flat_structure_digest(
+                solution.flat, K, True
+            )
+            assert len(snapshot.dp_vecs) == solution.flat.n_nodes
         assert quorum.last_recovery.repaired == ()
 
     def _assert_refused(self, tmp_path, version, why):
@@ -1079,37 +1345,50 @@ class TestEncodedBytes:
 
     def test_previous_ledger_version_is_never_misread(self, tmp_path):
         """``v2/`` holds the same two commits with ledger state version 2
-        (the intern table as a numpy ``<U`` array): the documents are
-        of today's format, the ledger files are not."""
-        self._assert_refused(
-            tmp_path, "v2", "unknown trajectory ledger state version 2"
-        )
+        (the intern table as a numpy ``<U`` array) in journal version 2,
+        so its documents are refused first.  A ledger of another state
+        version inside a journal of today's version is refused by
+        ``TestLedgerFile::test_forged_ledger_fails_closed``."""
+        self._assert_refused(tmp_path, "v2", "unknown format/version")
+
+    def test_json_policy_journal_is_never_misread(self, tmp_path):
+        """``v2-ledger3/`` holds the same two commits in journal version
+        2: the policy as per-user JSON in the document, the ledger
+        (state version 3) in its own ``.ledger.npz``."""
+        self._assert_refused(tmp_path, "v2-ledger3", "unknown format/version")
 
     def test_quorum_commit_encodes_once(self, provider, roots, monkeypatch):
-        """One CSP tick is one 3-replica commit: the document and the DP
-        sidecar are encoded once and every replica holds their bytes."""
+        """One CSP tick is one 3-replica commit: the policy rows, the
+        arrays file and the DP sidecar are encoded once and every
+        replica holds their bytes."""
         db = uniform_users(90, REGION, seed=11)
         csp = CSP(REGION, K, db, provider, journal=QuorumJournal(roots))
         encodes = []
-        real_savez = np.savez_compressed
+        real_rows = recovery._policy_arrays
+        real_savez = np.savez
 
-        def spy_doc(policy):
-            encodes.append("document")
-            return policy_to_dict(policy)
+        def spy_rows(policy):
+            encodes.append("rows")
+            return real_rows(policy)
 
         def spy_npz(*args, **kwargs):
-            encodes.append("sidecar")
+            encodes.append("npz")
             return real_savez(*args, **kwargs)
 
-        monkeypatch.setattr(recovery, "policy_to_dict", spy_doc)
-        monkeypatch.setattr(np, "savez_compressed", spy_npz)
+        monkeypatch.setattr(recovery, "_policy_arrays", spy_rows)
+        monkeypatch.setattr(np, "savez", spy_npz)
         report = csp.advance_snapshot(
             random_moves(db, 0.1, REGION, max_distance=100.0, seed=5)
         )
         assert report.promoted
-        assert sorted(encodes) == ["document", "sidecar"]
+        # One arrays file and one DP sidecar.
+        assert sorted(encodes) == ["npz", "npz", "rows"]
         serial = csp.manager.world_serial
-        for name in (f"snapshot-{serial:06d}.json", f"snapshot-{serial:06d}.npz"):
+        for name in (
+            f"snapshot-{serial:06d}.json",
+            f"snapshot-{serial:06d}.npz",
+            f"snapshot-{serial:06d}.arrays.npz",
+        ):
             copies = {
                 open(os.path.join(root, name), "rb").read() for root in roots
             }
