@@ -8,7 +8,10 @@ side:
 1. a single :class:`IncrementalAnonymizer` repairing its DP matrix each
    snapshot (Figure 5(b)'s machinery);
 2. a :class:`RebalancingPool` of four servers maintaining jurisdictions
-   as density shifts (the paper's §V future-work item);
+   as density shifts (the paper's §V future-work item), one
+   :class:`EpochManager` per jurisdiction: a server whose movers all
+   stayed inside repairs like view 1, one that a mover left or entered
+   re-fits;
 3. the trajectory-linking attacker of the paper's *other* future-work
    item, measuring how per-snapshot anonymity erodes for a tracked user.
 

@@ -44,9 +44,6 @@ class Configuration:
         except KeyError:
             raise ConfigurationError(f"no value for node {node_id}") from None
 
-    def value_of(self, node) -> int:
-        return self[node.node_id]
-
     def cloaked_at(self, node) -> int:
         """How many locations node ``m`` itself cloaks.
 

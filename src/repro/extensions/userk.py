@@ -54,10 +54,6 @@ def _vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _vec_le(a: Vector, b: Vector) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _group_valid(g: Vector, ks: Sequence[int]) -> bool:
     """The generalized k-summation clause for a cloaked vector ``g``."""
     total = sum(g)

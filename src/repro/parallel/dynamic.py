@@ -6,13 +6,14 @@ server pool for highly dynamic fluctuations of the population density."
 This module implements that future work at the algorithmic level:
 
 * a :class:`RebalancingPool` keeps a greedy jurisdiction partition alive
-  across location snapshots;
+  across location snapshots, one
+  :class:`~repro.streaming.epoch.EpochManager` per populated jurisdiction;
 * each snapshot, moved users are re-routed to their (possibly new)
-  jurisdiction and only the *affected* jurisdictions re-solve their
-  local policies;
+  jurisdiction: one whose movers all stayed inside repairs in place
+  (§IV), one that a mover left or entered re-fits;
 * when the load imbalance (max/mean users per non-empty jurisdiction)
   drifts past a threshold, the map is re-partitioned from a fresh tree
-  and every server re-solves — the paper's "static partition per
+  and every server re-fits — the paper's "static partition per
   representative snapshot" generalized to an online trigger;
 * when a server is lost for good (:meth:`RebalancingPool.server_failed`,
   or the engine's ``on_failure='handoff'``), its territory is
@@ -38,13 +39,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.binary_dp import solve
 from ..core.errors import ReproError, ServiceUnavailableError
 from ..core.flat_dp import _extract_rows, solve_arrays
 from ..core.geometry import Point, Rect
 from ..core.locationdb import LocationDatabase
 from ..core.policy import CloakingPolicy
 from ..robustness.chaos import kill_current_process
+from ..streaming.epoch import EpochManager
 from ..trees.binarytree import BinaryTree
 from ..trees.flat import FlatTree
 from ..trees.partition import Jurisdiction, greedy_partition
@@ -272,10 +273,10 @@ class RebalancingPool:
         self.db: Optional[LocationDatabase] = None
         self._jurisdictions: List[Jurisdiction] = []
         self._members: Dict[int, Set[str]] = {}
-        self._policies: Dict[int, Optional[CloakingPolicy]] = {}
+        #: node_id → the manager owning that server's policy (None while
+        #: the jurisdiction is empty).
+        self._managers: Dict[int, Optional[EpochManager]] = {}
         self._jurisdiction_of: Dict[str, int] = {}
-        #: shard node_id → adopting survivor node_id, for live hand-offs.
-        self._adopted_by: Dict[int, int] = {}
         self._next_shard_id: Optional[int] = None
         #: lifetime counters
         self.repartition_count = 0
@@ -313,33 +314,25 @@ class RebalancingPool:
             for node_id, members in self._members.items()
             for uid in members
         }
-        self._policies = {}
         # A repartition dissolves any live hand-off shards.
-        self._adopted_by = {}
+        self._managers = {}
         for jur in self._jurisdictions:
-            self._solve_jurisdiction(jur.node_id)
+            self._refit(jur)
         self.repartition_count += 1
 
-    def _solve_jurisdiction(self, node_id: int) -> None:
-        members = self._members[node_id]
+    def _refit(self, jur: Jurisdiction) -> None:
+        """A fresh manager fitted to the jurisdiction's population."""
+        members = self._members[jur.node_id]
         if not members:
-            self._policies[node_id] = None
+            self._managers[jur.node_id] = None
             return
-        jur = self._by_id(node_id)
-        local_db = self.db.subset(sorted(members))
-        tree = BinaryTree.build(
-            jur.rect, local_db, self.k, max_depth=self.max_depth
-        )
-        self._policies[node_id] = solve(tree, self.k).policy(
-            name=f"server-{node_id}"
+        self._managers[jur.node_id] = EpochManager(
+            jur.rect,
+            self.k,
+            self.db.subset(sorted(members)),
+            max_depth=self.max_depth,
         )
         self.resolve_count += 1
-
-    def _by_id(self, node_id: int) -> Jurisdiction:
-        for jur in self._jurisdictions:
-            if jur.node_id == node_id:
-                return jur
-        raise ReproError(f"unknown jurisdiction {node_id}")
 
     def _route(self, point: Point) -> int:
         """The jurisdiction whose rectangle holds ``point`` (first match,
@@ -353,20 +346,23 @@ class RebalancingPool:
 
     def advance(self, moves: Mapping[str, Point]) -> PoolReport:
         """Next snapshot: apply moves, re-solve what changed, re-balance
-        if the load drifted too far."""
+        if the load drifted too far.  A manager cannot add or remove
+        users, so a jurisdiction a mover left or entered re-fits; the
+        others repair in place."""
         db = self._require_fit()
         self.db = db.with_moves(moves)
 
-        dirty: Set[int] = set()
+        moved: Dict[int, Dict[str, Point]] = {}
+        touched: Set[int] = set()
         crossed = 0
         for uid, new_point in moves.items():
             uid = str(uid)
             old_id = self._jurisdiction_of[uid]
             new_id = self._route(new_point)
-            dirty.add(old_id)
+            moved.setdefault(old_id, {})[uid] = new_point
             if new_id != old_id:
                 crossed += 1
-                dirty.add(new_id)
+                touched.update((old_id, new_id))
                 self._members[old_id].discard(uid)
                 self._members[new_id].add(uid)
                 self._jurisdiction_of[uid] = new_id
@@ -389,12 +385,16 @@ class RebalancingPool:
                 imbalance=self.current_imbalance(),
             )
 
-        for node_id in dirty:
-            self._solve_jurisdiction(node_id)
+        for jur in self._jurisdictions:
+            if jur.node_id in touched:
+                self._refit(jur)
+            elif jur.node_id in moved:
+                self._managers[jur.node_id].advance(moved[jur.node_id])
+                self.resolve_count += 1
         return PoolReport(
             moved_users=len(moves),
             crossed_jurisdictions=crossed,
-            resolved_jurisdictions=len(dirty),
+            resolved_jurisdictions=len(set(moved) | touched),
             repartitioned=False,
             imbalance=imbalance,
         )
@@ -409,19 +409,22 @@ class RebalancingPool:
         fine policy-aware optimal cloaks — not the coarse territory
         rectangle), and each shard assigned to a rectangle-adjacent
         least-loaded survivor.  Shards then live as first-class
-        jurisdictions: later :meth:`advance` calls route moves into them
-        and re-solve them like any other server, and the next
-        repartition dissolves them back into a balanced pool.
+        jurisdictions, each a manager adopting its shard policy: later
+        :meth:`advance` calls route moves into them and repair or re-fit
+        them like any other server, and the next repartition dissolves
+        them back into a balanced pool.
         """
         start = time.perf_counter()
         db = self._require_fit()
-        dead = self._by_id(node_id)
+        dead = next((j for j in self._jurisdictions if j.node_id == node_id), None)
+        if dead is None:
+            raise ReproError(f"unknown jurisdiction {node_id}")
         members = sorted(self._members.get(node_id, set()))
         self._jurisdictions = [
             j for j in self._jurisdictions if j.node_id != node_id
         ]
         self._members.pop(node_id, None)
-        self._policies.pop(node_id, None)
+        self._managers.pop(node_id, None)
         self.lost_servers += 1
         if not members:
             return HandoffReport(
@@ -459,11 +462,12 @@ class RebalancingPool:
             self._members[jur.node_id] = shard_members
             for uid in shard_members:
                 self._jurisdiction_of[uid] = jur.node_id
-            self._policies[jur.node_id] = policy
+            self._managers[jur.node_id] = None
             if policy is not None:
+                self._managers[jur.node_id] = EpochManager(
+                    jur.rect, self.k, policy=policy, max_depth=self.max_depth
+                )
                 self.resolve_count += 1
-            if jur.node_id in adopters:
-                self._adopted_by[jur.node_id] = adopters[jur.node_id]
         self._jurisdictions.sort(key=lambda j: j.node_id)
         return HandoffReport(
             dead_node_id=node_id,
@@ -502,9 +506,9 @@ class RebalancingPool:
                 count=len(self._members[jur.node_id]),
                 node_id=jur.node_id,
             )
-            servers.append(
-                ServerPolicy(refreshed, self._policies[jur.node_id])
-            )
+            manager = self._managers[jur.node_id]
+            policy = None if manager is None else manager.active.policy
+            servers.append(ServerPolicy(refreshed, policy))
         return MasterPolicy(servers, db)
 
     @property

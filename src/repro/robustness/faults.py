@@ -127,9 +127,6 @@ class FaultPlan:
     seed: int = 0
     name: str = "plan"
 
-    def for_site(self, site: str) -> Tuple[FaultRule, ...]:
-        return tuple(rule for rule in self.rules if rule.site == site)
-
 
 def _draw(seed: int, site: str, kind: str, key: object, attempt: int) -> float:
     """Pure uniform draw in [0, 1) — the determinism backbone."""

@@ -66,10 +66,6 @@ class BatcherStats:
     #: rounds that failed and fanned the error out to their waiters.
     failed_rounds: int = 0
 
-    @property
-    def keys_per_round(self) -> float:
-        return self.keys_flushed / self.rounds if self.rounds else 0.0
-
 
 class _PendingKey:
     __slots__ = ("key", "request", "future")

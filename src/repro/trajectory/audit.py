@@ -98,11 +98,6 @@ class ServedTrajectories:
     def requests(self) -> int:
         return sum(len(linked) for linked in self._linked.values())
 
-    def trajectory_of(
-        self, user_id: str
-    ) -> Tuple[Tuple[AnonymizedRequest, CloakingPolicy], ...]:
-        return tuple(self._linked.get(str(user_id), ()))
-
     def audit(self, k: int) -> TrajectoryAuditReport:
         """Replay the linking attack against every recorded user."""
         per_user: Dict[str, int] = {}

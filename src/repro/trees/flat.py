@@ -256,10 +256,6 @@ class SharedTreeHandle:
                 return int(shape[0])
         return 0
 
-    @property
-    def has_payload(self) -> bool:
-        return any(name == "rects" for name, __, ___, ____ in self.blocks)
-
 
 class SharedFlatTree:
     """A compiled :class:`FlatTree` published once into POSIX shared
