@@ -140,12 +140,11 @@ def _durability_section(n_users: int) -> Dict[str, object]:
             )
             csp.advance_snapshot(moves)
         expected = {uid: cloak for uid, cloak in csp.policy.items()}
+        provider = csp.base_provider
         del csp
 
         start = time.perf_counter()
-        restored = CSP.restore(
-            _make_csp(n_users).base_provider, QuorumJournal(roots)
-        )
+        restored = CSP.restore(provider, QuorumJournal(roots))
         restore_seconds = time.perf_counter() - start
         bit_identical = all(
             restored.policy.cloak_for(uid) == cloak

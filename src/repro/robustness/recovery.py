@@ -47,6 +47,24 @@ a non-masking policy, and any file that does not rebuild — torn,
 altered, from another commit, with object arrays, bad shapes, duplicate
 ids or a non-masking row — fails the restore closed.
 
+A :class:`QuorumJournal` commit that repairs the previous commit's
+state with a batch of moves is written as a **delta** instead: one
+uncompressed ``snapshot-NNNNNN.delta.npz`` holding a canonical-JSON
+``header`` (serial, policy name, ``state`` block, the ``base`` commit's
+serial and checksum, and a ``digest`` of the repaired solution), the
+move batch (``moves/ids``, ``moves/coords``) and, with the trajectory
+defense on, the ledger rows folded since the base
+(:meth:`~repro.trajectory.ledger.TrajectoryLedger.delta_state`).  Its
+intent record names the base serial.  Recovery restores the chain's
+**checkpoint** (a full commit, as below) and replays each delta through
+:meth:`~repro.core.anonymizer.IncrementalAnonymizer.update`, merges its
+ledger rows and extracts the policy once; a chain with a gap, a delta
+that fails its checksum or names another base, and a replay whose
+digest differs all fail closed.  A commit is a checkpoint when it
+carries no moves, when its base did not reach every replica, and when
+the deltas since the last checkpoint would reach that checkpoint's
+size — so a replay never reads more than one checkpoint's bytes.
+
 Alongside the policy, a committed snapshot may carry a **DP sidecar**:
 the flat engine's per-node cost vectors (an uncompressed ``.npz``).  On
 restore the (deterministic) tree is rebuilt from the journalled
@@ -62,6 +80,7 @@ privacy never depends on it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import io
@@ -73,12 +92,24 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    cast,
+)
 
 import numpy as np
 
+from ..core.anonymizer import IncrementalAnonymizer
 from ..core.errors import RecoveryError, ReproError
-from ..core.geometry import Rect
+from ..core.geometry import Point, Rect
 from ..core.locationdb import LocationDatabase
 from ..core.policy import CloakingPolicy
 from ..core.serialization import (
@@ -89,6 +120,9 @@ from ..core.serialization import (
     file_checksum,
 )
 
+if TYPE_CHECKING:  # runtime import would cycle: trajectory imports epoch
+    from ..trajectory.ledger import TrajectoryLedger
+
 __all__ = [
     "EncodedCommit",
     "PolicyJournal",
@@ -98,6 +132,7 @@ __all__ = [
     "SOLVER_FINGERPRINT",
     "flat_structure_digest",
     "rehydrate_flat_solution",
+    "resume_shadow",
 ]
 
 #: the solver settings behind every journalled policy.  Journals written
@@ -113,6 +148,8 @@ _VERSION = 3
 _JOURNAL_FILE = "journal.log"
 #: the arrays-file key prefix of the trajectory ledger's state.
 _LEDGER_PREFIX = "trajectory/"
+#: the fingerprint entries a delta's replay rebuilds the solver from.
+_REPLAY_KEYS = ("region", "k", "max_depth")
 _XY = operator.attrgetter("x", "y")
 _BOX = operator.attrgetter("x1", "y1", "x2", "y2")
 
@@ -206,6 +243,35 @@ def _policy_arrays(policy: CloakingPolicy) -> Dict[str, np.ndarray]:
     }
 
 
+def _solution_digest(solution, policy: CloakingPolicy) -> Dict[str, object]:
+    """What a delta's replay must reproduce: the repaired solution's
+    optimal cost and the policy's number of distinct cloaks."""
+    # Dedupe by identity first: extraction shares one cloak per group.
+    distinct = {id(cloak): cloak for __, cloak in policy.items()}
+    return {"cost": float(solution.optimal_cost), "groups": len(set(distinct.values()))}
+
+
+def _ledger_state(trajectory) -> Mapping[str, np.ndarray]:
+    """A ``state["trajectory"]`` entry as state arrays: a ledger's
+    :meth:`~repro.trajectory.ledger.TrajectoryLedger.to_state`, or the
+    arrays as given."""
+    to_state = getattr(trajectory, "to_state", None)
+    return trajectory if to_state is None else to_state()
+
+
+def _arrays_error(file: str, exc: Exception) -> RecoveryError:
+    return RecoveryError(
+        f"snapshot arrays {file!r}: {exc}; refusing to restore "
+        "a policy or served history it cannot prove",
+        reason="corrupt",
+    )
+
+
+def _state_ok(state: object) -> bool:
+    """A header's ``state`` block has the shape a commit writes."""
+    return isinstance(state, dict) and type(state.get("policy_age", 0)) is int
+
+
 def _policy_from_arrays(arrays: Mapping[str, np.ndarray], name: str) -> CloakingPolicy:
     """The policy :func:`_policy_arrays` wrote, masking re-checked.
 
@@ -235,19 +301,115 @@ def _policy_from_arrays(arrays: Mapping[str, np.ndarray], name: str) -> Cloaking
 
 @dataclass(frozen=True)
 class EncodedCommit:
-    """One commit's bytes (:meth:`PolicyJournal.encode`), written as they
-    are to every journal that receives it."""
+    """One commit's bytes (:meth:`PolicyJournal.encode` for a checkpoint,
+    :meth:`PolicyJournal.encode_delta` for a delta), written as they are
+    to every journal that receives it."""
 
     serial: int
-    #: the snapshot document (its header) in canonical JSON.
+    #: a checkpoint's snapshot document (its header) in canonical JSON,
+    #: or a delta's whole ``.delta.npz``.
     document: bytes = field(repr=False)
     #: digest of ``document`` — what the intent record names.
     checksum: str
-    #: the ``.arrays.npz`` bytes: the policy's rows and, with the
-    #: trajectory defense on, the ledger's arrays.
-    arrays: bytes = field(repr=False)
+    #: a checkpoint's ``.arrays.npz`` bytes: the policy's rows and, with
+    #: the trajectory defense on, the ledger's arrays.
+    arrays: Optional[bytes] = field(default=None, repr=False)
     #: the DP sidecar's ``.npz`` bytes, ``None`` for a policy alone.
     sidecar: Optional[bytes] = field(default=None, repr=False)
+    #: a delta's base serial; ``None`` for a checkpoint.
+    base: Optional[int] = None
+
+    @property
+    def file(self) -> str:
+        """The name of the file the intent record names."""
+        if self.base is None:
+            return PolicyJournal._snapshot_file(self.serial)
+        return PolicyJournal._delta_file(self.serial)
+
+    @property
+    def size(self) -> int:
+        """Bytes this commit writes (log records aside)."""
+        return sum(
+            len(part)
+            for part in (self.document, self.arrays, self.sidecar)
+            if part is not None
+        )
+
+
+@dataclass(frozen=True)
+class _Head:
+    """The newest durable commit a :class:`QuorumJournal` extends, and
+    what its chain has written since the checkpoint."""
+
+    serial: int
+    checksum: str
+    #: bytes of the chain's checkpoint.
+    checkpoint: int
+    #: bytes of the deltas written on it since.
+    deltas: int = 0
+
+    @staticmethod
+    def after(head: Optional["_Head"], encoded: EncodedCommit) -> "_Head":
+        """The head once ``encoded`` is durable; a delta extends ``head``."""
+        if encoded.base is None:
+            return _Head(encoded.serial, encoded.checksum, encoded.size)
+        assert head is not None
+        return _Head(
+            encoded.serial, encoded.checksum, head.checkpoint,
+            head.deltas + encoded.size,
+        )
+
+
+@dataclass(frozen=True)
+class _Link:
+    """One committed file of a chain: a checkpoint's document or a
+    delta, read and checked against its intent record."""
+
+    serial: int
+    intent: Mapping[str, object]
+    raw: bytes = field(repr=False)
+
+    @property
+    def checksum(self) -> str:
+        return str(self.intent["checksum"])
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A journal's newest committed chain with every byte of its
+    privacy state read and checked (:meth:`PolicyJournal._read_chain`),
+    nothing decoded yet."""
+
+    #: checkpoint first, the newest commit last.
+    links: List[_Link]
+    #: the checkpoint's header, format-checked.
+    document: Dict[str, object] = field(repr=False)
+    #: the checkpoint's arrays file, checksum-checked.
+    arrays: bytes = field(repr=False)
+    torn_tail: bool
+    #: every committed serial of the journal.
+    serials: List[int]
+
+    @property
+    def identity(self) -> Tuple[int, str]:
+        """What quorum recovery votes on: equal identities name
+        byte-identical chains."""
+        return self.links[-1].serial, self.links[-1].checksum
+
+
+@dataclass(frozen=True)
+class _Delta:
+    """A decoded delta: what its replay applies and must reproduce."""
+
+    serial: int
+    name: str
+    state: Mapping[str, object]
+    digest: Mapping[str, object]
+    moves: Dict[str, Point] = field(repr=False)
+    trajectory: Optional[Dict[str, np.ndarray]] = field(repr=False)
+    #: a chain's first delta: the committer's user ids in tree row
+    #: order, which extraction breaks ties by.
+    order: Optional[List[str]] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -290,6 +452,16 @@ class RecoveredSnapshot:
     #: forget served history and erode linked anonymity below k.
     trajectory: Optional[Dict[str, np.ndarray]] = field(
         default=None, repr=False
+    )
+    #: the ledger recovery checked ``trajectory`` with, for a restore to
+    #: take over instead of adopting the arrays again.
+    ledger: Optional["TrajectoryLedger"] = field(
+        default=None, repr=False, compare=False
+    )
+    #: after a delta replay: the incremental anonymizer holding the
+    #: replayed tree and DP state (``dp_*`` are then ``None``).
+    shadow: Optional[IncrementalAnonymizer] = field(
+        default=None, repr=False, compare=False
     )
 
 
@@ -366,6 +538,144 @@ def rehydrate_flat_solution(tree, snapshot: RecoveredSnapshot, k: int, prune: bo
     return rehydrate_solution(tree, flat, snapshot.dp_vecs, k, prune)
 
 
+def _parse_delta(link: _Link, base: _Link) -> _Delta:
+    """A delta file's header, moves and ledger rows, checked against
+    the ``base`` link it must extend; never unpickles."""
+    try:
+        with np.load(io.BytesIO(link.raw), allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        raw = arrays.pop("header")
+        if raw.dtype != np.uint8 or raw.ndim != 1:
+            raise ValueError("the header is not bytes")
+        header = json.loads(raw.tobytes().decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("the header is not a JSON object")
+        if header.get("format") != _FORMAT or header.get("version") != _VERSION:
+            raise ValueError("unknown format/version")
+        if header.get("serial") != link.serial:
+            raise ValueError(f"it embeds serial {header.get('serial')!r}")
+        if header.get("base") != {"serial": base.serial, "checksum": base.checksum}:
+            raise ValueError(
+                f"it extends {header.get('base')!r}, not the committed "
+                f"serial {base.serial}"
+            )
+        state, digest = header.get("state", {}), header.get("digest")
+        if not _state_ok(state) or not isinstance(digest, dict):
+            raise ValueError("malformed header")
+        ids = decode_ids(arrays["moves/ids"], "the moves' ids")
+        coords = arrays["moves/coords"]
+        if (
+            coords.dtype != np.float64
+            or coords.shape != (len(ids), 2)
+            or len(set(ids)) != len(ids)
+        ):
+            raise ValueError(f"{len(ids)} move ids, coords {coords.shape}")
+        moves = dict(
+            zip(ids, map(Point, coords[:, 0].tolist(), coords[:, 1].tolist()))
+        )
+        order = None
+        if "tree/ids" in arrays:
+            order = decode_ids(arrays.pop("tree/ids"), "the tree's row order")
+    except (
+        KeyError, ValueError, RecursionError, zipfile.BadZipFile, ReproError
+    ) as exc:
+        raise RecoveryError(
+            f"delta {link.intent['file']!r}: {exc}; refusing to replay it",
+            reason="corrupt",
+        ) from exc
+    trajectory = {
+        key[len(_LEDGER_PREFIX):]: value
+        for key, value in arrays.items()
+        if key.startswith(_LEDGER_PREFIX)
+    }
+    return _Delta(
+        link.serial, str(header.get("name", "loaded")), state, digest,
+        moves, trajectory or None, order,
+    )
+
+
+def resume_shadow(
+    snapshot: RecoveredSnapshot,
+    shadow: IncrementalAnonymizer,
+    db: Optional[LocationDatabase] = None,
+) -> IncrementalAnonymizer:
+    """The incremental anonymizer a restore resumes from.
+
+    A replayed snapshot carries its own; otherwise ``shadow`` (fresh,
+    with the journal's region, ``k`` and depth) adopts the checkpoint:
+    the tree is rebuilt from the recovered locations — ``db``, when
+    given, holds them in the row order to build with — and the DP is
+    warm when the sidecar validates, cold (``solution`` ``None``)
+    otherwise.
+    """
+    if snapshot.shadow is not None:
+        return snapshot.shadow
+    if db is None:
+        db = snapshot.policy.db
+    shadow.restore(db, snapshot.policy, solution=None)
+    shadow.solution = rehydrate_flat_solution(shadow.tree, snapshot, shadow.k)
+    return shadow
+
+
+def _replay(checkpoint: RecoveredSnapshot, deltas: Sequence[_Delta]) -> RecoveredSnapshot:
+    """The state after ``deltas``, replayed onto ``checkpoint``.
+
+    Each delta's moves repair the checkpoint's tree and DP through
+    :meth:`~repro.core.anonymizer.IncrementalAnonymizer.update` and its
+    ledger rows merge into the checkpoint's ledger; the policy is
+    extracted once, at the end, and must match the last delta's digest.
+    Anything that does not replay raises :class:`RecoveryError`.
+    """
+    last, order = deltas[-1], deltas[0].order
+    fp = checkpoint.fingerprint
+    try:
+        # Extraction breaks ties by tree row, so the tree is rebuilt in
+        # the committer's row order, not the checkpoint's policy order.
+        db = checkpoint.policy.db
+        if order is None or len(order) != len(db):
+            raise ReproError("the chain's first delta lacks the tree's row order")
+        region = Rect(*[float(v) for v in fp["region"]])  # type: ignore[union-attr]
+        shadow = resume_shadow(
+            checkpoint,
+            IncrementalAnonymizer(
+                region, int(fp["k"]), max_depth=int(fp["max_depth"])  # type: ignore[arg-type]
+            ),
+            db.subset(order),
+        )
+        ledger = checkpoint.ledger
+        for delta in deltas:
+            shadow.update(delta.moves)
+            if delta.trajectory is not None:
+                if ledger is None:
+                    raise ReproError("ledger rows without a ledger")
+                ledger.merge_delta(delta.trajectory)
+        policy, __ = shadow.solution.extract(last.name)  # type: ignore[union-attr]
+        replayed = _solution_digest(shadow.solution, policy)
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise RecoveryError(
+            f"delta chain to serial {last.serial} does not replay: {exc}",
+            reason="corrupt",
+        ) from exc
+    if replayed != last.digest:
+        raise RecoveryError(
+            f"delta chain to serial {last.serial} replays to {replayed}, "
+            f"but its committer held {last.digest}; refusing to serve it",
+            reason="corrupt",
+        )
+    return dataclasses.replace(
+        checkpoint,
+        policy=policy,
+        serial=last.serial,
+        dp_vecs=None,
+        dp_structure=None,
+        dp_layout=None,
+        policy_age=last.state.get("policy_age", 0),  # type: ignore[arg-type]
+        rung=str(last.state.get("rung", "fresh")),
+        trajectory=None if ledger is None else ledger.to_state(),
+        shadow=shadow,
+    )
+
+
 class PolicyJournal:
     """A write-ahead journal of committed (policy, db-serial) snapshots.
 
@@ -376,9 +686,10 @@ class PolicyJournal:
 
     ``keep_last`` bounds disk for long-lived deployments: after every
     commit the journal retains only the newest ``keep_last`` committed
-    serials — older snapshot/sidecar files are deleted and the log is
-    compacted to just the surviving intent/commit pairs (see
-    :meth:`prune`).  Recovery needs exactly one committed serial, so any
+    serials and the serials their delta chains replay from — older
+    files are deleted and the log is compacted to just the surviving
+    intent/commit pairs (see :meth:`prune`).  Recovery needs one
+    committed serial and its chain, so any
     ``keep_last ≥ 1`` preserves restartability; restores that *require*
     a pruned serial (e.g. a ``current_serial`` bound that only an older
     snapshot could satisfy) fail closed exactly like any other missing
@@ -395,8 +706,17 @@ class PolicyJournal:
     # -- writing -------------------------------------------------------------
 
     def _append(self, record: Mapping[str, object]) -> None:
-        with open(self._journal_path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_dumps(dict(record)) + "\n")
+        with open(self._journal_path, "a+b") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    # A crash mid-append left a partial line, a record
+                    # never committed: drop it, or this record would
+                    # extend it into a corrupt line mid-history.
+                    handle.seek(0)
+                    handle.truncate(handle.read().rfind(b"\n") + 1)
+            handle.write((canonical_dumps(dict(record)) + "\n").encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -412,11 +732,16 @@ class PolicyJournal:
     def _arrays_file(serial: int) -> str:
         return f"snapshot-{serial:06d}.arrays.npz"
 
-    def _artifacts(self, serial: int) -> Tuple[str, str, str]:
+    @staticmethod
+    def _delta_file(serial: int) -> str:
+        return f"snapshot-{serial:06d}.delta.npz"
+
+    def _artifacts(self, serial: int) -> Tuple[str, str, str, str]:
         return (
             self._snapshot_file(serial),
             self._sidecar_file(serial),
             self._arrays_file(serial),
+            self._delta_file(serial),
         )
 
     def commit(
@@ -430,8 +755,9 @@ class PolicyJournal:
     ) -> str:
         """Durably commit one (policy, db-serial) pair; returns its checksum.
 
-        ``policy`` is a policy to :meth:`encode` with the other
-        arguments, or an :class:`EncodedCommit` written as it is.
+        ``policy`` is a policy to :meth:`encode` (a checkpoint) with the
+        other arguments, or an :class:`EncodedCommit` — a checkpoint or
+        a delta — written as it is.
         ``_chaos`` is the quorum layer's destruction hook: it is called
         with ``"intent"`` after the intent record is durable and with
         ``"snapshot"`` after the snapshot document is renamed into
@@ -448,19 +774,19 @@ class PolicyJournal:
         ):
             if payload is not None:
                 atomic_write_bytes(os.path.join(self.root, name), payload)
-        snapshot_name = self._snapshot_file(encoded.serial)
-        self._append(
-            {
-                "op": "intent",
-                "serial": encoded.serial,
-                "file": snapshot_name,
-                "checksum": encoded.checksum,
-            }
-        )
+        intent: Dict[str, object] = {
+            "op": "intent",
+            "serial": encoded.serial,
+            "file": encoded.file,
+            "checksum": encoded.checksum,
+        }
+        if encoded.base is not None:
+            intent["base"] = encoded.base
+        self._append(intent)
         if _chaos is not None:
             _chaos("intent")
         atomic_write_bytes(
-            os.path.join(self.root, snapshot_name), encoded.document
+            os.path.join(self.root, encoded.file), encoded.document
         )
         if _chaos is not None:
             _chaos("snapshot")
@@ -492,7 +818,8 @@ class PolicyJournal:
         checksummed document so a restore inherits accumulated staleness
         instead of silently resetting to fresh.  Its ``"trajectory"``
         entry, a ledger's :meth:`~repro.trajectory.ledger.TrajectoryLedger.
-        to_state` arrays, joins the arrays file under ``trajectory/`` keys.
+        to_state` arrays (or the ledger itself), joins the arrays file
+        under ``trajectory/`` keys.
         """
         arrays = _policy_arrays(policy)
         document: Dict[str, object] = {
@@ -509,7 +836,7 @@ class PolicyJournal:
             }
             trajectory = state.get("trajectory")
             if trajectory is not None:
-                for key, value in trajectory.items():  # type: ignore[attr-defined]
+                for key, value in _ledger_state(trajectory).items():
                     arrays[_LEDGER_PREFIX + key] = value
         # Raw arrays, uncompressed: deflating them costs more than
         # writing them.  The document pins the bytes.
@@ -532,8 +859,63 @@ class PolicyJournal:
         raw = canonical_dumps(document).encode("utf-8")
         return EncodedCommit(int(serial), raw, _digest(raw), packed, payload)
 
+    @staticmethod
+    def encode_delta(
+        policy: CloakingPolicy,
+        serial: int,
+        base: Tuple[int, str],
+        moves: Mapping[str, Point],
+        solution,
+        state: Optional[Mapping[str, object]] = None,
+        ledger_rows: Optional[Mapping[str, np.ndarray]] = None,
+        order: Optional[Sequence[str]] = None,
+    ) -> EncodedCommit:
+        """Build one delta commit's bytes: the moves that repaired the
+        ``base`` commit's state ``(serial, checksum)`` into ``policy``.
+
+        ``solution`` is the repaired solution; its digest (with the
+        policy's) is what a replay must reproduce.  ``ledger_rows`` is
+        a :meth:`~repro.trajectory.ledger.TrajectoryLedger.delta_state`.
+        ``order`` — the user ids in the solution tree's row order — is
+        required when ``base`` is a checkpoint, whose policy rows do not
+        keep that order.  The base's checksum inside the file makes
+        equal (serial, checksum) pairs name equal chains.
+        """
+        header: Dict[str, object] = {
+            "format": _FORMAT,
+            "version": _VERSION,
+            "serial": int(serial),
+            "name": policy.name,
+            "base": {"serial": int(base[0]), "checksum": str(base[1])},
+            "digest": _solution_digest(solution, policy),
+        }
+        if state is not None:
+            header["state"] = {
+                "policy_age": int(state.get("policy_age", 0)),  # type: ignore[arg-type]
+                "rung": str(state.get("rung", "fresh")),
+            }
+        points = list(moves.values())
+        arrays = {
+            "header": np.frombuffer(
+                canonical_dumps(header).encode("utf-8"), np.uint8
+            ),
+            "moves/ids": encode_ids([str(uid) for uid in moves]),
+            "moves/coords": np.array(
+                [(p.x, p.y) for p in points], dtype=np.float64
+            ).reshape(-1, 2),
+        }
+        if order is not None:
+            arrays["tree/ids"] = encode_ids(list(order))
+        for key, value in (ledger_rows or {}).items():
+            arrays[_LEDGER_PREFIX + key] = value
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        raw = buffer.getvalue()
+        return EncodedCommit(int(serial), raw, _digest(raw), base=int(base[0]))
+
     def prune(self, keep_last: int) -> Tuple[int, ...]:
-        """Retain only the newest ``keep_last`` committed serials.
+        """Retain only the newest ``keep_last`` committed serials and the
+        serials their delta chains replay from.
 
         Three steps, ordered so a crash at any point leaves a journal
         that still recovers (pruning must never be the thing that loses
@@ -552,9 +934,23 @@ class PolicyJournal:
         Returns the serials that were pruned.
         """
         _check_keep_last(keep_last)
-        records, __ = self._read_journal()
-        serials = self.committed_serials()
+        return self._prune(self._read_journal()[0], keep_last)
+
+    def _prune(
+        self, records: List[Dict[str, object]], keep_last: int
+    ) -> Tuple[int, ...]:
+        """:meth:`prune` over the journal's parsed ``records``."""
+        serials = self._committed(records)
+        bases = {
+            r["serial"]: r.get("base") for r in records if r.get("op") == "intent"
+        }
         keep = set(serials[-keep_last:])
+        pending = list(keep)
+        while pending:
+            base = bases.get(pending.pop())
+            if base is not None and base not in keep:
+                keep.add(base)
+                pending.append(base)
         dropped = tuple(s for s in serials if s not in keep)
         if not dropped:
             return ()
@@ -640,7 +1036,11 @@ class PolicyJournal:
 
     def committed_serials(self) -> List[int]:
         """Serials with both an intent and a commit record, ascending."""
-        records, __ = self._read_journal()
+        return self._committed(self._read_journal()[0])
+
+    @staticmethod
+    def _committed(records: Sequence[Mapping[str, object]]) -> List[int]:
+        """:meth:`committed_serials` of parsed ``records``."""
         intents = {
             r["serial"] for r in records if r.get("op") == "intent"
         }
@@ -682,19 +1082,62 @@ class PolicyJournal:
         ``current_serial`` is the world's present db serial (e.g. the
         MPC's); recovery refuses when the journalled policy is more than
         ``max_stale_snapshots`` behind it, exactly like the serving-side
-        stale rung.
+        stale rung.  A newest serial that is a delta is replayed onto its
+        chain's checkpoint (see the module docstring).
         """
+        return self._decode(
+            self._read_chain(), fingerprint, current_serial, max_stale_snapshots
+        )
+
+    def _read_chain(self) -> _Chain:
+        """The newest committed serial's chain, each file read and
+        checked against its checksum, the checkpoint's header against
+        its format.  Nothing is decoded."""
         records, torn_tail = self._read_journal()
-        intents = {
-            r["serial"]: r for r in records if r.get("op") == "intent"
-        }
-        serials = self.committed_serials()
+        serials = self._committed(records)
         if not serials:
             raise RecoveryError(
                 "journal holds no committed snapshot", reason="empty"
             )
+        intents = {
+            r["serial"]: r for r in records if r.get("op") == "intent"
+        }
+        committed = set(serials)
+        links: List[_Link] = []
         serial = serials[-1]
-        intent = intents[serial]
+        while True:
+            intent = intents[serial]
+            links.append(_Link(serial, intent, self._read_committed(intent)))
+            base = intent.get("base")
+            if base is None:
+                break
+            if type(base) is not int or base >= serial or base not in committed:
+                raise RecoveryError(
+                    f"delta {intent['file']!r} replays from serial {base!r}, "
+                    "which the journal does not hold committed: the chain "
+                    "has a gap",
+                    reason="corrupt",
+                )
+            serial = base
+        links.reverse()
+        document = self._read_document(links[0])
+        arrays = self._read_arrays(links[0].serial, document.get("arrays"))
+        return _Chain(links, document, arrays, torn_tail, serials)
+
+    def _chain_head(self, chain: _Chain) -> _Head:
+        """The head a writer continues ``chain`` from."""
+        sidecar = os.path.join(self.root, self._sidecar_file(chain.links[0].serial))
+        checkpoint = len(chain.links[0].raw) + len(chain.arrays)
+        if "dp" in chain.document and os.path.exists(sidecar):
+            checkpoint += os.path.getsize(sidecar)
+        return _Head(
+            *chain.identity,
+            checkpoint,
+            sum(len(link.raw) for link in chain.links[1:]),
+        )
+
+    def _read_committed(self, intent: Mapping[str, object]) -> bytes:
+        """The bytes of the file ``intent`` names, checksum-checked."""
         path = os.path.join(self.root, str(intent["file"]))
         if not os.path.exists(path):
             raise RecoveryError(
@@ -709,40 +1152,69 @@ class PolicyJournal:
                 "(torn write or bit flip); refusing to serve it",
                 reason="corrupt",
             )
+        return raw
+
+    @staticmethod
+    def _read_document(link: _Link) -> Dict[str, object]:
+        """A checkpoint's header, its format, serial and shape checked."""
+        name = repr(link.intent["file"])
         try:
-            document = json.loads(raw)
+            document = json.loads(link.raw)
             if not isinstance(document, dict):
                 raise ValueError("not a JSON object")
         except ValueError as exc:
             raise RecoveryError(
-                f"committed snapshot {intent['file']!r} is unreadable: {exc}",
+                f"committed snapshot {name} is unreadable: {exc}",
                 reason="corrupt",
             ) from exc
         if document.get("format") != _FORMAT or document.get("version") != _VERSION:
             raise RecoveryError(
-                f"snapshot {intent['file']!r} has unknown format/version",
+                f"snapshot {name} has unknown format/version",
                 reason="corrupt",
             )
-        if document.get("serial") != serial:
+        if document.get("serial") != link.serial:
             raise RecoveryError(
-                f"snapshot {intent['file']!r} embeds db-serial "
+                f"snapshot {name} embeds db-serial "
                 f"{document.get('serial')!r} but the journal committed "
-                f"{serial}; refusing stale/mismatched state",
+                f"{link.serial}; refusing stale/mismatched state",
                 reason="stale",
             )
-        committed_fp = document.get("fingerprint")
-        state = document.get("state", {})
         # A header of the wrong shape is forged or corrupt: the state
         # block in particular must not silently reset the staleness.
-        if (
-            not isinstance(committed_fp, dict)
-            or not isinstance(state, dict)
-            or type(state.get("policy_age", 0)) is not int
+        if not isinstance(document.get("fingerprint"), dict) or not _state_ok(
+            document.get("state", {})
         ):
             raise RecoveryError(
-                f"snapshot {intent['file']!r} has a malformed header",
+                f"snapshot {name} has a malformed header",
                 reason="corrupt",
             )
+        return document
+
+    def _read_arrays(self, serial: int, meta: object) -> bytes:
+        """The bytes of the arrays file the document names and pins."""
+        file = self._arrays_file(serial)
+        try:
+            if not isinstance(meta, dict) or meta.get("file") != file:
+                raise ValueError("the snapshot names another file")
+            with open(os.path.join(self.root, file), "rb") as handle:
+                raw = handle.read()
+            if _digest(raw) != meta.get("checksum"):
+                raise ValueError("checksum mismatch (torn write or bit flip)")
+        except (OSError, ValueError) as exc:
+            raise _arrays_error(file, exc) from exc
+        return raw
+
+    def _decode(
+        self,
+        chain: _Chain,
+        fingerprint: Optional[Mapping[str, object]],
+        current_serial: Optional[int],
+        max_stale_snapshots: int,
+    ) -> RecoveredSnapshot:
+        """The state a :meth:`_read_chain` chain commits: the checkpoint
+        decoded, then every delta replayed."""
+        links, document = chain.links, chain.document
+        committed_fp = cast(Dict[str, object], document["fingerprint"])
         if fingerprint is not None:
             for key, value in dict(fingerprint).items():
                 if committed_fp.get(key) != value:
@@ -752,26 +1224,33 @@ class PolicyJournal:
                         f"deployment expects {value!r}",
                         reason="fingerprint",
                     )
-        policy_age = state.get("policy_age", 0)
-        rung = str(state.get("rung", "fresh"))
-        _check_stale(policy_age, serial, current_serial, max_stale_snapshots)
-        policy, trajectory = self._load_arrays(
-            serial, document.get("arrays"), str(document.get("name", "loaded"))
+        deltas = [
+            _parse_delta(link, base) for base, link in zip(links, links[1:])
+        ]
+        state = cast(Dict[str, object], document.get("state", {}))
+        policy_age = cast(int, (deltas[-1].state if deltas else state).get("policy_age", 0))
+        _check_stale(
+            policy_age, links[-1].serial, current_serial, max_stale_snapshots
+        )
+        policy, trajectory, ledger = self._load_arrays(
+            links[0].serial, chain.arrays, str(document.get("name", "loaded"))
         )
         dp_vecs, dp_structure, dp_layout = self._load_sidecar(document)
-        return RecoveredSnapshot(
+        snapshot = RecoveredSnapshot(
             policy=policy,
-            serial=serial,
+            serial=links[0].serial,
             fingerprint=committed_fp,
             dp_vecs=dp_vecs,
             dp_structure=dp_structure,
             dp_layout=dp_layout,
-            torn_tail=torn_tail,
-            checksum=str(intent["checksum"]),
+            torn_tail=chain.torn_tail,
+            checksum=links[-1].checksum,
             policy_age=policy_age,
-            rung=rung,
+            rung=str(state.get("rung", "fresh")),
             trajectory=trajectory,
+            ledger=ledger,
         )
+        return _replay(snapshot, deltas) if deltas else snapshot
 
     def files_for_serial(self, serial: int) -> List[str]:
         """Names of the on-disk artifacts of one committed serial that
@@ -783,28 +1262,24 @@ class PolicyJournal:
         ]
 
     def _load_arrays(
-        self, serial: int, meta: object, name: str
-    ) -> Tuple[CloakingPolicy, Optional[Dict[str, np.ndarray]]]:
-        """The policy and ledger state of the arrays file the document
-        names — fail closed on doubt.
+        self, serial: int, raw: bytes, name: str
+    ) -> Tuple[
+        CloakingPolicy,
+        Optional[Dict[str, np.ndarray]],
+        Optional["TrajectoryLedger"],
+    ]:
+        """The policy, ledger state and checked ledger of a checkpoint's
+        arrays file (:meth:`_read_arrays`) — fail closed on doubt.
 
-        Both are privacy state, so a missing, torn or altered file, a
-        policy that does not rebuild (Definition 4 is re-checked by
-        :meth:`CloakingPolicy.from_rows`) and a ledger state of another
-        version or with inconsistent arrays (checked by adopting it into
-        a scratch ledger) all raise :class:`RecoveryError`.  Never
-        unpickles.
+        Both are privacy state, so a policy that does not rebuild
+        (Definition 4 is re-checked by :meth:`CloakingPolicy.from_rows`)
+        and a ledger state of another version or with inconsistent
+        arrays (checked by adopting it into the ledger returned) raise
+        :class:`RecoveryError`.  Never unpickles.
         """
         from ..trajectory.ledger import TrajectoryLedger
 
-        file = self._arrays_file(serial)
         try:
-            if not isinstance(meta, dict) or meta.get("file") != file:
-                raise ValueError("the snapshot names another file")
-            with open(os.path.join(self.root, file), "rb") as handle:
-                raw = handle.read()
-            if _digest(raw) != meta.get("checksum"):
-                raise ValueError("checksum mismatch (torn write or bit flip)")
             with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
                 arrays = {key: archive[key] for key in archive.files}
             policy = _policy_from_arrays(arrays, name)
@@ -813,17 +1288,12 @@ class PolicyJournal:
                 for key, value in arrays.items()
                 if key.startswith(_LEDGER_PREFIX)
             } or None
+            ledger = None
             if trajectory is not None:
-                TrajectoryLedger.from_state(trajectory)
-        except (
-            OSError, KeyError, ValueError, zipfile.BadZipFile, ReproError
-        ) as exc:
-            raise RecoveryError(
-                f"snapshot arrays {file!r}: {exc}; refusing to restore "
-                "a policy or served history it cannot prove",
-                reason="corrupt",
-            ) from exc
-        return policy, trajectory
+                ledger = TrajectoryLedger.from_state(trajectory)
+        except (KeyError, ValueError, zipfile.BadZipFile, ReproError) as exc:
+            raise _arrays_error(self._arrays_file(serial), exc) from exc
+        return policy, trajectory, ledger
 
     def _load_sidecar(
         self, document: Mapping[str, object]
@@ -905,6 +1375,10 @@ class QuorumJournal:
     a serial that survives only on a minority (e.g. a stale replica
     that missed a quorum-coordinated prune) can never be resurrected.
 
+    Commits that repair the previous state with a batch of moves are
+    written as deltas (see the module docstring) while every replica
+    holds the chain they extend.
+
     ``keep_last`` retention is **quorum-coordinated**: pruning runs only
     when a write quorum of replicas is healthy and must succeed on a
     write quorum, so the set of retained serials can never silently
@@ -946,6 +1420,10 @@ class QuorumJournal:
         self.last_commit_failures: Tuple[int, ...] = ()
         #: what the last :meth:`recover` adopted and repaired.
         self.last_recovery: Optional[QuorumRecoveryReport] = None
+        #: the newest commit a delta may extend, acked with its whole
+        #: chain by every replica (``None``: the next commit is a
+        #: checkpoint).
+        self._head: Optional[_Head] = None
 
     # -- writing ---------------------------------------------------------------
 
@@ -964,19 +1442,27 @@ class QuorumJournal:
         fingerprint: Mapping[str, object],
         solution=None,
         state: Optional[Mapping[str, object]] = None,
+        moves: Optional[Mapping[str, Point]] = None,
     ) -> str:
         """Mirror one commit to every replica; fail closed below quorum.
 
         The commit is encoded once and every replica writes the same
-        bytes.  Per-replica failures (missing media, permission errors,
+        bytes.  ``moves`` is the batch that repaired the previous
+        commit's state into ``solution`` and ``policy``: the commit is
+        then a delta (:meth:`PolicyJournal.encode_delta`) unless the
+        previous commit did not reach every replica or the deltas since
+        the last checkpoint would reach its size.  With ``state["trajectory"]``
+        a ledger, a delta carries only its rows folded since the last
+        delta.  Per-replica failures (missing media, permission errors,
         a chaos destruction mid-write) are contained: the replica simply
         does not ack.  With ``acks ≥ ⌊N/2⌋+1`` the commit is durable and its
         checksum is returned; below that the quorum is lost and
         :class:`RecoveryError` (``reason="quorum"``) propagates — the
         caller must treat the state advance as not having happened.
         """
-        encoded = PolicyJournal.encode(
-            policy, serial, fingerprint, solution, state
+        head, self._head = self._head, None
+        encoded = self._encode(
+            head, policy, serial, fingerprint, solution, state, moves
         )
         acks = 0
         failures: List[int] = []
@@ -1002,7 +1488,41 @@ class QuorumJournal:
             )
         if self.keep_last is not None:
             self.prune(self.keep_last)
+        # A delta is acked only by replicas holding its whole chain, so
+        # a chain goes on only while every replica has acked all of it.
+        self._head = None if failures else _Head.after(head, encoded)
         return encoded.checksum
+
+    @staticmethod
+    def _encode(
+        head: Optional[_Head],
+        policy: CloakingPolicy,
+        serial: int,
+        fingerprint: Mapping[str, object],
+        solution,
+        state: Optional[Mapping[str, object]],
+        moves: Optional[Mapping[str, Point]],
+    ) -> EncodedCommit:
+        """A delta on ``head`` when one is allowed and smaller than what
+        the chain has left, else a checkpoint."""
+        trajectory = None if state is None else state.get("trajectory")
+        delta_state = getattr(trajectory, "delta_state", None)
+        if (
+            moves is not None
+            and head is not None
+            and solution is not None
+            and all(key in fingerprint for key in _REPLAY_KEYS)
+            and (trajectory is None or delta_state is not None)
+        ):
+            delta = PolicyJournal.encode_delta(
+                policy, serial, (head.serial, head.checksum), moves,
+                solution, state, None if delta_state is None else delta_state(),
+                # The chain's first delta (its base is the checkpoint).
+                solution.tree.user_ids if head.deltas == 0 else None,
+            )
+            if head.deltas + delta.size < head.checkpoint:
+                return delta
+        return PolicyJournal.encode(policy, serial, fingerprint, solution, state)
 
     def prune(self, keep_last: int) -> Tuple[int, ...]:
         """Quorum-coordinated retention: prune every healthy replica.
@@ -1014,13 +1534,16 @@ class QuorumJournal:
         later vote-less restore could resurrect them.
         """
         _check_keep_last(keep_last)
-        healthy: List[int] = []
+        # Each replica's log is parsed once: the records that show it
+        # healthy are the ones its prune compacts.
+        healthy: List[Tuple[int, List[Dict[str, object]]]] = []
         for index, replica in enumerate(self.replicas):
             try:
-                replica.committed_serials()
+                records, __ = replica._read_journal()
+                replica._committed(records)
             except (RecoveryError, OSError):
                 continue
-            healthy.append(index)
+            healthy.append((index, records))
         if len(healthy) < self.quorum:
             raise RecoveryError(
                 f"only {len(healthy)} of {len(self.replicas)} replicas "
@@ -1030,9 +1553,9 @@ class QuorumJournal:
             )
         dropped: set = set()
         pruned = 0
-        for index in healthy:
+        for index, records in healthy:
             try:
-                dropped.update(self.replicas[index].prune(keep_last))
+                dropped.update(self.replicas[index]._prune(records, keep_last))
             except (RecoveryError, OSError):
                 continue
             pruned += 1
@@ -1080,10 +1603,13 @@ class QuorumJournal:
     ) -> RecoveredSnapshot:
         """Majority-vote recovery with replica repair.
 
-        Each replica independently runs the full fail-closed
-        single-journal recovery; the vote key is the (serial, checksum)
-        identity of what it recovered.  The newest identity holding a
-        read quorum of votes wins and is returned.  No quorum — too many
+        Every replica's newest chain is read and checksum-checked; the
+        vote key is the (serial, checksum) identity of its newest
+        commit, which pins the whole chain.  Each distinct identity is
+        then decoded (and replayed) once, from one of its voters, with
+        the single-journal fail-closed checks: an identity that does not
+        decode loses its votes.  The newest identity holding a read
+        quorum of votes wins and is returned.  No quorum — too many
         replicas destroyed, or a divergent split with no majority —
         raises :class:`RecoveryError` (``reason="quorum"``): the CSP
         must refuse to serve rather than adopt state it cannot prove,
@@ -1092,25 +1618,34 @@ class QuorumJournal:
         replica outside the winning vote is rewritten from a voter and
         the repair is timed (:attr:`last_recovery`).
         """
+        chains: Dict[int, _Chain] = {}
         votes: Dict[Tuple[int, str], List[int]] = {}
-        snapshots: Dict[int, RecoveredSnapshot] = {}
         states: List[str] = []
         for index, replica in enumerate(self.replicas):
             try:
-                snapshot = replica.recover(
-                    fingerprint=fingerprint,
-                    max_stale_snapshots=max_stale_snapshots,
-                )
+                chains[index] = chain = replica._read_chain()
             except RecoveryError as exc:
                 states.append(exc.reason)
                 continue
             except OSError:
                 states.append("corrupt")
                 continue
-            snapshots[index] = snapshot
-            states.append("torn" if snapshot.torn_tail else "ok")
-            key = (snapshot.serial, snapshot.checksum or "")
-            votes.setdefault(key, []).append(index)
+            states.append("torn" if chain.torn_tail else "ok")
+            votes.setdefault(chain.identity, []).append(index)
+        decoded: Dict[Tuple[int, str], RecoveredSnapshot] = {}
+        for key, who in list(votes.items()):
+            # Voters hold byte-identical chains; decode a clean one.
+            first = min(who, key=lambda i: (chains[i].torn_tail, i))
+            try:
+                decoded[key] = self.replicas[first]._decode(
+                    chains[first], fingerprint, None, max_stale_snapshots
+                )
+            except (RecoveryError, OSError) as exc:
+                reason = exc.reason if isinstance(exc, RecoveryError) else "corrupt"
+                for index in who:
+                    states[index] = reason
+                    del chains[index]
+                del votes[key]
         # Each replica votes once, so at most one identity holds a
         # majority.
         quorate = [key for key, who in votes.items() if len(who) >= self.quorum]
@@ -1125,8 +1660,10 @@ class QuorumJournal:
         winner = quorate[0]
         serial, __ = winner
         voters = votes[winner]
-        age = max(snapshots[i].policy_age for i in voters)
-        _check_stale(age, serial, current_serial, max_stale_snapshots)
+        snapshot = decoded[winner]
+        _check_stale(
+            snapshot.policy_age, serial, current_serial, max_stale_snapshots
+        )
         # Retention must also agree: a replica that voted for the
         # winning state but kept serials the quorum has pruned (it
         # missed a quorum-coordinated prune while offline) is
@@ -1134,10 +1671,7 @@ class QuorumJournal:
         # waiting for enough other failures to make it the deciding
         # copy; repairing it here keeps every majority bit-identical,
         # so pruned serials can never be resurrected.
-        serial_sets = {
-            index: tuple(self.replicas[index].committed_serials())
-            for index in snapshots
-        }
+        serial_sets = {index: tuple(chain.serials) for index, chain in chains.items()}
         serial_counts = Counter(
             one for serials in serial_sets.values() for one in serials
         )
@@ -1148,22 +1682,19 @@ class QuorumJournal:
         laggards = tuple(
             index for index in range(len(self.replicas))
             if index not in voters
-            or (index in snapshots and snapshots[index].torn_tail)
+            or chains[index].torn_tail
             or (canonical and serial_sets[index] != quorum_set)
         )
         for index in laggards:
-            if index in snapshots and states[index] == "ok":
+            if index in chains and states[index] == "ok":
                 states[index] = (
-                    "lagging" if snapshots[index].serial < serial else "divergent"
+                    "lagging" if chains[index].identity[0] < serial
+                    else "divergent"
                 )
         # Prefer a clean, retention-canonical voter as the repair source.
         source = min(
             voters,
-            key=lambda i: (
-                snapshots[i].torn_tail,
-                serial_sets[i] != quorum_set,
-                i,
-            ),
+            key=lambda i: (chains[i].torn_tail, serial_sets[i] != quorum_set, i),
         )
         repair_seconds = 0.0
         repaired: Tuple[int, ...] = ()
@@ -1181,10 +1712,12 @@ class QuorumJournal:
             repair_seconds=repair_seconds,
             replica_states=tuple(states),
         )
-        return snapshots[source]
+        self._head = self.replicas[source]._chain_head(chains[source])
+        return snapshot
 
     def _repair_replica(self, index: int, source: int) -> None:
-        """Rewrite replica ``index`` from voter ``source``.
+        """Rewrite replica ``index`` from voter ``source`` (or, with
+        ``index == source``, drop its torn tail).
 
         Artifacts first, journal last (the same ordering argument as
         :meth:`PolicyJournal.prune`): a crash mid-repair leaves either
@@ -1196,14 +1729,20 @@ class QuorumJournal:
 
         src = self.replicas[source]
         dst_root = self.roots[index]
-        destroy_replica(dst_root)
-        os.makedirs(dst_root, exist_ok=True)
-        names = [
-            name
-            for serial in src.committed_serials()
-            for name in src.files_for_serial(serial)
-        ]
-        for name in names + [_JOURNAL_FILE]:
-            with open(os.path.join(src.root, name), "rb") as handle:
-                atomic_write_bytes(os.path.join(dst_root, name), handle.read())
+        records, __ = src._read_journal()
+        if index != source:
+            destroy_replica(dst_root)
+            os.makedirs(dst_root, exist_ok=True)
+            for serial in src._committed(records):
+                for name in src.files_for_serial(serial):
+                    with open(os.path.join(src.root, name), "rb") as handle:
+                        atomic_write_bytes(
+                            os.path.join(dst_root, name), handle.read()
+                        )
+        # The log as parsed: a torn tail (even the source's own) is
+        # dropped, never copied.
+        log = "".join(canonical_dumps(record) + "\n" for record in records)
+        atomic_write_bytes(
+            os.path.join(dst_root, _JOURNAL_FILE), log.encode("utf-8")
+        )
         self.replicas[index] = PolicyJournal(dst_root)

@@ -93,7 +93,7 @@ from ..robustness.recovery import (
     PolicyJournal,
     QuorumJournal,
     RecoveredSnapshot,
-    rehydrate_flat_solution,
+    resume_shadow,
 )
 from ..trees.flat import FlatTree, SharedFlatTree
 from .ingest import DirtyAccumulator, Moves
@@ -351,18 +351,13 @@ class EpochManager:
         self._shadow = IncrementalAnonymizer(region, k, max_depth=max_depth)
         self._active: Optional[Epoch] = None  # guarded-by: self._lock
         if _recovered is not None:
-            self._shadow.restore(
-                _recovered.policy.db, _recovered.policy, solution=None
-            )
-            self._shadow.solution = rehydrate_flat_solution(
-                self._shadow.tree, _recovered, k
-            )
+            # A replayed delta chain hands over its shadow: no second
+            # replay, and the DP stays warm.
+            self._shadow = resume_shadow(_recovered, self._shadow)
             self._world_serial = _recovered.serial + _recovered.policy_age  # guarded-by: self._lock
-            if (
-                self.trajectory is not None
-                and _recovered.trajectory is not None
-            ):
-                self.trajectory.ledger.adopt_state(_recovered.trajectory)
+            if self.trajectory is not None and _recovered.ledger is not None:
+                # Recovery already checked the ledger by building it.
+                self.trajectory.ledger.take(_recovered.ledger)
             self._install(
                 _recovered.serial, _recovered.policy, origin="restore"
             )
@@ -709,6 +704,10 @@ class EpochManager:
                 serial = self._world_serial
             self.ticks += 1
             batch = self._applicable(self.accumulator.drain())
+            # The journal may write this tick as the batch alone, replayed
+            # onto the last durable commit — the active epoch's state.  A
+            # voided swap leaves the shadow ahead of it: then it may not.
+            replayable = self._shadow.current_db is self.active.db
             started = time.perf_counter()
             if self.injector is not None:
                 try:
@@ -721,7 +720,10 @@ class EpochManager:
                 return self._swap_failed(serial, batch, "repair-error", exc)
             repair_seconds = time.perf_counter() - started
             policy, payload = cast(FlatTreeSolution, self._shadow.solution).extract()
-            committed = self._commit(policy, serial, self._shadow.solution)
+            committed = self._commit(
+                policy, serial, self._shadow.solution,
+                moves=batch if replayable else None,
+            )
             if committed is None:
                 # Quorum lost between swap-intent and swap-commit: the
                 # swap is void.  The shadow keeps the repair (it will
@@ -823,10 +825,13 @@ class EpochManager:
         solution: object,
         policy_age: int = 0,
         rung: str = "fresh",
+        moves: Optional[Mapping[str, Point]] = None,
     ) -> Optional[bool]:
         """Journal one epoch.  True = durable, False = degraded-but-
         promotable (single-journal media error), None = void (quorum
-        lost; the caller must not promote)."""
+        lost; the caller must not promote).  ``moves`` repaired the
+        last durable commit's state into this one; a quorum journal
+        then may write them instead of the whole state."""
         if self.journal is None:
             return True
         state: Dict[str, object] = {"policy_age": policy_age, "rung": rung}
@@ -834,7 +839,9 @@ class EpochManager:
             # Ledger records land between commits; records made after
             # the last swap-commit die with a crash (bounded exposure —
             # the restored intersection is a superset, never sub-k).
-            state["trajectory"] = self.trajectory.ledger.to_state()
+            # The journal takes the whole ledger or its rows changed
+            # since the last delta.
+            state["trajectory"] = self.trajectory.ledger
         try:
             if isinstance(self.journal, QuorumJournal):
                 self.journal.commit(
@@ -843,6 +850,7 @@ class EpochManager:
                     self._fingerprint(),
                     solution=solution,
                     state=state,
+                    moves=moves,
                 )
             else:
                 self.journal.commit(

@@ -36,10 +36,13 @@ State round-trips through :meth:`to_state`/:meth:`from_state` as a
 handful of plain numpy arrays (no object arrays, so it loads without
 pickle; the intern table is UTF-8 JSON bytes as ``uint8``, the way
 :class:`~repro.trees.flat.SharedFlatTree` ships user ids): the journal
-writes them under ``trajectory/`` keys into each commit's raw
+writes them under ``trajectory/`` keys into each checkpoint's raw
 ``.arrays.npz``, whose checksum rides the checksummed snapshot
 document, and the fleet pickles them to a worker on respawn
-and epoch swaps.
+and epoch swaps.  A quorum journal's delta commits carry
+:meth:`delta_state` instead — the rows of the users folded since the
+previous delta and the intern table's new tail — which
+:meth:`merge_delta` applies on restore.
 
 TJ001 (:mod:`repro.analysis.rules.trajectory`) enforces that the
 ``_traj_*`` structures are mutated only inside this package: serving
@@ -58,6 +61,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -98,6 +102,78 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class _Rows:
+    """A checked :meth:`TrajectoryLedger.to_state` or
+    :meth:`~TrajectoryLedger.delta_state`, parsed into its rows."""
+
+    __slots__ = ("window", "recorded", "since", "ids", "users", "ptr",
+                 "flat", "count", "columns", "depth")
+
+    @classmethod
+    def parse(cls, state: Mapping[str, np.ndarray], delta: bool) -> "_Rows":
+        """Raises :class:`ReproError` on a state of another version or
+        kind, or with inconsistent arrays."""
+        try:
+            arrays = {key: np.asarray(state[key]) for key in _STATE_KEYS}
+        except (KeyError, TypeError) as exc:
+            raise ReproError(
+                f"trajectory ledger state lacks {exc}"
+            ) from None
+        meta = arrays["meta"]
+        version = int(meta[0]) if meta.shape == (4 if delta else 3,) else -1
+        if version != _STATE_VERSION:
+            raise ReproError(
+                f"unknown trajectory ledger state version {version!r}"
+            )
+        rows = cls()
+        rows.window, rows.recorded = int(meta[1]), int(meta[2])
+        rows.since = int(meta[3]) if delta else 0
+        window, ids = rows.window, decode_ids(
+            arrays["ids"], "trajectory ledger intern table"
+        )
+        size = rows.since + len(ids)
+        users = arrays["users"].astype(np.int64)
+        ptr = arrays["surviving_ptr"].astype(np.int64)
+        flat = arrays["surviving"].astype(np.int64)
+        count = arrays["count"].astype(np.int64)
+        n = len(users)
+        # Live ring slots per user.
+        depth = np.clip(count, 0, max(window, 1))
+        live = int(depth.sum())
+        columns = {
+            "serial": (live,), "cloak": (live, 4), "candidates": (live,),
+            "widened": (live,),
+        }
+        if (
+            window < 1
+            or rows.since < 0
+            or len(ptr) != n + 1
+            or count.shape != (n,)
+            or np.any(count < 1)
+            or any(arrays[key].shape != shape for key, shape in columns.items())
+            or (n and (ptr[0] != 0 or ptr[-1] != len(flat)
+                       or np.any(np.diff(ptr) < 0)))
+            or np.any((users < 0) | (users >= size))
+            or np.any((flat < 0) | (flat >= size))
+            or len(set(users.tolist())) != n
+            or len(set(ids)) != len(ids)
+            # each user's intersection strictly increasing (sorted, unique)
+            or not np.all(
+                (np.diff(flat) > 0)
+                | (np.diff(np.repeat(np.arange(n), np.diff(ptr))) != 0)
+            )
+        ):
+            raise ReproError("trajectory ledger state arrays are inconsistent")
+        rows.ids, rows.users, rows.ptr = ids, users, ptr
+        rows.flat, rows.count, rows.depth = flat.astype(np.int32), count, depth
+        rows.columns = {key: arrays[key] for key in columns}
+        return rows
+
+    def held(self, i: int) -> np.ndarray:
+        """Row ``i``'s intersection (a view of one fresh array)."""
+        return self.flat[self.ptr[i]:self.ptr[i + 1]]
+
+
 class TrajectoryLedger:
     """Bounded per-user history of served cloaks + running intersections."""
 
@@ -119,6 +195,10 @@ class TrajectoryLedger:
         self._traj_cloak = np.zeros((0, window, 4), dtype=np.float64)  # guarded-by: self._lock
         self._traj_candidates = np.zeros((0, window), dtype=np.int32)  # guarded-by: self._lock
         self._traj_widened = np.zeros((0, window), dtype=bool)  # guarded-by: self._lock
+        #: users folded since the last :meth:`delta_state`.
+        self._traj_dirty: Set[int] = set()  # guarded-by: self._lock
+        #: intern table length at the last :meth:`delta_state`.
+        self._traj_journalled = 0  # guarded-by: self._lock
         #: total records ever accepted (monotone; survives trimming).
         self.recorded = 0
         self._lock = threading.Lock()
@@ -150,6 +230,30 @@ class TrajectoryLedger:
         self._traj_cloak = fresh(self._traj_cloak, window, 4)
         self._traj_candidates = fresh(self._traj_candidates, window)
         self._traj_widened = fresh(self._traj_widened, window)
+
+    def _row_locked(self, user: int) -> int:
+        """User ``user``'s window row, appending one on its first serve."""
+        row = self._traj_row[user]
+        if row < 0:
+            row = self._traj_row[user] = len(self._traj_users)
+            self._traj_users.append(user)
+            if row >= len(self._traj_count):
+                self._allocate_locked(max(64, 2 * row), keep=row)
+        return row
+
+    def _write_locked(self, rows: _Rows, targets: np.ndarray) -> None:
+        """Write parsed ``rows`` into window rows ``targets``."""
+        slots = np.arange(rows.window) < rows.depth[:, None]
+        self._traj_count[targets] = rows.count
+        for key, column in (
+            ("serial", self._traj_serial),
+            ("cloak", self._traj_cloak),
+            ("candidates", self._traj_candidates),
+            ("widened", self._traj_widened),
+        ):
+            block = np.zeros((len(targets),) + column.shape[1:], column.dtype)
+            block[slots] = rows.columns[key]
+            column[targets] = block
 
     def intern(self, user_ids: Sequence[str]) -> np.ndarray:
         """The ``int32`` indices of ``user_ids``, interning new ones."""
@@ -215,12 +319,8 @@ class TrajectoryLedger:
             if surviving.flags.writeable:
                 surviving = _frozen(surviving)
             self._traj_surviving[user] = surviving
-            row = self._traj_row[user]
-            if row < 0:
-                row = self._traj_row[user] = len(self._traj_users)
-                self._traj_users.append(user)
-                if row >= len(self._traj_count):
-                    self._allocate_locked(max(64, 2 * row), keep=row)
+            self._traj_dirty.add(user)
+            row = self._row_locked(user)
             count = int(self._traj_count[row])
             slot = count % self.window
             self._traj_serial[row, slot] = serial
@@ -327,7 +427,7 @@ class TrajectoryLedger:
     # -- serialization -------------------------------------------------------
 
     def _state_locked(
-        self, rows: np.ndarray, shard: bool = False
+        self, rows: np.ndarray, shard: bool = False, since: Optional[int] = None
     ) -> Dict[str, np.ndarray]:
         users = [self._traj_users[r] for r in rows.tolist()]
         held = [self._traj_surviving[u] for u in users]
@@ -335,6 +435,7 @@ class TrajectoryLedger:
         indices = np.array(users, dtype=np.int32)
         surviving = np.concatenate(held or [np.empty(0, np.int32)])  # type: ignore[arg-type]
         ids = self._traj_ids
+        meta = [_STATE_VERSION, self.window, self.recorded]
         if shard:
             # Keep only the ids the rows name, renumbered in table order;
             # ``named`` is sorted, so renumbering keeps each row sorted.
@@ -343,13 +444,15 @@ class TrajectoryLedger:
             renumber[named] = np.arange(len(named), dtype=np.int32)
             ids = [ids[i] for i in named.tolist()]
             indices, surviving = renumber[indices], renumber[surviving]
+        elif since is not None:
+            # A delta: the table's tail from ``since`` on, indices as is.
+            ids = ids[since:]
+            meta.append(since)
         # Only live ring slots leave the ledger: a ring fills from slot 0.
         count = self._traj_count[rows]
         live = np.arange(self.window) < np.minimum(count, self.window)[:, None]
         return {
-            "meta": np.array(
-                [_STATE_VERSION, self.window, self.recorded], dtype=np.int64
-            ),
+            "meta": np.array(meta, dtype=np.int64),
             "ids": encode_ids(ids),
             "users": indices,
             "count": count,
@@ -378,6 +481,24 @@ class TrajectoryLedger:
         with self._lock:
             return self._state_locked(np.arange(len(self._traj_users)))
 
+    def delta_state(self) -> Dict[str, np.ndarray]:
+        """What changed since the last call: the journal's delta commit.
+
+        :meth:`to_state` restricted to the users folded since then, in
+        row order, with ``ids`` holding the intern table from the
+        previous call's length on and ``meta`` that length as a fourth
+        entry.  :meth:`merge_delta` applies it to a ledger holding the
+        earlier state.  Each call starts a new delta, so a delta that is
+        never made durable must be followed by a full :meth:`to_state`.
+        """
+        with self._lock:
+            row = self._traj_row
+            rows = np.array(sorted(row[u] for u in self._traj_dirty), dtype=np.int64)
+            since = self._traj_journalled
+            self._traj_dirty = set()
+            self._traj_journalled = len(self._traj_ids)
+            return self._state_locked(rows, since=since)
+
     def subset_state(self, user_ids: Iterable[str]) -> Dict[str, np.ndarray]:
         """:meth:`to_state` restricted to ``user_ids`` — the fleet shard
         shipped to the one worker that owns those users' routing.
@@ -399,87 +520,94 @@ class TrajectoryLedger:
         The snapshot's intern table is adopted when it extends this
         ledger's (or the other way round), so indices keep their
         meaning; a foreign table is re-interned and its arrays remapped.
+        The adopted state counts as journalled: the next
+        :meth:`delta_state` holds only what is folded after it.
         """
-        try:
-            arrays = {key: np.asarray(state[key]) for key in _STATE_KEYS}
-        except (KeyError, TypeError) as exc:
-            raise ReproError(
-                f"trajectory ledger state lacks {exc}"
-            ) from None
-        meta = arrays["meta"]
-        version = int(meta[0]) if meta.shape == (3,) else -1
-        if version != _STATE_VERSION:
-            raise ReproError(
-                f"unknown trajectory ledger state version {version!r}"
-            )
-        window, recorded = int(meta[1]), int(meta[2])
-        ids = decode_ids(arrays["ids"], "trajectory ledger intern table")
-        users = arrays["users"].astype(np.int64)
-        ptr = arrays["surviving_ptr"].astype(np.int64)
-        flat = arrays["surviving"].astype(np.int64)
-        count = arrays["count"].astype(np.int64)
-        n = len(users)
-        # Live ring slots per user.
-        depth = np.clip(count, 0, max(window, 1))
-        live = int(depth.sum())
-        columns = {
-            "serial": (live,), "cloak": (live, 4), "candidates": (live,),
-            "widened": (live,),
-        }
-        if (
-            window < 1
-            or len(ptr) != n + 1
-            or count.shape != (n,)
-            or np.any(count < 1)
-            or any(arrays[key].shape != shape for key, shape in columns.items())
-            or (n and (ptr[0] != 0 or ptr[-1] != len(flat)
-                       or np.any(np.diff(ptr) < 0)))
-            or np.any((users < 0) | (users >= len(ids)))
-            or np.any((flat < 0) | (flat >= len(ids)))
-            or len(set(users.tolist())) != n
-            or len(set(ids)) != len(ids)
-            # each user's intersection strictly increasing (sorted, unique)
-            or not np.all(
-                (np.diff(flat) > 0)
-                | (np.diff(np.repeat(np.arange(n), np.diff(ptr))) != 0)
-            )
-        ):
-            raise ReproError("trajectory ledger state arrays are inconsistent")
-        flat = flat.astype(np.int32)
-        slots = np.arange(window) < depth[:, None]
+        rows = _Rows.parse(state, delta=False)
         with self._lock:
             mine = self._traj_ids
-            common = min(len(mine), len(ids))
-            if mine[:common] == ids[:common]:
-                for uid in ids[common:]:
+            common = min(len(mine), len(rows.ids))
+            if mine[:common] == rows.ids[:common]:
+                for uid in rows.ids[common:]:
                     self._intern_locked(uid)
                 remap = None
             else:
                 remap = np.array(
-                    [self._intern_locked(uid) for uid in ids], dtype=np.int32
+                    [self._intern_locked(uid) for uid in rows.ids], dtype=np.int32
                 )
             size = len(self._traj_ids)
             surviving: List[Optional[np.ndarray]] = [None] * size
             row_of = [-1] * size
             served = []
-            for i, user in enumerate(users.tolist()):
-                held = flat[ptr[i]:ptr[i + 1]]
+            for i, user in enumerate(rows.users.tolist()):
+                held = rows.held(i)
                 if remap is not None:
                     user, held = int(remap[user]), np.sort(remap[held])
                 surviving[user] = _frozen(held)
                 row_of[user] = i
                 served.append(user)
-            self.window = window
+            self.window = rows.window
             self._traj_surviving = surviving
             self._traj_row = row_of
             self._traj_users = served
-            self._allocate_locked(n)
-            self._traj_count[:] = count
-            self._traj_serial[slots] = arrays["serial"]
-            self._traj_cloak[slots] = arrays["cloak"]
-            self._traj_candidates[slots] = arrays["candidates"]
-            self._traj_widened[slots] = arrays["widened"]
-            self.recorded = recorded
+            self._allocate_locked(len(served))
+            self._write_locked(rows, np.arange(len(served)))
+            self.recorded = rows.recorded
+            self._traj_dirty = set()
+            self._traj_journalled = size
+
+    def merge_delta(self, delta: Mapping[str, np.ndarray]) -> None:
+        """Apply one :meth:`delta_state` to the state it was taken after.
+
+        The delta's intern tail must extend this ledger's table (it may
+        overlap its end); its rows replace the same users' rows, and
+        users served for the first time get new rows in the delta's
+        order, so a ledger merged delta by delta equals the one the
+        deltas were taken from.  Raises :class:`ReproError` on a delta
+        of another ledger, window or version.
+        """
+        rows = _Rows.parse(delta, delta=True)
+        with self._lock:
+            ids, since = self._traj_ids, rows.since
+            overlap = len(ids) - since
+            if (
+                rows.window != self.window
+                or overlap < 0
+                or ids[since:] != rows.ids[:overlap]
+            ):
+                raise ReproError(
+                    "trajectory ledger delta does not extend this ledger"
+                )
+            for uid in rows.ids[overlap:]:
+                self._intern_locked(uid)
+            if len(self._traj_ids) != since + len(rows.ids):
+                raise ReproError("trajectory ledger delta re-interns an id")
+            targets = []
+            for i, user in enumerate(rows.users.tolist()):
+                self._traj_surviving[user] = _frozen(rows.held(i))
+                targets.append(self._row_locked(user))
+            self._write_locked(rows, np.array(targets, dtype=np.int64))
+            self.recorded = rows.recorded
+            self._traj_journalled = len(self._traj_ids)
+
+    def take(self, other: "TrajectoryLedger") -> None:
+        """Replace this ledger's histories with ``other``'s, arrays and
+        all, without copying: a restore hands over the ledger recovery
+        already checked.  ``other`` must not be used afterwards."""
+        with other._lock:
+            state = {
+                name: getattr(other, name)
+                for name in (
+                    "window", "recorded", "_traj_ids", "_traj_index",
+                    "_traj_surviving", "_traj_row", "_traj_users",
+                    "_traj_count", "_traj_serial", "_traj_cloak",
+                    "_traj_candidates", "_traj_widened", "_traj_dirty",
+                    "_traj_journalled",
+                )
+            }
+        with self._lock:
+            for name, value in state.items():
+                setattr(self, name, value)
 
     @classmethod
     def from_state(cls, state: Mapping[str, np.ndarray]) -> "TrajectoryLedger":

@@ -31,6 +31,7 @@ from repro.lbs.provider import LBSProvider
 import repro.robustness.recovery as recovery
 from repro.robustness.chaos import ReplicaKillPlan, destroy_replica
 from repro.robustness.recovery import (
+    SOLVER_FINGERPRINT as SOLVER,
     PolicyJournal,
     QuorumJournal,
     flat_structure_digest,
@@ -125,6 +126,19 @@ class TestPolicyJournal:
         snapshot = journal.recover()
         assert snapshot.serial == 1
         assert snapshot.torn_tail
+
+    def test_commit_after_torn_tail_drops_the_torn_record(self, journal):
+        """The next append starts a line of its own: a torn record left
+        in place would join it into a corrupt line mid-history."""
+        journal.commit(build_policy(seed=1), 0, FINGERPRINT)
+        with open(journal._journal_path, "a") as handle:
+            handle.write('{"op": "intent", "serial": 1, "fi')
+        assert journal.recover().torn_tail
+        policy = build_policy(seed=2)
+        journal.commit(policy, 1, FINGERPRINT)
+        snapshot = journal.recover()
+        assert (snapshot.serial, snapshot.torn_tail) == (1, False)
+        assert_bit_identical(policy, snapshot.policy)
 
     def test_mid_history_corruption_fails_closed(self, journal):
         journal.commit(build_policy(seed=1), 0, FINGERPRINT)
@@ -1358,47 +1372,458 @@ class TestEncodedBytes:
         self._assert_refused(tmp_path, "v2-ledger3", "unknown format/version")
 
     def test_quorum_commit_encodes_once(self, provider, roots, monkeypatch):
-        """One CSP tick is one 3-replica commit: the policy rows, the
-        arrays file and the DP sidecar are encoded once and every
-        replica holds their bytes."""
+        """One CSP tick is one 3-replica delta commit: the move batch is
+        encoded once, no policy rows or DP sidecar are, and every
+        replica holds the delta's bytes."""
         db = uniform_users(90, REGION, seed=11)
         csp = CSP(REGION, K, db, provider, journal=QuorumJournal(roots))
         encodes = []
         real_rows = recovery._policy_arrays
+        real_delta = PolicyJournal.encode_delta
         real_savez = np.savez
 
         def spy_rows(policy):
             encodes.append("rows")
             return real_rows(policy)
 
+        def spy_delta(*args, **kwargs):
+            encodes.append("delta")
+            return real_delta(*args, **kwargs)
+
         def spy_npz(*args, **kwargs):
             encodes.append("npz")
             return real_savez(*args, **kwargs)
 
         monkeypatch.setattr(recovery, "_policy_arrays", spy_rows)
+        monkeypatch.setattr(PolicyJournal, "encode_delta", spy_delta)
         monkeypatch.setattr(np, "savez", spy_npz)
         report = csp.advance_snapshot(
             random_moves(db, 0.1, REGION, max_distance=100.0, seed=5)
         )
         assert report.promoted
-        # One arrays file and one DP sidecar.
-        assert sorted(encodes) == ["npz", "npz", "rows"]
+        # One delta file, and nothing of a checkpoint.
+        assert sorted(encodes) == ["delta", "npz"]
         serial = csp.manager.world_serial
-        for name in (
-            f"snapshot-{serial:06d}.json",
-            f"snapshot-{serial:06d}.npz",
-            f"snapshot-{serial:06d}.arrays.npz",
-        ):
-            copies = {
-                open(os.path.join(root, name), "rb").read() for root in roots
-            }
-            assert len(copies) == 1
+        name = PolicyJournal._delta_file(serial)
+        copies = {open(os.path.join(root, name), "rb").read() for root in roots}
+        assert len(copies) == 1
         for root in roots:
+            assert sorted(os.listdir(root)) == [
+                "journal.log", "snapshot-000000.arrays.npz",
+                "snapshot-000000.json", "snapshot-000000.npz", name,
+            ]
             records = [
                 json.loads(line)
                 for line in open(os.path.join(root, "journal.log"))
             ]
             intent = [r for r in records if r["op"] == "intent"][-1]
-            assert intent["serial"] == serial
-            snapshot = os.path.join(root, intent["file"])
-            assert file_checksum(snapshot) == intent["checksum"]
+            assert (intent["serial"], intent["file"]) == (serial, name)
+            assert intent["base"] == serial - 1
+            assert file_checksum(os.path.join(root, name)) == intent["checksum"]
+
+
+def write_golden_chain(journal):
+    """The fixed commits behind ``tests/data/journal_golden/chain``: a
+    120-user manager's fit (a checkpoint) and two ticks of moves (two
+    deltas), with trajectory-ledger rows served in between.  Returns
+    the manager and its constraint."""
+    from repro.streaming import EpochManager
+    from repro.trajectory import ContinuityConstraint
+
+    db = uniform_users(120, REGION, seed=7)
+    constraint = ContinuityConstraint(K, window=3)
+    manager = EpochManager(
+        REGION, K, db, journal=journal, trajectory=constraint
+    )
+    ids = db.user_ids()
+    for serial in range(2):
+        for uid in ids[serial::12]:
+            manager.serve_cloak(uid)
+        manager.advance(
+            random_moves(
+                manager.active.db, 0.05, REGION, max_distance=80.0, seed=serial
+            )
+        )
+    return manager, constraint
+
+
+def _flat_vectors(solution):
+    return [solution.solutions[int(i)].vec for i in solution.flat.ids]
+
+
+def _forge_delta(root, serial, edit):
+    """Rewrite one delta's header through ``edit`` and checksum the file
+    again in the journal's intent record."""
+    path = os.path.join(root, PolicyJournal._delta_file(serial))
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    header = edit(json.loads(arrays["header"].tobytes()))
+    arrays["header"] = np.frombuffer(canonical_dumps(header).encode(), np.uint8)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    with open(path, "wb") as handle:
+        handle.write(buffer.getvalue())
+    log = os.path.join(root, "journal.log")
+    records = [json.loads(line) for line in open(log)]
+    for record in records:
+        if record["op"] == "intent" and record["serial"] == serial:
+            record["checksum"] = recovery._digest(buffer.getvalue())
+    with open(log, "w", encoding="utf-8") as handle:
+        handle.write("".join(canonical_dumps(r) + "\n" for r in records))
+
+
+class TestDeltaChain:
+    """A quorum journal commits a repair as its move batch and the
+    ledger rows it touched; restore replays the chain onto its
+    checkpoint, bit-identical and warm, or fails closed."""
+
+    #: the kinds of serials 1..8 of ``run``: C checkpoint, D delta.
+    KINDS = "DDCDDDCD"
+
+    @pytest.fixture
+    def roots(self, tmp_path):
+        return [str(tmp_path / f"replica-{i}") for i in range(3)]
+
+    @staticmethod
+    def _constraint():
+        from repro.trajectory import ContinuityConstraint
+
+        return ContinuityConstraint(K, window=4)
+
+    def run(self, provider, quorum, ticks=8):
+        """A seeded CSP run of ``ticks`` snapshots with served requests."""
+        db = uniform_users(150, REGION, seed=41)
+        csp = CSP(
+            REGION, K, db, provider, journal=quorum,
+            trajectory=self._constraint(),
+        )
+        users = db.user_ids()
+        for tick in range(ticks):
+            for uid in users[tick * 7:][:15]:
+                csp.request(uid, [("poi", "rest")])
+            report = csp.advance_snapshot(
+                random_moves(
+                    csp.mpc.db, 0.05, REGION, max_distance=80.0, seed=tick
+                )
+            )
+            assert report.promoted
+        return csp
+
+    def restore(self, provider, roots):
+        constraint = self._constraint()
+        return CSP.restore(provider, QuorumJournal(roots), trajectory=constraint)
+
+    @staticmethod
+    def kinds(root, serials):
+        names = set(os.listdir(root))
+        return "".join(
+            "D" if PolicyJournal._delta_file(s) in names else "C"
+            for s in serials
+        )
+
+    def assert_restores(self, provider, roots, csp):
+        """The restore equals the pre-crash active epoch, ledger and DP
+        vectors, and is warm."""
+        active, shadow = csp.manager.active, csp.manager._shadow
+        ledger = csp.trajectory.ledger.to_state()
+        restored = self.restore(provider, roots)
+        manager = restored.manager
+        assert manager.active.serial == active.serial
+        assert dict(manager.active.policy.items()) == dict(active.policy.items())
+        assert same_ledger_state(restored.trajectory.ledger.to_state(), ledger)
+        assert manager._shadow.solution is not None
+        mine, theirs = _flat_vectors(manager._shadow.solution), _flat_vectors(
+            shadow.solution
+        )
+        assert len(mine) == len(theirs)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+        return restored
+
+    def test_run_mixes_deltas_and_checkpoints(self, provider, roots):
+        self.run(provider, QuorumJournal(roots))
+        assert self.kinds(roots[0], range(1, 9)) == self.KINDS
+        # A delta's intent names its base; a checkpoint's stays as it was.
+        records = [json.loads(line) for line in open(os.path.join(roots[0], "journal.log"))]
+        intents = {r["serial"]: r for r in records if r["op"] == "intent"}
+        assert intents[8]["base"] == 7 and intents[2]["base"] == 1
+        assert "base" not in intents[3]
+
+    @pytest.mark.parametrize("phase", ["before", "intent", "snapshot", "after"])
+    def test_kill_at_every_phase_restores_bit_identical(
+        self, provider, roots, phase
+    ):
+        quorum = QuorumJournal(
+            roots, kill_plan=ReplicaKillPlan.single(5, 1, phase)
+        )
+        csp = self.run(provider, quorum)
+        self.assert_restores(provider, roots, csp)
+        # The destroyed replica got the whole chain back.
+        assert _journal_files(roots[1]) == _journal_files(roots[0])
+
+    def test_restore_mid_chain_and_continue(self, provider, roots):
+        """A restore at a delta keeps extending the chain, and a second
+        restore replays the deltas written on both sides of the first."""
+        csp = self.run(provider, QuorumJournal(roots), ticks=4)
+        restored = self.assert_restores(provider, roots, csp)
+        for tick in range(2):
+            restored.advance_snapshot(
+                random_moves(
+                    restored.mpc.db, 0.05, REGION, max_distance=80.0,
+                    seed=50 + tick,
+                )
+            )
+        assert self.kinds(roots[0], range(4, 7)) == "DDD"
+        self.assert_restores(provider, roots, restored)
+
+    def test_torn_last_delta_restores_the_previous_serial(self, provider, roots):
+        csp = self.run(provider, QuorumJournal(roots), ticks=7)
+        expected = dict(csp.manager.active.policy.items())
+        ledger = csp.trajectory.ledger.to_state()
+        csp.request(csp.mpc.db.user_ids()[3], [("poi", "rest")])
+        csp.advance_snapshot(
+            random_moves(csp.mpc.db, 0.05, REGION, max_distance=80.0, seed=9)
+        )
+        # Crash mid-commit of serial 8's delta: its commit record is
+        # gone and its intent torn, on every replica.
+        for root in roots:
+            log = os.path.join(root, "journal.log")
+            lines = open(log).read().splitlines()
+            assert json.loads(lines[-1]) == {"op": "commit", "serial": 8}
+            with open(log, "w") as handle:
+                handle.write("\n".join(lines[:-2]) + "\n" + lines[-2][:30])
+        restored = self.restore(provider, roots)
+        assert restored.manager.active.serial == 7
+        assert dict(restored.policy.items()) == expected
+        assert same_ledger_state(restored.trajectory.ledger.to_state(), ledger)
+        # Recovery dropped the torn records, so the chain goes on.
+        restored.advance_snapshot(
+            random_moves(restored.mpc.db, 0.05, REGION, max_distance=80.0, seed=10)
+        )
+        self.assert_restores(provider, roots, restored)
+
+    @pytest.mark.parametrize(
+        "damage", ["missing-base", "dropped-base-record", "flipped-byte", "forged-digest"]
+    )
+    def test_broken_chain_fails_closed(self, provider, roots, damage):
+        self.run(provider, QuorumJournal(roots), ticks=5)
+        root = roots[0]
+        assert self.kinds(root, [3, 4, 5]) == "CDD"
+        if damage == "missing-base":
+            os.remove(os.path.join(root, PolicyJournal._delta_file(4)))
+        elif damage == "dropped-base-record":
+            log = os.path.join(root, "journal.log")
+            kept = [
+                line for line in open(log)
+                if json.loads(line) != {"op": "commit", "serial": 4}
+            ]
+            with open(log, "w") as handle:
+                handle.write("".join(kept))
+        elif damage == "flipped-byte":
+            path = os.path.join(root, PolicyJournal._delta_file(5))
+            raw = bytearray(open(path, "rb").read())
+            raw[len(raw) // 2] ^= 0x01
+            open(path, "wb").write(bytes(raw))
+        else:
+            _forge_delta(
+                root, 5,
+                lambda h: dict(h, digest=dict(h["digest"], cost=h["digest"]["cost"] + 1.0)),
+            )
+        with pytest.raises(RecoveryError) as err:
+            PolicyJournal(root).recover()
+        assert err.value.reason == "corrupt"
+
+    def test_forged_delta_replica_is_outvoted_and_repaired(self, provider, roots):
+        csp = self.run(provider, QuorumJournal(roots), ticks=5)
+        _forge_delta(
+            roots[0], 5,
+            lambda h: dict(h, digest=dict(h["digest"], groups=h["digest"]["groups"] + 1)),
+        )
+        quorum = QuorumJournal(roots)
+        snapshot = quorum.recover()
+        assert quorum.last_recovery.replica_states == ("corrupt", "ok", "ok")
+        assert quorum.last_recovery.repaired == (0,)
+        # The repair copied the whole chain, checkpoint and deltas.
+        assert _journal_files(roots[0]) == _journal_files(roots[1])
+        assert self.kinds(roots[0], [3, 4, 5]) == "CDD"
+        assert dict(snapshot.policy.items()) == dict(
+            csp.manager.active.policy.items()
+        )
+
+    def test_a_replica_that_missed_a_delta_gets_a_checkpoint(
+        self, provider, roots, monkeypatch
+    ):
+        """A delta acked without one replica is durable on the others,
+        but that replica's chain has a gap: the next commit is a
+        checkpoint on every replica, never a delta it cannot replay."""
+        quorum = QuorumJournal(roots)
+        csp = self.run(provider, quorum, ticks=4)
+
+        def denied(record):
+            raise PermissionError("journal directory is read-only")
+
+        moves = lambda seed: random_moves(
+            csp.mpc.db, 0.05, REGION, max_distance=80.0, seed=seed
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(quorum.replicas[2], "_append", denied)
+            assert csp.advance_snapshot(moves(30)).promoted
+        assert quorum.last_commit_failures == (2,)
+        assert csp.advance_snapshot(moves(31)).promoted
+        assert csp.advance_snapshot(moves(32)).promoted
+        assert self.kinds(roots[0], [5, 6, 7]) == "DCD"
+        # The replica that missed serial 5 restores serial 7 on its own.
+        snapshot = PolicyJournal(roots[2]).recover()
+        assert snapshot.serial == 7
+        assert dict(snapshot.policy.items()) == dict(
+            csp.manager.active.policy.items()
+        )
+        self.assert_restores(provider, roots, csp)
+
+    def test_keep_last_keeps_the_chain_it_needs(self, provider, roots):
+        quorum = QuorumJournal(roots, keep_last=1)
+        csp = self.run(provider, quorum, ticks=7)
+        # Serial 7 is a checkpoint: nothing older is kept.
+        assert quorum.committed_serials() == [7]
+        assert sorted(os.listdir(roots[0])) == [
+            "journal.log", "snapshot-000007.arrays.npz",
+            "snapshot-000007.json", "snapshot-000007.npz",
+        ]
+        self.assert_restores(provider, roots, csp)
+        csp.advance_snapshot(
+            random_moves(csp.mpc.db, 0.05, REGION, max_distance=80.0, seed=7)
+        )
+        # Serial 8 is a delta: its checkpoint stays.
+        assert quorum.committed_serials() == [7, 8]
+        self.assert_restores(provider, roots, csp)
+
+    def test_voided_swap_is_never_replayed_as_a_delta(self, provider, roots, monkeypatch):
+        """A quorum-lost commit leaves the shadow a repair ahead of the
+        journal; after the failed tick's re-commit of the active epoch,
+        the next tick is a checkpoint, so the restore is exact."""
+        from repro.robustness.faults import FaultInjector, FaultPlan, FaultRule
+
+        quorum = QuorumJournal(roots)
+        csp = self.run(provider, quorum, ticks=1)
+        csp.manager.injector = FaultInjector(
+            FaultPlan(rules=(FaultRule(site="repair", kind="error", match="3"),), seed=0)
+        )
+
+        def denied(record):
+            raise PermissionError("journal directory is read-only")
+
+        moves = lambda seed: random_moves(
+            csp.mpc.db, 0.05, REGION, max_distance=80.0, seed=seed
+        )
+        with monkeypatch.context() as patch:
+            for replica in quorum.replicas[:2]:
+                patch.setattr(replica, "_append", denied)
+            assert csp.advance_snapshot(moves(20)).reason == "journal-quorum"
+        assert csp.advance_snapshot(moves(21)).reason == "repair"
+        assert csp.advance_snapshot(moves(22)).promoted
+        assert self.kinds(roots[0], [4]) == "C"
+        self.assert_restores(provider, roots, csp)
+
+
+class TestChainGolden:
+    """``journal_golden/chain``: a checkpoint and two deltas, written by
+    every replica byte for byte and restored bit-identical."""
+
+    CHAIN = os.path.join(GOLDEN, "chain")
+
+    def test_golden_chain_bytes(self, tmp_path):
+        roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
+        write_golden_chain(QuorumJournal(roots))
+        expected = _journal_files(self.CHAIN)
+        assert sorted(expected) == [
+            "journal.log",
+            "snapshot-000000.arrays.npz",
+            "snapshot-000000.json",
+            "snapshot-000000.npz",
+            "snapshot-000001.delta.npz",
+            "snapshot-000002.delta.npz",
+        ]
+        for root in roots:
+            assert _journal_files(root) == expected
+
+    def test_golden_chain_restores(self, tmp_path):
+        from repro.streaming import EpochManager
+        from repro.trajectory import ContinuityConstraint
+
+        manager, constraint = write_golden_chain(
+            QuorumJournal([str(tmp_path / "scratch")])
+        )
+        roots = [str(tmp_path / f"copy-{i}") for i in range(3)]
+        for root in roots:
+            shutil.copytree(self.CHAIN, root)
+        snapshot = PolicyJournal(roots[0]).recover(fingerprint=SOLVER)
+        assert (snapshot.serial, snapshot.policy_age) == (2, 0)
+        assert dict(snapshot.policy.items()) == dict(manager.active.policy.items())
+        assert same_ledger_state(snapshot.trajectory, constraint.ledger.to_state())
+        successor = ContinuityConstraint(K)
+        restored = EpochManager.restore(QuorumJournal(roots), trajectory=successor)
+        assert restored.active.serial == 2
+        assert dict(restored.active.policy.items()) == dict(
+            manager.active.policy.items()
+        )
+        assert same_ledger_state(
+            successor.ledger.to_state(), constraint.ledger.to_state()
+        )
+        assert restored._shadow.solution is not None
+
+
+class TestRecoverOnce:
+    """Each check of a restore runs once: one decode per distinct
+    replica identity, one ledger adoption per restore, one log parse
+    per replica and prune."""
+
+    @pytest.fixture
+    def roots(self, tmp_path):
+        return [str(tmp_path / f"replica-{i}") for i in range(3)]
+
+    @staticmethod
+    def _spy(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_one_decode_per_identity(self, roots, monkeypatch):
+        quorum = QuorumJournal(roots)
+        policy = build_policy()
+        quorum.commit(policy, 0, FINGERPRINT)
+        decodes = self._spy(monkeypatch, PolicyJournal, "_decode")
+        quorum.recover()
+        assert decodes == ["_decode"]
+        _forge_arrays(roots[0], 0, FORGERIES["user-outside-cloak"])
+        decodes.clear()
+        assert_bit_identical(policy, quorum.recover().policy)
+        assert decodes == ["_decode", "_decode"]
+        assert quorum.last_recovery.replica_states == ("corrupt", "ok", "ok")
+        assert quorum.last_recovery.repaired == (0,)
+        assert _journal_files(roots[0]) == _journal_files(roots[1])
+
+    @pytest.mark.parametrize("ticks", [0, 2])
+    def test_one_ledger_adoption_per_restore(self, provider, roots, monkeypatch, ticks):
+        from repro.streaming import EpochManager
+        from repro.trajectory import ContinuityConstraint
+
+        csp = TestDeltaChain().run(provider, QuorumJournal(roots), ticks=ticks)
+        expected = csp.trajectory.ledger.to_state()
+        adopts = self._spy(monkeypatch, TrajectoryLedger, "adopt_state")
+        successor = ContinuityConstraint(K)
+        EpochManager.restore(QuorumJournal(roots), trajectory=successor)
+        assert adopts == ["adopt_state"]
+        assert same_ledger_state(successor.ledger.to_state(), expected)
+
+    def test_one_log_parse_per_replica_and_prune(self, roots, monkeypatch):
+        quorum = QuorumJournal(roots)
+        for serial in range(3):
+            quorum.commit(build_policy(seed=serial), serial, FINGERPRINT)
+        parses = self._spy(monkeypatch, PolicyJournal, "_read_journal")
+        assert quorum.prune(1) == (0, 1)
+        assert len(parses) == 3
