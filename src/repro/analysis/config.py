@@ -34,7 +34,7 @@ class AnalysisConfig:
     taint_source_calls: FrozenSet[str] = _fs("locate", "location_of")
     #: attribute names that carry raw-location taint on any receiver.
     tainted_fields: FrozenSet[str] = _fs(
-        "location", "request", "locx", "locy", "_locations"
+        "location", "request", "locx", "locy", "_coords"
     )
     #: constructors whose result *is* a raw-location carrier.
     taint_constructors: FrozenSet[str] = _fs("ServiceRequest")
@@ -165,7 +165,7 @@ class AnalysisConfig:
     #: standalone payload) whose element stores EP001 audits.
     epoch_array_fields: FrozenSet[str] = _fs(
         "ids", "left", "right", "count", "area", "depth", "level_offsets",
-        "rects", "leaf_ptr", "leaf_rows", "user_ids",
+        "rects", "leaf_ptr", "leaf_rows", "user_ids", "tree_rows",
     )
 
     # -- trajectory-ledger ownership (TJ) ------------------------------------

@@ -55,10 +55,11 @@ class PolicyUnawareAttacker:
 
     def __init__(self, db):
         self.db = db
+        self._located = list(db.items())
 
     def attack(self, ar: AnonymizedRequest) -> AttackResult:
         candidates = tuple(
-            uid for uid, point in self.db.items() if ar.cloak.contains(point)
+            uid for uid, point in self._located if ar.cloak.contains(point)
         )
         return AttackResult(ar, candidates)
 

@@ -75,12 +75,8 @@ def audit_policy(policy: CloakingPolicy, k: int) -> AuditReport:
 
     unaware_level = 0
     if groups:
-        populations = []
-        for region in groups:
-            populations.append(
-                sum(1 for __, p in policy.db.items() if region.contains(p))
-            )
-        unaware_level = min(populations)
+        points = policy.db.points()
+        unaware_level = min(sum(map(region.contains, points)) for region in groups)
 
     return AuditReport(
         policy_name=policy.name,

@@ -128,13 +128,8 @@ class KInsideFamily(PolicyFamily):
     def consistent(self, assignment: PRE) -> bool:
         if not self._masking.consistent(assignment):
             return False
-        for ar in assignment:
-            inside = sum(
-                1 for __, p in self.db.items() if ar.cloak.contains(p)
-            )
-            if inside < self.k:
-                return False
-        return True
+        points = self.db.points()
+        return all(sum(map(ar.cloak.contains, points)) >= self.k for ar in assignment)
 
 
 def _candidate_requests(

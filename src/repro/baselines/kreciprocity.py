@@ -70,12 +70,11 @@ def station_circle_policy(
 def satisfies_k_reciprocity(policy: CloakingPolicy, k: int) -> bool:
     """Check k-reciprocity: for every user ``x``, at least k-1 of the
     other users inside ``x``'s cloak have ``x`` inside *their* cloak."""
-    db = policy.db
-    for user_id in db.user_ids():
+    located = list(policy.db.items())
+    for user_id, location in located:
         cloak = policy.cloak_for(user_id)
-        location = db.location_of(user_id)
         reciprocal = 0
-        for other_id, other_point in db.items():
+        for other_id, other_point in located:
             if other_id == user_id or not cloak.contains(other_point):
                 continue
             if policy.cloak_for(other_id).contains(location):

@@ -421,29 +421,19 @@ def solve_best_orientation(
     (optimal for its vocabulary) policy-aware anonymization; picking the
     cheaper of the two is a free utility win at 2× solve cost.
 
-    The two builds share one row index (user ids / row map / coords) —
-    the leaf partition itself differs per orientation, but the point
-    data does not.  With ``pool`` (any ``concurrent.futures`` executor,
-    e.g. the parallel engine's process pool) the two DP runs execute
-    concurrently: each orientation is compiled to flat arrays, shipped
-    to a worker, and only the cost vectors come back.
+    Both builds read the snapshot's own id table; only the leaf
+    partition differs per orientation.  With ``pool`` (any
+    ``concurrent.futures`` executor, e.g. the parallel engine's process
+    pool) the two DP runs execute concurrently: each orientation is
+    compiled to flat arrays, shipped to a worker, and only the cost
+    vectors come back.
     """
     from ..trees.binarytree import BinaryTree
 
-    trees = []
-    shared_index = None
-    for orientation in ("vertical", "horizontal"):
-        tree = BinaryTree.build(
-            region,
-            db,
-            k,
-            max_depth=max_depth,
-            orientation=orientation,
-            shared_index=shared_index,
-        )
-        if shared_index is None:
-            shared_index = (tree.user_ids, tree.user_row, tree.coords)
-        trees.append(tree)
+    trees = [
+        BinaryTree.build(region, db, k, max_depth=max_depth, orientation=o)
+        for o in ("vertical", "horizontal")
+    ]
 
     if pool is not None and engine == "flat":
         from ..trees.flat import FlatTree

@@ -385,7 +385,9 @@ class FlatTreeSolution(TreeSolution):
         flat = FlatTree.compile(self.tree, with_payload=True)
         ids = flat.ids.tolist()
         vecs = [self.solutions[nid].vec for nid in ids]
-        rows, group, cloaking, __ = _extract_rows(flat, vecs, self.k)
+        rows, group, cloaking, boxes = _extract_rows(flat, vecs, self.k)
+        flat.cloaks = np.empty((len(flat.coords), 4))
+        flat.cloaks[rows] = boxes[group]  # every row is cloaked
         users, coords = flat.payload_rows(rows)
         nodes = self.tree.nodes
         policy = CloakingPolicy.from_rows(
@@ -618,17 +620,14 @@ def _extract_rows(
     nodes, boxes)``: local point rows in the object walk's insertion
     order, each row's cloak as an index into ``nodes``, the cloaking
     flat nodes in walk order and their rects.  Requires a
-    payload-carrying flat tree (rects + leaf rows + user ids).  As a
-    side effect ``flat.cloaks`` receives every local row's cloak box —
-    the column a publisher ships so readers need no solve.
+    payload-carrying flat tree (rects + leaf rows).
     """
-    if flat.rects is None or flat.user_ids is None:
+    if flat.rects is None or flat.leaf_ptr is None:
         raise ReproError("extract_cloaks needs a payload-carrying FlatTree")
     n = flat.n_nodes
     if n == 0 or flat.count[0] == 0:
-        flat.cloaks = np.empty((0, 4), dtype=np.float64)
         none = np.empty(0, dtype=np.int64)
-        return none, none, none, flat.cloaks
+        return none, none, none, np.empty((0, 4), dtype=np.float64)
     root_vec = vecs[0]
     if len(root_vec) == 0 or not np.isfinite(root_vec[0]):
         raise NoFeasiblePolicyError(
@@ -685,7 +684,6 @@ def _extract_rows(
         walk.append(i)
         if left_l[i] >= 0:
             stack += (left_l[i], right_l[i])
-    assign = np.full(len(flat.user_ids), -1, dtype=np.int64)
     cloaked: Dict[int, np.ndarray] = {}
     leftovers: Dict[int, np.ndarray] = {}
     values_l = values.tolist()
@@ -704,12 +702,10 @@ def _extract_rows(
                 f"{values_l[i]} of only {len(pool)} locations"
             )
         if n_cloak:
-            assign[pool[:n_cloak]] = i
             cloaked[i] = pool[:n_cloak]
         leftovers[i] = pool[n_cloak:]
     if len(leftovers.get(0, ())) != 0:
         raise ReproError("flat extraction left users uncloaked")
-    flat.cloaks = flat.rects[assign]
     # Every row is assigned (the root-leftover check above); a node's
     # rows are contiguous in walk order, so its group is its position.
     pools = list(cloaked.values())

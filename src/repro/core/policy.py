@@ -167,8 +167,8 @@ class CloakingPolicy:
         built, so masking is not checked again.  What is checked: no
         user is in two parts, the parts cover exactly ``db``'s users,
         and every part's snapshot locates its users where ``db`` does
-        (one list comparison per part: identity-fast when the part's
-        snapshot is a ``db.subset``, value equality otherwise).  A part
+        (:meth:`~repro.core.locationdb.LocationDatabase.agrees_with`:
+        one array comparison per part).  A part
         from another snapshot raises :class:`PolicyError`.
         """
         merged: Dict[str, Region] = {}
@@ -275,13 +275,8 @@ class CloakingPolicy:
         policy-unaware anonymity level (k-inside degree)."""
         if not self._cloaks:
             return 0
-        counts = []
-        for region in set(self._cloaks.values()):
-            inside = sum(
-                1 for __, p in self.db.items() if region.contains(p)
-            )
-            counts.append(inside)
-        return min(counts)
+        points = self.db.points()
+        return min(sum(map(r.contains, points)) for r in set(self._cloaks.values()))
 
     def restricted_to(self, user_ids: Iterable[str]) -> "CloakingPolicy":
         """The policy restricted to a subset of users (helper for the

@@ -149,9 +149,8 @@ def sample_users(master: LocationDatabase, n: int, seed=0) -> LocationDatabase:
             f"cannot sample {n} users from a master of {len(master)}"
         )
     rng = _rng(seed)
-    ids = master.user_ids()
-    chosen = rng.choice(len(ids), size=n, replace=False)
-    return master.subset([ids[i] for i in sorted(chosen)])
+    chosen = rng.choice(len(master), size=n, replace=False)
+    return master.take(np.sort(chosen))
 
 
 def uniform_users(n: int, region: Rect, seed=0) -> LocationDatabase:

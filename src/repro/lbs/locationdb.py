@@ -5,9 +5,9 @@ layer of the library consumes it), but conceptually it belongs to the
 LBS model of §II-A, so it stays importable from here.
 
 Privacy note: everything this module exports is a raw-location source
-for the :mod:`repro.analysis` taint rules — the backing ``_locations``
-relation is tagged ``# taint: location`` at its definition, so values
-read through either import path are tracked identically.
+for the :mod:`repro.analysis` taint rules — the backing coordinate
+column ``_coords`` is tagged ``# taint: location`` at its definition, so
+values read through either import path are tracked identically.
 """
 
 from ..core.locationdb import LocationDatabase, SnapshotSequence

@@ -103,17 +103,18 @@ def _solve_jurisdiction_flat(
 
 
 def _server_policy(
-    flat: FlatTree, solved: SolvedRows, db: LocationDatabase, name: str
+    flat: FlatTree, solved: SolvedRows, tree_db: LocationDatabase, name: str
 ) -> CloakingPolicy:
     """A server's policy from a worker's rows, checked against the
-    master's own payload compile ``flat`` of the same subtree: its ids
-    and coordinates, not the worker's, decide who is cloaked where.
-    One ``Rect`` per cloaking node, shared by its whole group."""
+    master's own payload compile ``flat`` of a subtree of the tree over
+    ``tree_db``: its ids and coordinates, not the worker's, decide who
+    is cloaked where, and its rows restrict ``tree_db`` to the policy's
+    snapshot.  One ``Rect`` per cloaking node, shared by its group."""
     rows, group, boxes = solved
     users, coords = flat.payload_rows(rows)
-    return CloakingPolicy.from_rows(
-        users, coords, group, [Rect(*box) for box in boxes.tolist()], db, name=name
-    )
+    rects = [Rect(*box) for box in boxes.tolist()]
+    snapshot = tree_db.take(flat.tree_rows)
+    return CloakingPolicy.from_rows(users, coords, group, rects, snapshot, name=name)
 
 
 def handoff_shards(
@@ -168,26 +169,19 @@ def handoff_shards(
     out: List[Tuple[Jurisdiction, Optional[CloakingPolicy], float]] = []
     for offset, shard in enumerate(shards):
         shard_id = base_node_id + offset
-        members = tree.users_of(tree.nodes[shard.node_id])
+        node = tree.nodes[shard.node_id]
         jur = Jurisdiction(
-            rect=shard.rect,
-            is_semi=shard.is_semi,
-            count=len(members),
-            node_id=shard_id,
+            rect=shard.rect, is_semi=shard.is_semi, count=node.count, node_id=shard_id
         )
-        if not members:
+        if not node.count:
             out.append((jur, None, 0.0))
             continue
-        flat = FlatTree.compile(
-            tree, root=tree.nodes[shard.node_id], with_payload=True
-        )
+        flat = FlatTree.compile(tree, root=node, with_payload=True)
         if solver is None:
             solved, elapsed = _solve_jurisdiction_flat(flat, k)
         else:
             solved, elapsed = solver(flat, offset)
-        policy = _server_policy(
-            flat, solved, local_db.subset(members), f"handoff-{shard_id}"
-        )
+        policy = _server_policy(flat, solved, local_db, f"handoff-{shard_id}")
         out.append((jur, policy, elapsed))
     return out
 

@@ -45,8 +45,11 @@ from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from ..core.errors import JurisdictionSolveError, ReproError
 from ..core.geometry import Rect
@@ -108,10 +111,14 @@ class ParallelResult:
     #: (dead jurisdiction, shard, adopter) per hand-off shard; the
     #: adopter is ``-1`` when no survivor could take the shard.
     handoffs: Tuple[Tuple[int, int, int], ...] = ()
-    #: bytes of per-jurisdiction payload the chosen transport would put
-    #: on the wire (pickled task payloads) — the cost ``transport='shm'``
-    #: collapses to a per-jurisdiction handle.
-    dispatch_payload_bytes: int = 0
+    #: per jurisdiction, what the transport dispatches (None: empty).
+    payloads: Tuple["TaskPayload", ...] = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def dispatch_payload_bytes(self) -> int:
+        """Bytes the transport puts on the wire per dispatch, pickled on
+        first read — the cost ``transport='shm'`` collapses to handles."""
+        return sum(len(pickle.dumps([] if p is None else p)) for p in self.payloads)
 
     @property
     def n_servers(self) -> int:
@@ -196,43 +203,39 @@ def _check_snapshot(tree_db: LocationDatabase, db: LocationDatabase) -> None:
     """Fail fast unless a caller's partition tree was built over ``db``
     or a snapshot with the same contents: the servers solve subtrees of
     that tree, so its users and locations are the ones cloaked."""
-    if tree_db is db:
-        return
-    differ = [uid for uid, p in db.items() if tree_db.location_of(uid) != p]
-    if differ or len(tree_db) != len(db):
+    if len(tree_db) != len(db) or not tree_db.agrees_with(db):
         raise ReproError(
             "partition_tree was built over a different snapshot than db: "
-            f"{len(differ)} of db's {len(db)} users are missing from it or "
-            f"located elsewhere (first: {differ[:3]!r}); the tree holds "
-            f"{len(tree_db)} users"
+            f"the tree holds {len(tree_db)} users, db {len(db)}, and not "
+            "every user of db is located alike in both"
         )
 
 
 def _solve_error(
-    jur: Jurisdiction, users: Sequence[str], attempt: int, kind: str, what: str
+    jur: Jurisdiction, rows: Sequence[int], attempt: int, kind: str, what: str
 ) -> JurisdictionSolveError:
     """One failed attempt at ``jur``, as the retry rounds record it."""
     return JurisdictionSolveError(
-        f"jurisdiction {jur.node_id} ({len(users)} users) {what}",
+        f"jurisdiction {jur.node_id} ({len(rows)} users) {what}",
         node_id=jur.node_id,
-        n_users=len(users),
+        n_users=len(rows),
         attempts=attempt + 1,
         kind=kind,
     )
 
 
 def _crash_error(
-    jur: Jurisdiction, users: Sequence[str], attempt: int, exc: BaseException
+    jur: Jurisdiction, rows: Sequence[int], attempt: int, exc: BaseException
 ) -> JurisdictionSolveError:
     return _solve_error(
-        jur, users, attempt, "crash", f"lost to a dead worker process: {exc}"
+        jur, rows, attempt, "crash", f"lost to a dead worker process: {exc}"
     )
 
 
 def _injected(
     injector: Optional[FaultInjector],
     jur: Jurisdiction,
-    users: Sequence[str],
+    rows: Sequence[int],
     attempt: int,
 ) -> Tuple[float, Optional[JurisdictionSolveError]]:
     """Master-side injection for one attempt: ``(straggle seconds,
@@ -243,12 +246,12 @@ def _injected(
         return injector.fire("solve", jur.node_id, attempt), None
     except InjectedFault as exc:
         kind = "timeout" if isinstance(exc, InjectedTimeout) else "crash"
-        return 0.0, _solve_error(jur, users, attempt, kind, f"failed: {exc}")
+        return 0.0, _solve_error(jur, rows, attempt, kind, f"failed: {exc}")
 
 
 def _judged(
     jur: Jurisdiction,
-    users: Sequence[str],
+    rows: Sequence[int],
     attempt: int,
     timeout: Optional[float],
     solved: SolvedRows,
@@ -259,7 +262,7 @@ def _judged(
     if timeout is not None and elapsed > timeout:
         return _solve_error(
             jur,
-            users,
+            rows,
             attempt,
             "timeout",
             f"exceeded its {timeout:g}s solve budget ({elapsed:.3f}s)",
@@ -276,7 +279,7 @@ def _worker_for(payload: TaskPayload):
 
 def _attempt_simulated(
     jur: Jurisdiction,
-    users: Sequence[str],
+    rows: Sequence[int],
     payload: TaskPayload,
     k: int,
     attempt: int,
@@ -285,14 +288,14 @@ def _attempt_simulated(
 ) -> object:
     """One simulated solve attempt → ``(policy rows, elapsed)`` or its
     :class:`JurisdictionSolveError`."""
-    extra, error = _injected(injector, jur, users, attempt)
+    extra, error = _injected(injector, jur, rows, attempt)
     if error is not None:
         return error
     try:
         solved, elapsed = _worker_for(payload)(payload, k)
     except Exception as exc:  # real solver errors carry the node id too
-        return _solve_error(jur, users, attempt, "error", f"failed: {exc}")
-    return _judged(jur, users, attempt, timeout, solved, elapsed + extra)
+        return _solve_error(jur, rows, attempt, "error", f"failed: {exc}")
+    return _judged(jur, rows, attempt, timeout, solved, elapsed + extra)
 
 
 class _ProcessPool:
@@ -452,7 +455,9 @@ def parallel_bulk_anonymize(
         _check_snapshot(partition_tree.db, db)
     jurisdictions = greedy_partition(partition_tree, n_servers, k)
 
-    tasks: List[Tuple[Jurisdiction, List[str], TaskPayload]] = []
+    #: per jurisdiction: its users as partition-tree rows, and what a
+    #: dispatch ships.
+    tasks: List[Tuple[Jurisdiction, np.ndarray, TaskPayload]] = []
     #: the master's own payload compile per populated jurisdiction: a
     #: worker's rows are checked against its ids and coordinates.
     compiled: Dict[int, FlatTree] = {}
@@ -462,34 +467,28 @@ def parallel_bulk_anonymize(
         # one jurisdiction (rect containment alone would double-count
         # her).
         node = partition_tree.nodes[jur.node_id]
-        users: List[str] = []
+        rows = np.empty(0, dtype=np.int64)
         payload: TaskPayload = None
         if node.count:
             payload = compiled[jur.node_id] = FlatTree.compile(
                 partition_tree, root=node, with_payload=True
             )
-            users = payload.user_ids or []  # the node's users, in row order
-        tasks.append((jur, users, payload))
+            rows = payload.tree_rows
+        tasks.append((jur, rows, payload))
     published: List[SharedFlatTree] = []
     if transport == "shm":
         try:
-            for i, (jur, users, payload) in enumerate(tasks):
+            for i, (jur, rows, payload) in enumerate(tasks):
                 if isinstance(payload, FlatTree):
                     shared = SharedFlatTree.publish(payload)
                     published.append(shared)
-                    tasks[i] = (jur, users, shared.handle)
+                    tasks[i] = (jur, rows, shared.handle)
         except BaseException:
             for shared in published:
                 shared.unlink()
                 shared.close()
             raise
     partition_seconds = time.perf_counter() - t0
-    # What this transport would put on the wire per dispatch (measured
-    # outside the timed sections: it is bookkeeping, not solve work).
-    dispatch_payload_bytes = sum(
-        len(pickle.dumps(payload if payload is not None else users))
-        for __, users, payload in tasks
-    )
 
     max_attempts = retry_policy.max_attempts if retry_policy else 1
     policies: Dict[int, Optional[CloakingPolicy]] = {}
@@ -504,9 +503,9 @@ def parallel_bulk_anonymize(
     crashed_ids: Set[int] = set()
 
     pending = []
-    for jur, users, payload in tasks:
-        if users:
-            pending.append((jur, users, payload))
+    for jur, rows, payload in tasks:
+        if len(rows):
+            pending.append((jur, rows, payload))
         else:
             policies[jur.node_id] = None
 
@@ -516,7 +515,7 @@ def parallel_bulk_anonymize(
         round_no = 0
         isolate_round = False
         while pending and round_no < max_attempts:
-            still_failing: List[Tuple[Jurisdiction, List[str], TaskPayload]] = []
+            still_failing: List[Tuple[Jurisdiction, np.ndarray, TaskPayload]] = []
             last_errors: Dict[int, JurisdictionSolveError] = {}
             if mode == "process":
                 outcomes, breaks, rebuild_seconds = _process_round(
@@ -540,16 +539,16 @@ def parallel_bulk_anonymize(
                 outcomes = [
                     _attempt_simulated(
                         jur,
-                        users,
+                        rows,
                         payload,
                         k,
                         round_no,
                         injector,
                         jurisdiction_timeout,
                     )
-                    for jur, users, payload in pending
+                    for jur, rows, payload in pending
                 ]
-            for (jur, users, payload), outcome in zip(pending, outcomes):
+            for (jur, rows, payload), outcome in zip(pending, outcomes):
                 attempts_used[jur.node_id] = round_no + 1
                 if isinstance(outcome, JurisdictionSolveError):
                     last_errors[jur.node_id] = outcome
@@ -559,13 +558,13 @@ def parallel_bulk_anonymize(
                     # produced nothing; charge the straggler budget.
                     if outcome.kind == "timeout" and jurisdiction_timeout:
                         retry_seconds += jurisdiction_timeout
-                    still_failing.append((jur, users, payload))
+                    still_failing.append((jur, rows, payload))
                 else:
                     solved, elapsed = outcome
                     policies[jur.node_id] = _server_policy(
                         compiled[jur.node_id],
                         solved,
-                        db.subset(users),
+                        partition_tree.db,
                         f"server-{jur.node_id}",
                     )
                     seconds[jur.node_id] = elapsed
@@ -618,7 +617,7 @@ def parallel_bulk_anonymize(
 
             return solve_shard
 
-        for jur, users, __ in pending:
+        for jur, rows, __ in pending:
             error = last_errors[jur.node_id]
             if on_failure == "raise":
                 raise error
@@ -630,7 +629,7 @@ def parallel_bulk_anonymize(
                 handoff_start = time.perf_counter()
                 shards = handoff_shards(
                     jur.rect,
-                    db.subset(users).rows(),
+                    partition_tree.db.take(rows).rows(),
                     k,
                     max_depth=max_depth,
                     base_node_id=next_shard_id,
@@ -663,7 +662,7 @@ def parallel_bulk_anonymize(
                 failures.append(
                     JurisdictionFailure(
                         node_id=jur.node_id,
-                        n_users=len(users),
+                        n_users=len(rows),
                         attempts=attempts_used[jur.node_id],
                         kind=error.kind,
                         degraded=False,
@@ -673,12 +672,12 @@ def parallel_bulk_anonymize(
                 continue
             # Fail-closed degrade: one jurisdiction, one ≥k cloak.
             policies[jur.node_id] = fallback_jurisdiction_policy(
-                jur.rect, jur.node_id, db.subset(users).rows(), k
+                jur.rect, jur.node_id, partition_tree.db.take(rows).rows(), k
             )
             failures.append(
                 JurisdictionFailure(
                     node_id=jur.node_id,
-                    n_users=len(users),
+                    n_users=len(rows),
                     attempts=attempts_used[jur.node_id],
                     kind=error.kind,
                     degraded=True,
@@ -710,7 +709,7 @@ def parallel_bulk_anonymize(
         recoveries=recoveries,
         recovery_seconds=recovery_seconds,
         handoffs=tuple(handoffs),
-        dispatch_payload_bytes=dispatch_payload_bytes,
+        payloads=tuple(payload for __, ___, payload in tasks),
     )
 
 
@@ -750,84 +749,53 @@ def _process_round(
     breaks = 0
     rebuild_seconds = 0.0
 
-    def submit(payload, kill):
-        return pool.pool.submit(_worker_for(payload), payload, k, kill)
-
-    def collect(jur, users, future, extra):
+    def collect(jur, rows, future, extra):
         """Await one future → (outcome, pool_broke)."""
         try:
             solved, elapsed = future.result(timeout=timeout)
         except FutureTimeoutError:
             future.cancel()
             what = f"exceeded its {timeout:g}s solve budget"
-            return _solve_error(jur, users, attempt, "timeout", what), False
+            return _solve_error(jur, rows, attempt, "timeout", what), False
         except BrokenProcessPool as exc:
             # The worker running this solve (or a pool-mate) was killed;
             # the result is gone for every in-flight future.
-            return _crash_error(jur, users, attempt, exc), True
+            return _crash_error(jur, rows, attempt, exc), True
         except Exception as exc:
             what = f"failed: {exc}"
-            return _solve_error(jur, users, attempt, "error", what), False
-        outcome = _judged(jur, users, attempt, timeout, solved, elapsed + extra)
+            return _solve_error(jur, rows, attempt, "error", what), False
+        outcome = _judged(jur, rows, attempt, timeout, solved, elapsed + extra)
         return outcome, False
 
-    if isolate:
-        # Quarantine round: one jurisdiction in flight at a time.
-        outcomes: List[object] = []
-        for jur, users, payload in pending:
-            extra, error = _injected(injector, jur, users, attempt)
-            if error is not None:
-                outcomes.append(error)
-                continue
-            kill = bool(
-                kill_plan is not None
-                and kill_plan.should_kill(jur.node_id, attempt)
-            )
-            try:
-                future = submit(payload, kill)
-            except BrokenProcessPool as exc:
-                breaks += 1
-                rebuild_seconds += pool.rebuild()
-                outcomes.append(_crash_error(jur, users, attempt, exc))
-                continue
-            outcome, broke = collect(jur, users, future, extra)
-            outcomes.append(outcome)
-            if broke:
-                breaks += 1
-                rebuild_seconds += pool.rebuild()
-        return outcomes, breaks, rebuild_seconds
-
-    outcomes = []
-    submissions = []
-    round_broke = False
-    for jur, users, payload in pending:
-        extra, error = _injected(injector, jur, users, attempt)
-        kill = bool(
-            kill_plan is not None
-            and kill_plan.should_kill(jur.node_id, attempt)
-        )
-        if error is not None:
-            submissions.append((jur, users, None, extra, error))
-            continue
-        try:
-            future = submit(payload, kill)
-        except BrokenProcessPool as exc:
-            # An earlier kill already broke the pool; this jurisdiction
-            # never ran — a crash casualty, retried next round.
-            round_broke = True
-            submissions.append(
-                (jur, users, None, extra, _crash_error(jur, users, attempt, exc))
-            )
-            continue
-        submissions.append((jur, users, future, extra, None))
-    for jur, users, future, extra, error in submissions:
-        if error is not None:
+    outcomes: List[object] = []
+    # A quarantine round is a batch per jurisdiction: one in flight at a
+    # time, the pool rebuilt after each casualty.
+    for batch in [[task] for task in pending] if isolate else [pending]:
+        submissions = []
+        batch_broke = False
+        for jur, rows, payload in batch:
+            extra, error = _injected(injector, jur, rows, attempt)
+            future = None
+            if error is None:
+                kill = bool(
+                    kill_plan is not None
+                    and kill_plan.should_kill(jur.node_id, attempt)
+                )
+                try:
+                    future = pool.pool.submit(_worker_for(payload), payload, k, kill)
+                except BrokenProcessPool as exc:
+                    # An earlier kill already broke the pool; this
+                    # jurisdiction never ran — a crash casualty, retried
+                    # next round.
+                    batch_broke = True
+                    error = _crash_error(jur, rows, attempt, exc)
+            submissions.append((jur, rows, future, extra, error))
+        for jur, rows, future, extra, error in submissions:
+            if error is None:
+                error, broke = collect(jur, rows, future, extra)
+                batch_broke = batch_broke or broke
             outcomes.append(error)
-            continue
-        outcome, broke = collect(jur, users, future, extra)
-        round_broke = round_broke or broke
-        outcomes.append(outcome)
-    if round_broke:
-        breaks += 1
-        rebuild_seconds += pool.rebuild()
+        if batch_broke:
+            breaks += 1
+            rebuild_seconds += pool.rebuild()
     return outcomes, breaks, rebuild_seconds

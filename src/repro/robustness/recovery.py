@@ -91,7 +91,6 @@ import time
 import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -150,7 +149,6 @@ _JOURNAL_FILE = "journal.log"
 _LEDGER_PREFIX = "trajectory/"
 #: the fingerprint entries a delta's replay rebuilds the solver from.
 _REPLAY_KEYS = ("region", "k", "max_depth")
-_XY = operator.attrgetter("x", "y")
 _BOX = operator.attrgetter("x1", "y1", "x2", "y2")
 
 
@@ -226,14 +224,12 @@ def _policy_arrays(policy: CloakingPolicy) -> Dict[str, np.ndarray]:
                 "the journal stores rectangles only"
             )
     slot_of = dict(zip(distinct, range(len(distinct))))
-    located = dict(policy.db.items())
+    row_of = policy.db.index()[1]
     return {
         "policy/ids": encode_ids(ids),
-        "policy/coords": np.fromiter(
-            chain.from_iterable(map(_XY, map(located.__getitem__, ids))),
-            dtype=np.float64,
-            count=2 * len(ids),
-        ).reshape(-1, 2),
+        "policy/coords": policy.db.coords_array()[
+            np.fromiter(map(row_of.__getitem__, ids), np.intp, len(ids))
+        ],
         "policy/group": np.fromiter(
             map(slot_of.__getitem__, keys), dtype=np.int32, count=len(keys)
         ),
@@ -294,7 +290,7 @@ def _policy_from_arrays(arrays: Mapping[str, np.ndarray], name: str) -> Cloaking
             f"{coords.shape}, groups {group.dtype} {group.shape}, boxes "
             f"{boxes.dtype} {boxes.shape}"
         )
-    db = LocationDatabase(zip(ids, coords[:, 0].tolist(), coords[:, 1].tolist()))
+    db = LocationDatabase.from_columns(ids, coords)
     rects = [Rect(*box) for box in boxes.tolist()]
     return CloakingPolicy.from_rows(ids, coords, group, rects, db, name=name)
 

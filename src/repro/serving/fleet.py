@@ -337,9 +337,7 @@ def _build_worker_csp(spec: _FleetSpec, trajectory_state: _ShardState) -> Any:
         del flat
     finally:
         shared.close()
-    db = LocationDatabase(
-        (uid, x, y) for uid, (x, y) in zip(user_ids, coords.tolist())
-    )
+    db = LocationDatabase.from_columns(user_ids, coords)
     # One Rect per distinct cloak, shared by its group's users like the
     # manager's own policy.
     policy = CloakingPolicy.from_rows(

@@ -23,14 +23,14 @@ incremental-maintenance experiment (Figure 5(b)).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from ..core.errors import TreeError
 from ..core.geometry import Point, Rect
 from ..core.locationdb import LocationDatabase
-from .node import SpatialNode
+from .node import SpatialNode, SpatialTree
 
 __all__ = ["BinaryTree"]
 
@@ -55,7 +55,7 @@ def _classify_root(region: Rect) -> bool:
     )
 
 
-class BinaryTree:
+class BinaryTree(SpatialTree):
     """Lazy binary tree of quadrants / semi-quadrants.
 
     With the default ``orientation='vertical'`` (the paper's static
@@ -78,9 +78,6 @@ class BinaryTree:
         split_threshold: int,
         max_depth: int = 40,
         orientation: str = "vertical",
-        shared_index: Optional[
-            Tuple[List[str], Dict[str, int], np.ndarray]
-        ] = None,
     ):
         root_is_semi = _classify_root(region)
         if split_threshold < 1:
@@ -95,19 +92,11 @@ class BinaryTree:
         self.split_threshold = split_threshold
         self.max_depth = max_depth
         self.orientation = orientation
-        if shared_index is not None:
-            # Row index precomputed by a sibling tree over the *same*
-            # snapshot (solve_best_orientation builds two).  The id list
-            # and row map are immutable here; coords are copied because
-            # apply_moves mutates them per tree.
-            user_ids, user_row, coords = shared_index
-            self.user_ids = user_ids
-            self.user_row = user_row
-            self.coords = coords.copy()
-        else:
-            self.user_ids = db.user_ids()
-            self.user_row = {uid: i for i, uid in enumerate(self.user_ids)}
-            self.coords = db.coords_array()
+        # Rows are the snapshot's own: the id table is shared with it
+        # (and with every snapshot apply_moves derives from it), the
+        # coordinates are copied because apply_moves mutates them.
+        self.user_ids, self.user_row = db.index()
+        self.coords = db.coords_array()
         self._next_id = 0
         self.nodes: Dict[int, SpatialNode] = {}
         self.root = self._new_node(region, depth=0, parent=None, is_semi=root_is_semi)
@@ -127,9 +116,6 @@ class BinaryTree:
         k: int,
         max_depth: int = 40,
         orientation: str = "vertical",
-        shared_index: Optional[
-            Tuple[List[str], Dict[str, int], np.ndarray]
-        ] = None,
     ) -> "BinaryTree":
         """Build the tree for anonymity degree ``k`` (threshold = k)."""
         return cls(
@@ -138,7 +124,6 @@ class BinaryTree:
             split_threshold=k,
             max_depth=max_depth,
             orientation=orientation,
-            shared_index=shared_index,
         )
 
     def _new_node(
@@ -254,23 +239,8 @@ class BinaryTree:
 
     # -- queries ---------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def height(self) -> int:
-        return max(node.depth for node in self.nodes.values())
-
     def leaves(self) -> List[SpatialNode]:
         return [node for node in self.nodes.values() if node.is_leaf]
-
-    def iter_postorder(self) -> Iterator[SpatialNode]:
-        return self.root.iter_postorder()
-
-    def leaf_for(self, point: Point) -> SpatialNode:
-        if not self.region.contains(point):
-            raise TreeError(f"point {point} lies outside the map {self.region}")
-        return self.root.leaf_for(point)
 
     def leaf_of_user(self, user_id: str) -> SpatialNode:
         """The leaf currently holding ``user_id``'s location."""
@@ -292,36 +262,6 @@ class BinaryTree:
     def users_of(self, node: SpatialNode) -> List[str]:
         """User ids inside ``node``, in row order."""
         return [self.user_ids[row] for row in self.rows_of(node)]
-
-    def smallest_node_with(
-        self, point: Point, min_count: int
-    ) -> Optional[SpatialNode]:
-        """Deepest node containing ``point`` with ``d ≥ min_count`` — the
-        cloak choice of the policy-unaware binary baseline (PUB)."""
-        if self.root.count < min_count or not self.region.contains(point):
-            return None
-        best = None
-        node = self.root
-        while True:
-            if node.count >= min_count:
-                best = node
-            if node.is_leaf:
-                return best
-            node = node.child_for(point)
-            if node.count < min_count:
-                return best
-
-    def stats(self) -> Dict[str, float]:
-        """Shape statistics for the Figure 3 experiment."""
-        leaves = self.leaves()
-        leaf_counts = [leaf.count for leaf in leaves]
-        return {
-            "nodes": len(self.nodes),
-            "leaves": len(leaves),
-            "height": self.height,
-            "max_leaf_count": max(leaf_counts) if leaf_counts else 0,
-            "mean_leaf_count": float(np.mean(leaf_counts)) if leaf_counts else 0.0,
-        }
 
     def depth_histogram(self) -> Dict[int, int]:
         """Leaf count per depth — the grey-scale data of Figure 3(a)."""

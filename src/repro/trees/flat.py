@@ -52,8 +52,10 @@ class FlatTree:
     The payload block (``rects``/``leaf_ptr``/``leaf_rows``/
     ``user_ids``/``coords``) is attached only when the flat tree must
     stand alone — i.e. when it is shipped to a worker process that has
-    no object tree to fall back on.  ``cloaks`` is set by a publisher
-    that has already extracted the policy, so readers need no solve.
+    no object tree to fall back on; ``tree_rows`` (each local row's tree
+    row, kept off the wire) lets the master restrict the tree's snapshot
+    by rows.  ``cloaks`` is set by a publisher that has already
+    extracted the policy, so readers need no solve.
     """
 
     ids: np.ndarray            # (n,) int64
@@ -71,6 +73,9 @@ class FlatTree:
     user_ids: Optional[List[str]] = None    # local row -> user id
     coords: Optional[np.ndarray] = None     # (#points, 2) local row -> x, y
     cloaks: Optional[np.ndarray] = None     # (#points, 4) local row -> cloak
+    tree_rows: Optional[np.ndarray] = field(  # (#points,) local -> tree row
+        default=None, repr=False, compare=False
+    )
 
     @property
     def n_nodes(self) -> int:
@@ -95,6 +100,11 @@ class FlatTree:
             raise TreeError("payload rows need a payload-carrying FlatTree")
         users = list(map(self.user_ids.__getitem__, rows.tolist()))
         return users, self.coords[rows]
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("tree_rows", None)  # master-side only
+        return state
 
     # -- compilation -----------------------------------------------------------
 
@@ -178,7 +188,8 @@ class FlatTree:
             local = np.searchsorted(order, all_rows)
             flat.leaf_ptr = ptr
             flat.leaf_rows = local
-            flat.user_ids = [tree.user_ids[r] for r in order]
+            flat.tree_rows = order
+            flat.user_ids = list(map(tree.user_ids.__getitem__, order.tolist()))
             flat.coords = np.ascontiguousarray(tree.coords[order], np.float64)
         return flat
 

@@ -9,14 +9,14 @@ configuration framework (Definition 7) needs.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.errors import TreeError
 from ..core.geometry import Point, Rect
 
-__all__ = ["SpatialNode"]
+__all__ = ["SpatialNode", "SpatialTree"]
 
 
 class SpatialNode:
@@ -133,6 +133,61 @@ class SpatialNode:
             f"<{kind} id={self.node_id} depth={self.depth} d={self.count} "
             f"rect={self.rect}>"
         )
+
+
+class SpatialTree:
+    """Queries the quad and binary trees share; a tree provides
+    ``region``, ``root``, its ``nodes`` and ``leaves()``."""
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def height(self) -> int:
+        """Maximum node depth (root = 0): the deepest node is a leaf."""
+        return max(leaf.depth for leaf in self.leaves())
+
+    def iter_postorder(self) -> Iterator[SpatialNode]:
+        return self.root.iter_postorder()
+
+    def leaf_for(self, point: Point) -> SpatialNode:
+        if not self.region.contains(point):
+            raise TreeError(f"point {point} lies outside the map {self.region}")
+        return self.root.leaf_for(point)
+
+    def smallest_node_with(
+        self, point: Point, min_count: int
+    ) -> Optional[SpatialNode]:
+        """The deepest node containing ``point`` with ``d ≥ min_count``.
+
+        This is exactly the cloak the policy-unaware baselines pick (the
+        quad tree's PUQ [16], the binary tree's PUB): the smallest node
+        around the requester that still holds at least k users.  Returns
+        None when even the root is too sparse.
+        """
+        if self.root.count < min_count or not self.region.contains(point):
+            return None
+        best = None
+        node = self.root
+        while True:
+            if node.count >= min_count:
+                best = node
+            if node.is_leaf:
+                return best
+            node = node.child_for(point)
+            if node.count < min_count:
+                return best
+
+    def stats(self) -> Dict[str, float]:
+        """Shape statistics for the Figure 3 experiment."""
+        leaf_counts = [leaf.count for leaf in self.leaves()]
+        return {
+            "nodes": len(self),
+            "leaves": len(leaf_counts),
+            "height": self.height,
+            "max_leaf_count": max(leaf_counts) if leaf_counts else 0,
+            "mean_leaf_count": float(np.mean(leaf_counts)) if leaf_counts else 0.0,
+        }
 
 
 def partition_indices(

@@ -19,19 +19,19 @@ Two build modes are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..core.errors import TreeError
-from ..core.geometry import Point, Rect
+from ..core.geometry import Rect
 from ..core.locationdb import LocationDatabase
-from .node import SpatialNode, partition_indices
+from .node import SpatialNode, SpatialTree, partition_indices
 
 __all__ = ["QuadTree"]
 
 
-class QuadTree:
+class QuadTree(SpatialTree):
     """A quad tree annotated with per-node location counts ``d(m)``."""
 
     def __init__(self, root_rect: Rect, db: LocationDatabase):
@@ -117,30 +117,14 @@ class QuadTree:
 
     # -- queries ---------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def height(self) -> int:
-        """Maximum node depth (root = 0)."""
-        return max(node.depth for node in self.nodes)
-
     def leaves(self) -> List[SpatialNode]:
         return [node for node in self.nodes if node.is_leaf]
-
-    def leaf_for(self, point: Point) -> SpatialNode:
-        if not self.region.contains(point):
-            raise TreeError(f"point {point} lies outside the map {self.region}")
-        return self.root.leaf_for(point)
 
     def node_by_id(self, node_id: int) -> SpatialNode:
         node = self.nodes[node_id]
         if node.node_id != node_id:  # nodes list is id-ordered by build
             raise TreeError(f"node id mismatch for {node_id}")
         return node
-
-    def iter_postorder(self) -> Iterator[SpatialNode]:
-        return self.root.iter_postorder()
 
     def users_of(self, node: SpatialNode) -> List[str]:
         """User ids inside ``node``'s quadrant."""
@@ -152,38 +136,3 @@ class QuadTree:
             return node.point_index
         parts = [self.point_indices_of(child) for child in node.children]
         return np.concatenate(parts) if parts else np.empty(0, dtype=int)
-
-    def smallest_node_with(
-        self, point: Point, min_count: int
-    ) -> Optional[SpatialNode]:
-        """The deepest node containing ``point`` with ``d ≥ min_count``.
-
-        This is exactly the cloak the policy-unaware quad baseline [16]
-        picks: the smallest quadrant around the requester that still
-        holds at least k users.  Returns None when even the root is too
-        sparse.
-        """
-        if self.root.count < min_count or not self.region.contains(point):
-            return None
-        best = None
-        node = self.root
-        while True:
-            if node.count >= min_count:
-                best = node
-            if node.is_leaf:
-                return best
-            node = node.child_for(point)
-            if node.count < min_count:
-                return best
-
-    def stats(self) -> Dict[str, float]:
-        """Shape statistics for the Figure 3 experiment."""
-        leaves = self.leaves()
-        leaf_counts = [leaf.count for leaf in leaves]
-        return {
-            "nodes": len(self.nodes),
-            "leaves": len(leaves),
-            "height": self.height,
-            "max_leaf_count": max(leaf_counts) if leaf_counts else 0,
-            "mean_leaf_count": float(np.mean(leaf_counts)) if leaf_counts else 0.0,
-        }

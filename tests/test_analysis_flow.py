@@ -12,10 +12,12 @@ import ast
 import pathlib
 import textwrap
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import Analyzer, Baseline
+from repro.analysis.config import DEFAULT_CONFIG
 from repro.analysis.flow import FlowAnalysis, build_cfg, solve_forward
 from repro.analysis.incremental import IncrementalAnalyzer
 from repro.analysis.model import Finding, TraceStep
@@ -356,6 +358,34 @@ class TestFlowTaint:
             },
         )
         assert rules_fired(report) == []
+
+    @pytest.mark.parametrize("configured", [True, False])
+    def test_raw_read_of_the_coordinate_column_fires(self, tmp_path, configured):
+        """The location database's coordinate column is a source: by
+        the configured field name, and by its own ``# taint: location``
+        tag in the real module when the configuration omits it."""
+        fields = DEFAULT_CONFIG.tainted_fields
+        config = replace(
+            DEFAULT_CONFIG,
+            tainted_fields=fields if configured else fields - {"_coords"},
+        )
+        write_tree(
+            tmp_path,
+            {
+                "core/locationdb.py": (
+                    ROOT / "src/repro/core/locationdb.py"
+                ).read_text(encoding="utf-8"),
+                "lbs/leak.py": """
+                def relay(db, provider, uid):
+                    row = db.index()[1][uid]
+                    return provider.serve(db._coords[row])
+                """,
+            },
+        )
+        report = Analyzer(config=config).run([tmp_path])
+        assert rules_fired(report) == ["PA001"]
+        (finding,) = report.new_findings
+        assert finding.path.endswith("leak.py") and finding.symbol == "relay"
 
 
 # ---------------------------------------------------------------------------
