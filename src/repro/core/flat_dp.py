@@ -388,11 +388,10 @@ class FlatTreeSolution(TreeSolution):
         rows, group, cloaking, boxes = _extract_rows(flat, vecs, self.k)
         flat.cloaks = np.empty((len(flat.coords), 4))
         flat.cloaks[rows] = boxes[group]  # every row is cloaked
-        users, coords = flat.payload_rows(rows)
         nodes = self.tree.nodes
         policy = CloakingPolicy.from_rows(
-            users,
-            coords,
+            flat.tree_rows[rows],
+            flat.coords[rows],
             group,
             [nodes[ids[i]].rect for i in cloaking.tolist()],
             self.tree.db,
@@ -728,6 +727,6 @@ def extract_cloaks(
     :meth:`CloakingPolicy.from_rows`.
     """
     rows, group, __, boxes = _extract_rows(flat, vecs, k)
-    users, __ = flat.payload_rows(rows)
     cloaks = list(map(tuple, boxes.tolist()))
+    users = map(flat.user_ids.__getitem__, rows.tolist())
     return dict(zip(users, map(cloaks.__getitem__, group.tolist())))

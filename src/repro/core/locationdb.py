@@ -128,6 +128,11 @@ class LocationDatabase:
         """All user ids, in row order (deterministic)."""
         return list(self._table.ids)
 
+    def id_column(self) -> List[str]:
+        """User ids by row: the id table's list, shared with every
+        snapshot over the same rows (read only; builds no id map)."""
+        return self._table.ids
+
     def index(self) -> Tuple[List[str], Dict[str, int]]:
         """The id table: user id by row, and the id → row map.  Both
         are shared with every snapshot over the same rows; read only."""
@@ -150,17 +155,28 @@ class LocationDatabase:
 
     def agrees_with(self, other: "LocationDatabase") -> bool:
         """True when every user of ``other`` is located here exactly as
-        there.  One array comparison: row for row when both share an id
-        table (:meth:`with_moves`), through ``other``'s rows when it is a
-        :meth:`take` of this table, and through the id map otherwise."""
+        there: one array comparison, row for row when both share an id
+        table (:meth:`with_moves`), through :meth:`row_map` otherwise."""
         if other._table is self._table:
             return np.array_equal(self._coords, other._coords)
+        rows = self.row_map(other)
+        return bool(np.all(rows >= 0)) and np.array_equal(
+            self._coords[rows], other._coords
+        )
+
+    def row_map(self, other: "LocationDatabase") -> np.ndarray:
+        """Each row of ``other`` as a row of this snapshot (-1: an id
+        this snapshot lacks): the same rows when both share an id
+        table, the taken rows when ``other`` is a :meth:`take` of this
+        table (weakly referenced), the id map otherwise."""
+        if other._table is self._table:
+            return np.arange(len(self))
         origin = other._origin
         if origin is not None and origin[0]() is self._table:
-            return np.array_equal(self._coords[origin[1]], other._coords)
-        rows = list(map(self._table.row.get, other._table.ids))
-        return None not in rows and np.array_equal(
-            self._coords[np.array(rows, dtype=np.intp)], other._coords
+            return origin[1]
+        row = self._table.row
+        return np.fromiter(
+            (row.get(key, -1) for key in other._table.ids), np.intp, len(other)
         )
 
     def _columns(self) -> List[List[float]]:

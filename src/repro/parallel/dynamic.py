@@ -107,14 +107,16 @@ def _server_policy(
 ) -> CloakingPolicy:
     """A server's policy from a worker's rows, checked against the
     master's own payload compile ``flat`` of a subtree of the tree over
-    ``tree_db``: its ids and coordinates, not the worker's, decide who
-    is cloaked where, and its rows restrict ``tree_db`` to the policy's
-    snapshot.  One ``Rect`` per cloaking node, shared by its group."""
+    ``tree_db``: its tree rows restrict ``tree_db`` to the policy's
+    snapshot (whose row ``r`` is the compile's local row ``r``), and its
+    coordinates, not the worker's, decide where each row is cloaked.
+    One ``Rect`` per cloaking node, shared by its group."""
     rows, group, boxes = solved
-    users, coords = flat.payload_rows(rows)
     rects = [Rect(*box) for box in boxes.tolist()]
     snapshot = tree_db.take(flat.tree_rows)
-    return CloakingPolicy.from_rows(users, coords, group, rects, snapshot, name=name)
+    return CloakingPolicy.from_rows(
+        rows, flat.coords[rows], group, rects, snapshot, name=name
+    )
 
 
 def handoff_shards(

@@ -13,7 +13,9 @@ comparison reuse the standard tooling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ..core.errors import UnknownUserError
 from ..core.policy import CloakingPolicy
@@ -30,14 +32,6 @@ class ServerPolicy:
     jurisdiction: Jurisdiction
     policy: Optional[CloakingPolicy]  # None for an empty jurisdiction
 
-    @property
-    def n_users(self) -> int:
-        return self.jurisdiction.count
-
-    @property
-    def cost(self) -> float:
-        return self.policy.cost() if self.policy is not None else 0.0
-
 
 class MasterPolicy:
     """Dispatches each user to the policy of her jurisdiction's server."""
@@ -48,29 +42,31 @@ class MasterPolicy:
         # Each server's policy was checked for masking when it was built;
         # the merge checks only that the parts tile ``db``'s users and
         # locate them where ``db`` does (CloakingPolicy.union).
+        owned = [
+            (i, s.policy) for i, s in enumerate(self.servers) if s.policy is not None
+        ]
         self.merged = CloakingPolicy.union(
-            [s.policy for s in self.servers if s.policy is not None],
-            db,
-            name="master",
+            [policy for __, policy in owned], db, name="master"
         )
-        self._server_of: Dict[str, ServerPolicy] = {}
-        for server in self.servers:
-            if server.policy is not None:
-                self._server_of.update(dict.fromkeys(server.policy.db, server))
+        # The union lays the parts' rows out in server order, so the
+        # server of every db row is one scatter.
+        self._server_of_row = np.empty(len(db), dtype=np.intp)
+        self._server_of_row[self.merged.row_order] = np.repeat(
+            [i for i, __ in owned], [len(policy) for __, policy in owned]
+        ).astype(np.intp)
         self._next_request_id = request_id_factory()
 
     # -- dispatch ------------------------------------------------------------
 
     def server_for(self, user_id: str) -> ServerPolicy:
-        try:
-            return self._server_of[str(user_id)]
-        except KeyError:
-            raise UnknownUserError(
-                f"no jurisdiction covers user {user_id!r}"
-            ) from None
+        row = self.db.index()[1].get(str(user_id))
+        if row is None:
+            raise UnknownUserError(f"no jurisdiction covers user {user_id!r}")
+        return self.servers[self._server_of_row[row]]
 
     def cloak_for(self, user_id: str):
-        return self.server_for(user_id).policy.cloak_for(user_id)
+        # The merged view holds each server's own cloak objects.
+        return self.merged.cloak_for(user_id)
 
     def anonymize(self, request: ServiceRequest) -> AnonymizedRequest:
         server = self.server_for(request.user_id)

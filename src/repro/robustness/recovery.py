@@ -34,8 +34,8 @@ an uncompressed ``np.savez`` of raw arrays, never unpickled:
 * the policy as rows — ``policy/ids`` (the user ids as UTF-8 JSON bytes
   in a ``uint8`` array), ``policy/coords`` (``(n, 2)`` float64
   locations), ``policy/group`` (``int32`` cloak index per row) and
-  ``policy/boxes`` (``(m, 4)`` float64, one box per distinct cloak
-  object);
+  ``policy/boxes`` (``(m, 4)`` float64, one box per policy group,
+  numbered by first use);
 * with the trajectory defense on, the ledger's
   :meth:`~repro.trajectory.ledger.TrajectoryLedger.to_state` arrays
   under ``trajectory/`` keys.
@@ -45,7 +45,12 @@ Restore rebuilds the snapshot from the rows and the policy through
 re-checked on load: even a checksum-colliding forgery cannot smuggle in
 a non-masking policy, and any file that does not rebuild — torn,
 altered, from another commit, with object arrays, bad shapes, duplicate
-ids or a non-masking row — fails the restore closed.
+ids or a non-masking row — fails the restore closed.  The restored
+policy (after any delta replay) must also pass the Definition 6 gate
+under the ``k`` of its commit's fingerprint
+(:meth:`~repro.core.policy.CloakingPolicy.require_k_anonymous`): a
+cloak group under ``k`` is ``RecoveryError(reason="corrupt")``, so a
+quorum outvotes the replica holding it.
 
 A :class:`QuorumJournal` commit that repairs the previous commit's
 state with a batch of moves is written as a **delta** instead: one
@@ -107,7 +112,7 @@ from typing import (
 import numpy as np
 
 from ..core.anonymizer import IncrementalAnonymizer
-from ..core.errors import RecoveryError, ReproError
+from ..core.errors import AnonymityBreachError, RecoveryError, ReproError
 from ..core.geometry import Point, Rect
 from ..core.locationdb import LocationDatabase
 from ..core.policy import CloakingPolicy
@@ -197,6 +202,21 @@ def _check_stale(policy_age: int, serial: int, current_serial: Optional[int], bo
         )
 
 
+def _check_anonymous(policy: CloakingPolicy, k: object) -> None:
+    """The Definition 6 gate on a decoded policy, under the ``k`` its
+    commit's fingerprint names: a cloak group under ``k`` fails closed."""
+    if type(k) is not int:
+        return
+    try:
+        policy.require_k_anonymous(k)
+    except AnonymityBreachError as exc:
+        raise RecoveryError(
+            f"journalled policy is not policy-aware {k}-anonymous: {exc}; "
+            "refusing to serve it",
+            reason="corrupt",
+        ) from exc
+
+
 def _digest(payload: bytes) -> str:
     """Content checksum of raw bytes (hex blake2b-128), the same digest
     :func:`~repro.core.serialization.checksum_of` gives a document."""
@@ -205,36 +225,33 @@ def _digest(payload: bytes) -> str:
 
 def _policy_arrays(policy: CloakingPolicy) -> Dict[str, np.ndarray]:
     """``policy`` as rows, in its insertion order: ids, locations, the
-    cloak index of each row and one box per distinct cloak object.
+    cloak index of each row (its group, numbered by first use) and one
+    box per used group.
 
     Raises :class:`ReproError` for a cloak that is not a ``Rect``; no
     journalling caller produces one.
     """
-    cloaks = dict(policy.items())
-    ids = list(cloaks)
-    keys = list(map(id, cloaks.values()))
-    # Distinct cloak objects in order of first use; keyed by identity,
-    # so equal-but-distinct rectangles keep their own boxes.
-    distinct = dict(zip(keys, cloaks.values()))
-    for region in distinct.values():
+    order = policy.row_order
+    group = policy.row_group[order]
+    used, first = np.unique(group, return_index=True)
+    by_use = np.argsort(first)
+    number = np.empty(len(policy.regions), dtype=np.int32)
+    number[used[by_use]] = np.arange(len(used), dtype=np.int32)
+    regions = list(map(policy.regions.__getitem__, used[by_use].tolist()))
+    ids = policy.db.id_column()
+    for slot, region in enumerate(regions):
         if not isinstance(region, Rect):
-            user_id = ids[keys.index(id(region))]
+            user_id = ids[int(order[first[by_use[slot]]])]
             raise ReproError(
                 f"cannot journal user {user_id!r}'s cloak {region!r}: "
                 "the journal stores rectangles only"
             )
-    slot_of = dict(zip(distinct, range(len(distinct))))
-    row_of = policy.db.index()[1]
     return {
-        "policy/ids": encode_ids(ids),
-        "policy/coords": policy.db.coords_array()[
-            np.fromiter(map(row_of.__getitem__, ids), np.intp, len(ids))
-        ],
-        "policy/group": np.fromiter(
-            map(slot_of.__getitem__, keys), dtype=np.int32, count=len(keys)
-        ),
+        "policy/ids": encode_ids(list(map(ids.__getitem__, order.tolist()))),
+        "policy/coords": policy.db.coords_array()[order],
+        "policy/group": number[group],
         "policy/boxes": np.array(
-            list(map(_BOX, distinct.values())), dtype=np.float64
+            list(map(_BOX, regions)), dtype=np.float64
         ).reshape(-1, 4),
     }
 
@@ -242,9 +259,8 @@ def _policy_arrays(policy: CloakingPolicy) -> Dict[str, np.ndarray]:
 def _solution_digest(solution, policy: CloakingPolicy) -> Dict[str, object]:
     """What a delta's replay must reproduce: the repaired solution's
     optimal cost and the policy's number of distinct cloaks."""
-    # Dedupe by identity first: extraction shares one cloak per group.
-    distinct = {id(cloak): cloak for __, cloak in policy.items()}
-    return {"cost": float(solution.optimal_cost), "groups": len(set(distinct.values()))}
+    sizes = policy.cloak_classes[2]
+    return {"cost": float(solution.optimal_cost), "groups": int(np.count_nonzero(sizes))}
 
 
 def _ledger_state(trajectory) -> Mapping[str, np.ndarray]:
@@ -292,7 +308,9 @@ def _policy_from_arrays(arrays: Mapping[str, np.ndarray], name: str) -> Cloaking
         )
     db = LocationDatabase.from_columns(ids, coords)
     rects = [Rect(*box) for box in boxes.tolist()]
-    return CloakingPolicy.from_rows(ids, coords, group, rects, db, name=name)
+    return CloakingPolicy.from_rows(
+        np.arange(len(ids)), coords, group, rects, db, name=name
+    )
 
 
 @dataclass(frozen=True)
@@ -1246,7 +1264,9 @@ class PolicyJournal:
             trajectory=trajectory,
             ledger=ledger,
         )
-        return _replay(snapshot, deltas) if deltas else snapshot
+        recovered = _replay(snapshot, deltas) if deltas else snapshot
+        _check_anonymous(recovered.policy, committed_fp.get("k"))
+        return recovered
 
     def files_for_serial(self, serial: int) -> List[str]:
         """Names of the on-disk artifacts of one committed serial that

@@ -341,7 +341,7 @@ def _build_worker_csp(spec: _FleetSpec, trajectory_state: _ShardState) -> Any:
     # One Rect per distinct cloak, shared by its group's users like the
     # manager's own policy.
     policy = CloakingPolicy.from_rows(
-        user_ids,
+        np.arange(len(user_ids)),
         coords,
         group.ravel(),
         [Rect(*box) for box in boxes.tolist()],
@@ -518,6 +518,34 @@ def _fleet_worker_main(
 # -- dispatcher side ---------------------------------------------------------
 
 
+class _Routing:
+    """One epoch's routing table over its snapshot's rows: each row's
+    worker (-1: not a rectangular cloak, so routed by id)."""
+
+    __slots__ = ("ids", "row_of", "worker")
+
+    def __init__(self, index: Tuple[List[str], Dict[str, int]], worker: np.ndarray):
+        self.ids, self.row_of = index
+        self.worker = worker
+
+    def get(self, user_id: str) -> Optional[int]:
+        row = self.row_of.get(user_id)
+        if row is None or self.worker[row] < 0:
+            return None
+        return int(self.worker[row])
+
+    def __getitem__(self, user_id: str) -> int:
+        widx = self.get(user_id)
+        if widx is None:
+            raise KeyError(user_id)
+        return widx
+
+    def users(self, index: int) -> List[str]:
+        """The users routed to worker ``index``, in row order."""
+        rows = np.flatnonzero(self.worker == index).tolist()
+        return list(map(self.ids.__getitem__, rows))
+
+
 def _handle_of(pin: EpochPin) -> SharedTreeHandle:
     """The segment handle of a pinned epoch (published by the manager)."""
     shared = pin.epoch.shared
@@ -646,16 +674,20 @@ class FleetDispatcher:
         """Route, mirror and spawn on ``pin``'s epoch from now on; the
         pin keeps its segment alive until no worker can attach it."""
         self._pin = pin
-        #: uid → cloak tuple, the routing key table.
-        self._cloaks: Dict[str, Tuple[float, ...]] = {
-            uid: cloak.as_tuple()
-            for uid, cloak in pin.epoch.policy.items()
-            if isinstance(cloak, Rect)
-        }
         self._spec = replace(
             self._spec, handle=_handle_of(pin), epoch=pin.epoch.serial
         )
         self._routing = self._build_routing()
+
+    @property
+    def _cloaks(self) -> Dict[str, Tuple[float, ...]]:
+        """uid → cloak box of the routed (rectangular) cloaks of the
+        attached epoch, built on demand; routing works on rows."""
+        return {
+            uid: cloak.as_tuple()
+            for uid, cloak in self._pin.epoch.policy.items()
+            if isinstance(cloak, Rect)
+        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -854,61 +886,62 @@ class FleetDispatcher:
 
     # -- routing -------------------------------------------------------------
 
-    def _build_routing(self) -> Dict[str, int]:
-        """Assign every cloak key to a worker: consistent hashing with
+    def _build_routing(self) -> "_Routing":
+        """Assign every cloak class to a worker: consistent hashing with
         bounded loads.
 
-        Each distinct cloak hashes onto the ring and walks clockwise to
-        the first worker whose accumulated share (weighted by the
-        cloak's user count) stays under ~1.05× the even split (or one
-        whole cloak group, whichever is larger — groups are
-        indivisible).  The
-        spill is deterministic — keys are visited in sorted order — and
+        Each distinct rectangular cloak (equal cloaks merged,
+        :attr:`CloakingPolicy.cloak_classes`) hashes onto the ring by
+        its first cloak's box and walks clockwise to the first worker
+        whose accumulated share (weighted by the class's user count)
+        stays under ~1.05× the even split (or one whole class, whichever
+        is larger — classes are indivisible).  The spill is
+        deterministic — classes are visited in sorted box order — and
         all users of one cloak land together, so the dispatch invariant
         (one cloak key → one worker) survives the rebalancing.  Plain
         first-choice hashing is badly lumpy here: a k-anonymous policy
         has only ≈ n/k distinct cloaks, far too few for the law of
         large numbers to even shares out.
         """
-        groups: Dict[Tuple[float, ...], List[str]] = {}
-        for uid, cloak in self._cloaks.items():
-            groups.setdefault(cloak, []).append(uid)
+        policy = self._pin.epoch.policy
+        keys, of_row, sizes = policy.cloak_classes
+        routed = keys[:, 0] == 0
+        used, first = np.unique(of_row[policy.row_order], return_index=True)
+        first_group = policy.row_group[policy.row_order[first]].tolist()
         with self._ring_lock:
             workers = sorted(self.ring.workers)
             if not workers:
                 raise ReproError("no live workers left to route to")
-            total = len(self._cloaks)
-            heaviest = max((len(v) for v in groups.values()), default=0)
+            total = int(sizes[routed].sum())
+            heaviest = int(sizes[routed].max(initial=0))
             cap = max(-(-total * 105 // (100 * len(workers))), heaviest)
             load = {w: 0 for w in workers}
-            table: Dict[str, int] = {}
-            for cloak in sorted(groups):
-                uids = groups[cloak]
+            worker_of = np.full(len(keys), -1, dtype=np.intp)
+            for c, g in zip(used.tolist(), first_group):
+                if not routed[c]:
+                    continue
+                count = int(sizes[c])
                 chosen: Optional[int] = None
                 for cand in self.ring.candidates(
-                    repr(cloak).encode("utf-8")
+                    repr(policy.regions[g].as_tuple()).encode("utf-8")
                 ):
-                    if load[cand] + len(uids) <= cap:
+                    if load[cand] + count <= cap:
                         chosen = cand
                         break
                 if chosen is None:
                     chosen = min(workers, key=lambda w: (load[w], w))
-                load[chosen] += len(uids)
-                for uid in uids:
-                    table[uid] = chosen
-            return table
+                load[chosen] += count
+                worker_of[c] = chosen
+            return _Routing(policy.db.index(), worker_of[of_row])
 
     # -- trajectory mirror ----------------------------------------------------
-
-    def _slot_users(self, index: int) -> List[str]:
-        return [uid for uid, widx in self._routing.items() if widx == index]
 
     def _shard_state(self, index: int) -> _ShardState:
         """The mirror ledger shard for one slot's routed users, or
         ``None`` when the defense is off."""
         if self._mirror is None:
             return None
-        return self._mirror.subset_state(self._slot_users(index))
+        return self._mirror.subset_state(self._routing.users(index))
 
     def _record_mirror(self, user_id: str, cloak: Rect) -> None:
         """Fold one served cloak into the dispatcher's mirror ledger.

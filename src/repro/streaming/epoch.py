@@ -53,6 +53,7 @@ antichain (:attr:`EpochManager.effective_policy`).
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -72,6 +73,7 @@ import numpy as np
 
 from ..core.anonymizer import IncrementalAnonymizer, PolicyAwareAnonymizer
 from ..core.errors import (
+    AnonymityBreachError,
     RecoveryError,
     ReproError,
     ServiceUnavailableError,
@@ -133,20 +135,23 @@ def _rect_is_semi(rect: Rect) -> bool:
     )
 
 
-def halving_chain(region: Rect, orientation: str, cloak: Rect) -> List[Rect]:
+@functools.lru_cache(maxsize=1024)
+def halving_chain(region: Rect, orientation: str, cloak: Rect) -> Tuple[Rect, ...]:
     """The unique region→cloak descent of the deterministic hierarchy.
 
     Mirrors ``BinaryTree`` splitting exactly: a semi-quadrant is cut
     across its long axis (yielding two squares); a square is cut per the
     tree-level ``orientation`` (yielding two semis).  Purely geometric —
     no tree is consulted, so it works while the shadow is mid-repair.
+    A pure function of its arguments, so the last 1,024 chains are
+    memoized (immutable tuples; a non-node cloak raises every time).
     """
     chain = [region]
     current = region
     target = cloak.center
     for __ in range(64):
         if _same_rect(current, cloak):
-            return chain
+            return tuple(chain)
         if current.area < cloak.area * (1.0 - _EPS):
             break
         if _rect_is_semi(current):
@@ -387,6 +392,8 @@ class EpochManager:
                     FlatTreeSolution, self._shadow.solution
                 ).extract()
             self._world_serial = 0  # guarded-by: self._lock
+            # The Definition 6 gate runs before anything is journalled.
+            policy.require_k_anonymous(k)
             if self._commit(policy, 0, self._shadow.solution) is None:
                 raise RecoveryError(
                     "initial epoch could not reach a commit quorum; "
@@ -485,7 +492,14 @@ class EpochManager:
         """Promote ``policy`` to the active epoch.  ``payload`` is the
         extraction's payload tree; readers get its cloak column beside
         the ids and coordinates, so attaching an epoch never re-solves
-        it."""
+        it.
+
+        Every swap, adoption and restore passes the Definition 6 gate
+        here: a policy with a cloak group under k raises
+        :class:`AnonymityBreachError` before it is published (a swap
+        gates before its commit too, and is void on failure).
+        """
+        policy.require_k_anonymous(self.k)
         shared: Optional[SharedFlatTree] = None
         if self.publish_shared:
             if payload is None:
@@ -720,14 +734,27 @@ class EpochManager:
                 return self._swap_failed(serial, batch, "repair-error", exc)
             repair_seconds = time.perf_counter() - started
             policy, payload = cast(FlatTreeSolution, self._shadow.solution).extract()
-            committed = self._commit(
-                policy, serial, self._shadow.solution,
-                moves=batch if replayable else None,
-            )
+            try:
+                # A sub-k policy is never journalled nor served.
+                policy.require_k_anonymous(self.k)
+            except AnonymityBreachError as exc:
+                self.events.append(
+                    DegradationEvent(
+                        level="rejected", reason="k-anonymity", detail=str(exc)
+                    )
+                )
+                committed, reason = None, "k-anonymity"
+            else:
+                committed = self._commit(
+                    policy, serial, self._shadow.solution,
+                    moves=batch if replayable else None,
+                )
+                reason = "journal-quorum"
             if committed is None:
-                # Quorum lost between swap-intent and swap-commit: the
-                # swap is void.  The shadow keeps the repair (it will
-                # re-commit next tick); serving stays on the old epoch.
+                # Quorum lost between swap-intent and swap-commit, or a
+                # cloak group under k: the swap is void.  The shadow
+                # keeps the repair (it will re-commit next tick);
+                # serving stays on the old epoch.
                 return SwapReport(
                     serial=serial,
                     promoted=False,
@@ -738,7 +765,7 @@ class EpochManager:
                     recomputed_nodes=report.recomputed_nodes,
                     total_nodes=report.total_nodes,
                     repair_seconds=repair_seconds,
-                    reason="journal-quorum",
+                    reason=reason,
                 )
             self._install(serial, policy, origin="swap", payload=payload)
             self.promotions += 1

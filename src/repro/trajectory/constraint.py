@@ -25,8 +25,10 @@ request is rejected fail-closed with ``reason="trajectory"`` — the last
 rung of the degradation ladder, never a sub-k serve.
 
 Everything runs on the ledger's interned ``int32`` user indices.  Per
-policy the solver builds one index from arrays — each user's group, the
-groups' members as CSR, and on first use a contained-in mask per
+policy the solver builds one index from arrays — each user's cloak
+class (:attr:`CloakingPolicy.cloak_classes`, mapped through the ledger's
+indices of the snapshot's id table, which the ledger keeps per table),
+the classes' members as CSR, and on first use a contained-in mask per
 widened ancestor — so the whole check is ``prior[group_of[prior] == g]``
 (or ``prior[mask[prior]]``), and the decision carries the result for
 the ledger to store as it is.
@@ -87,41 +89,26 @@ class _PolicyIndex:
     users inside a widened ancestor are built on first use and cached.
     """
 
-    __slots__ = ("policy", "size", "group_of", "ptr", "members", "boxes",
-                 "within")
+    __slots__ = ("policy", "users", "stamp", "group_of", "ptr", "members",
+                 "boxes", "within")
 
-    def __init__(self, policy: CloakingPolicy, ledger: TrajectoryLedger):
-        cloaks = dict(policy.items())
-        users = ledger.intern(list(cloaks))
-        regions = list(cloaks.values())
-        # Users of one group usually share one cloak object: group by
-        # identity in numpy, then merge equal cloaks among the few
-        # distinct objects.
-        identity = np.fromiter(map(id, regions), np.int64, len(regions))
-        __, first, inverse = np.unique(
-            identity, return_index=True, return_inverse=True
-        )
-        canon: Dict[object, int] = {}
-        object_group = np.array(
-            [canon.setdefault(regions[i], len(canon)) for i in first.tolist()],
-            dtype=np.int32,
-        )
+    def __init__(
+        self, policy: CloakingPolicy, users: np.ndarray, stamp: Tuple[int, int]
+    ):
+        # ``users``: the ledger index of each row of the policy's id
+        # table; ``stamp``: the ledger's (size, generation) it holds for.
+        keys, of_row, __ = policy.cloak_classes
         # Non-rectangular cloaks join no candidate set; their box is
         # contained in no rectangle.
-        boxes = np.array(
-            [
-                region.as_tuple() if isinstance(region, Rect)
-                else (-np.inf, -np.inf, np.inf, np.inf)
-                for region in canon
-            ],
-            dtype=np.float64,
+        rect = keys[:, 0] == 0
+        boxes = np.where(
+            rect[:, None], keys[:, 1:], [-np.inf, -np.inf, np.inf, np.inf]
         ).reshape(-1, 4)
-        rect = np.isfinite(boxes[:, 0])
-        group = object_group[inverse]
-        group = np.where(rect[group], group, -1).astype(np.int32)
+        group = np.where(rect[of_row], of_row, -1).astype(np.int32)
         self.policy = policy
-        self.size = ledger.size()
-        self.group_of = np.full(self.size, -1, dtype=np.int32)
+        self.users = users
+        self.stamp = stamp
+        self.group_of = np.full(stamp[0], -1, dtype=np.int32)
         self.group_of[users] = group
         order = np.lexsort((users, group))
         order = order[group[order] >= 0]
@@ -176,12 +163,11 @@ class ContinuityConstraint:
 
     def _indexed(self, policy: CloakingPolicy) -> _PolicyIndex:
         index = self._index
-        if (
-            index is None
-            or index.policy is not policy
-            or index.size != self.ledger.size()
+        if index is None or index.policy is not policy or (
+            index.stamp != self.ledger.stamp()
         ):
-            index = self._index = _PolicyIndex(policy, self.ledger)
+            users = self.ledger.intern_table(policy.db.id_column(), policy.row_order)
+            index = self._index = _PolicyIndex(policy, users, self.ledger.stamp())
         return index
 
     # -- candidate sets ------------------------------------------------------

@@ -199,6 +199,12 @@ class TrajectoryLedger:
         self._traj_dirty: Set[int] = set()  # guarded-by: self._lock
         #: intern table length at the last :meth:`delta_state`.
         self._traj_journalled = 0  # guarded-by: self._lock
+        #: bumped whenever :meth:`take` or :meth:`adopt_state` replaces
+        #: the intern table.
+        self._traj_generation = 0  # guarded-by: self._lock
+        #: the last :meth:`intern_table` call: (id table, generation,
+        #: its indices).
+        self._traj_table: Optional[Tuple[List[str], int, np.ndarray]] = None  # guarded-by: self._lock
         #: total records ever accepted (monotone; survives trimming).
         self.recorded = 0
         self._lock = threading.Lock()
@@ -255,15 +261,36 @@ class TrajectoryLedger:
             block[slots] = rows.columns[key]
             column[targets] = block
 
+    def _intern_many_locked(self, user_ids: Sequence[str]) -> np.ndarray:
+        index = self._traj_index
+        try:
+            found = list(map(index.__getitem__, user_ids))
+        except KeyError:
+            found = [self._intern_locked(str(uid)) for uid in user_ids]
+        return np.array(found, dtype=np.int32)
+
     def intern(self, user_ids: Sequence[str]) -> np.ndarray:
         """The ``int32`` indices of ``user_ids``, interning new ones."""
         with self._lock:
-            index = self._traj_index
-            try:
-                found = list(map(index.__getitem__, user_ids))
-            except KeyError:
-                found = [self._intern_locked(str(uid)) for uid in user_ids]
-        return np.array(found, dtype=np.int32)
+            return self._intern_many_locked(user_ids)
+
+    def intern_table(self, ids: List[str], order: np.ndarray) -> np.ndarray:
+        """The read-only ``int32`` indices of a snapshot's id table
+        (:meth:`~repro.core.locationdb.LocationDatabase.index`, shared
+        by every snapshot over the same rows and never mutated); ids not
+        yet interned are interned in the row order ``order``.
+        Remembered for the last table until :meth:`take` or
+        :meth:`adopt_state` replaces the intern table."""
+        with self._lock:
+            cached = self._traj_table
+            generation = self._traj_generation
+            if cached is None or cached[0] is not ids or cached[1] != generation:
+                indices = np.empty(len(ids), dtype=np.int32)
+                indices[order] = self._intern_many_locked(
+                    list(map(ids.__getitem__, order.tolist()))
+                )
+                cached = self._traj_table = (ids, generation, _frozen(indices))
+            return cached[2]
 
     def index(self, user_id: str) -> int:
         """The index of one user id, interning it when new."""
@@ -274,6 +301,13 @@ class TrajectoryLedger:
         """How many user ids are interned (indices are ``< size()``)."""
         with self._lock:
             return len(self._traj_ids)
+
+    def stamp(self) -> Tuple[int, int]:
+        """``(size, generation)``: changes when an id is interned and
+        when :meth:`take` or :meth:`adopt_state` replaces the intern
+        table, so indices derived from the table are stale."""
+        with self._lock:
+            return len(self._traj_ids), self._traj_generation
 
     def names(self, indices: Iterable[int]) -> Tuple[str, ...]:
         """The user ids behind ledger indices, in the order given."""
@@ -555,6 +589,7 @@ class TrajectoryLedger:
             self.recorded = rows.recorded
             self._traj_dirty = set()
             self._traj_journalled = size
+            self._traj_generation += 1
 
     def merge_delta(self, delta: Mapping[str, np.ndarray]) -> None:
         """Apply one :meth:`delta_state` to the state it was taken after.
@@ -608,6 +643,7 @@ class TrajectoryLedger:
         with self._lock:
             for name, value in state.items():
                 setattr(self, name, value)
+            self._traj_generation += 1
 
     @classmethod
     def from_state(cls, state: Mapping[str, np.ndarray]) -> "TrajectoryLedger":

@@ -93,14 +93,6 @@ class FlatTree:
         """Local point rows of leaf ``idx`` (payload trees only)."""
         return self.leaf_rows[self.leaf_ptr[idx] : self.leaf_ptr[idx + 1]]
 
-    def payload_rows(self, rows: np.ndarray) -> Tuple[List[str], np.ndarray]:
-        """User ids and ``(n, 2)`` coordinates of local point ``rows``,
-        in the order given (payload trees only)."""
-        if self.user_ids is None or self.coords is None:
-            raise TreeError("payload rows need a payload-carrying FlatTree")
-        users = list(map(self.user_ids.__getitem__, rows.tolist()))
-        return users, self.coords[rows]
-
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         state.pop("tree_rows", None)  # master-side only

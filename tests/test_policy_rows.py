@@ -11,13 +11,24 @@ masking per user.  These tests pin both halves of that bargain:
   locations, row for row, after fits, repairs and in a fleet epoch;
 * a corrupted cloak box or a part from another snapshot still fails
   closed end to end.
+
+The policy is rows over its snapshot's id table, so the rest pins the
+layout: the mapping view against a plain-dict model (lookups, order,
+groups, bit-equal cost, unions across takes, restrictions), rejection by
+row, the Definition 6 gate at install, the trajectory index's ledger map
+after the ledger's intern table is replaced, and fleet routing by cloak
+class against the per-user dict algorithm it replaced.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import LocationDatabase, Point, PolicyError, Rect
 from repro.core.anonymizer import IncrementalAnonymizer, PolicyAwareAnonymizer
+from repro.core.errors import AnonymityBreachError, UnknownUserError
+from repro.core.geometry import Circle
 from repro.core.policy import CloakingPolicy
 from repro.data import uniform_users
 from repro.lbs import LBSProvider, generate_pois
@@ -25,6 +36,8 @@ from repro.lbs.mobility import random_moves
 from repro.parallel import engine, parallel_bulk_anonymize
 from repro.parallel.master import MasterPolicy
 from repro.serving import FleetConfig, FleetDispatcher
+from repro.streaming import EpochManager
+from repro.trajectory import ContinuityConstraint, TrajectoryLedger
 from repro.trees.flat import SharedFlatTree
 
 REGION = Rect(0, 0, 1024, 1024)
@@ -295,3 +308,284 @@ def test_bulk_groups_share_one_rect_per_cloak():
     assert len({id(cloak) for __, cloak in merged.items()}) == len(
         merged.groups()
     )
+
+
+# -- the rows layout against a plain-dict model -------------------------------------
+
+#: a few cloaks, two of them equal to another but distinct objects, and
+#: one circle (the baselines' other region kind).
+POOL = [
+    Rect(0, 0, 4, 4),
+    Rect(2, 2, 8, 8),
+    Rect(0, 0, 8, 8),
+    Rect(0, 0, 4, 4),
+    Rect(2.0, 2.0, 8.0, 8.0),
+    Rect(5, 0, 8, 3),
+    Circle(Point(4.0, 4.0), 3.0),
+]
+
+
+def _model(data, n):
+    """A ``{user: cloak}`` dict in a drawn insertion order, and a db
+    (in another drawn row order) locating each user inside its cloak."""
+    users = [f"u{i}" for i in range(n)]
+    cloaks = {
+        uid: POOL[data.draw(st.integers(0, len(POOL) - 1))] for uid in users
+    }
+    located = {}
+    for uid, region in cloaks.items():
+        if isinstance(region, Circle):
+            located[uid] = (region.center.x, region.center.y)
+        else:
+            located[uid] = (
+                data.draw(st.sampled_from([region.x1, region.x2, (region.x1 + region.x2) / 2])),
+                data.draw(st.sampled_from([region.y1, region.y2, (region.y1 + region.y2) / 2])),
+            )
+    db_order = data.draw(st.permutations(users))
+    db = LocationDatabase((uid, *located[uid]) for uid in db_order)
+    order = data.draw(st.permutations(users))
+    return {uid: cloaks[uid] for uid in order}, db
+
+
+def _reference_groups(model):
+    grouped = {}
+    for uid, region in model.items():
+        grouped.setdefault(region, []).append(uid)
+    return grouped
+
+
+def _same_as_model(policy, model):
+    assert len(policy) == len(model)
+    assert list(policy.items()) == list(model.items())
+    for uid, region in model.items():
+        assert policy.cloak_for(uid) is region
+    groups = policy.groups()
+    reference = _reference_groups(model)
+    assert list(groups.items()) == list(reference.items())
+    assert policy.min_group_size() == min(map(len, reference.values()), default=0)
+    # Bit-equal, in insertion order, as the dict policy summed it.
+    assert policy.cost() == sum(region.area for region in model.values())
+
+
+class TestRowsAgainstTheDictModel:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 14), data=st.data())
+    def test_mapping_view(self, n, data):
+        model, db = _model(data, n)
+        policy = CloakingPolicy(model, db, "p")
+        _same_as_model(policy, model)
+        with pytest.raises(UnknownUserError):
+            policy.cloak_for("ghost")
+        for uid, region in model.items():
+            row = db.index()[1][uid]
+            assert policy.regions[policy.row_group[row]] is region
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 14), data=st.data())
+    def test_from_rows_by_id_and_by_row(self, n, data):
+        model, db = _model(data, n)
+        model = {u: r for u, r in model.items() if isinstance(r, Rect)}
+        db = db.subset([u for u in db.user_ids() if u in model])
+        rects = list({id(r): r for r in model.values()}.values())
+        slot = {id(r): g for g, r in enumerate(rects)}
+        group = np.array([slot[id(r)] for r in model.values()], dtype=np.int64)
+        ids = list(model)
+        coords = np.array(
+            [db.location_of(u).as_tuple() for u in ids], dtype=np.float64
+        ).reshape(-1, 2)
+        rows = np.array([db.index()[1][u] for u in ids], dtype=np.int32)
+        for given_rows in (ids, rows):
+            policy = CloakingPolicy.from_rows(given_rows, coords, group, rects, db)
+            _same_as_model(policy, model)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 14), data=st.data())
+    def test_union_across_takes_and_restriction(self, n, data):
+        model, db = _model(data, n)
+        policy = CloakingPolicy(model, db, "p")
+        # Cut the db rows into parts and rebuild each part over a take.
+        rows = data.draw(st.permutations(range(len(db))))
+        cut = data.draw(st.integers(0, len(rows)))
+        ids = db.user_ids()
+        parts = []
+        for chunk in (rows[:cut], rows[cut:]):
+            users = [ids[r] for r in chunk]
+            parts.append(
+                CloakingPolicy({u: model[u] for u in users}, db.take(chunk), "part")
+            )
+        merged = CloakingPolicy.union(parts, db, "merged")
+        expected = {u: r for part in parts for u, r in part.items()}
+        _same_as_model(merged, expected)
+        assert merged.db is db
+        subset = data.draw(st.permutations(list(model)))[: data.draw(st.integers(0, n))]
+        restricted = policy.restricted_to(subset)
+        _same_as_model(restricted, {u: model[u] for u in subset})
+        assert restricted.db.user_ids() == list(subset)
+        with pytest.raises(UnknownUserError):
+            policy.restricted_to(["ghost"])
+
+
+class TestFromRowsRejectsByRow:
+    """``from_rows`` given db rows refuses exactly what it refuses
+    given ids."""
+
+    db = LocationDatabase([("a", 1, 1), ("b", 2, 2), ("c", 3, 3)])
+    coords = np.array([(1, 1), (2, 2), (3, 3)], dtype=float)
+
+    def build(self, rows, group, coords=None):
+        coords = self.coords if coords is None else coords
+        return CloakingPolicy.from_rows(
+            np.array(rows), coords[: len(rows)], np.array(group), [BOX, OTHER], self.db
+        )
+
+    def test_accepts_a_permutation(self):
+        policy = self.build([2, 0, 1], [1, 0, 0])
+        assert [u for u, __ in policy.items()] == ["c", "a", "b"]
+
+    def test_a_repeated_row(self):
+        with pytest.raises(PolicyError, match="cloaks user 'a' twice"):
+            self.build([0, 1, 0], [0, 0, 0])
+
+    def test_a_missing_row(self):
+        with pytest.raises(PolicyError, match=r"does not cover 1 users \(first: \['b'\]\)"):
+            self.build([0, 2], [0, 0])
+
+    def test_a_row_outside_the_snapshot(self):
+        with pytest.raises(PolicyError, match="row 3 of a 3-user snapshot"):
+            self.build([0, 1, 3], [0, 0, 0])
+
+    def test_a_group_out_of_range(self):
+        with pytest.raises(PolicyError, match="rows disagree"):
+            self.build([0, 1, 2], [0, 0, 2])
+
+    def test_a_row_outside_its_box(self):
+        coords = np.array([(1, 1), (2, 2), (6, 6)], dtype=float)
+        with pytest.raises(PolicyError, match="not masking: user 'c'"):
+            self.build([0, 1, 2], [0, 0, 0], coords)
+
+
+class TestDefinition6Gate:
+    def test_small_group_is_refused_naming_its_users(self):
+        db = LocationDatabase([("a", 1, 1), ("b", 2, 2), ("c", 6, 6)])
+        policy = CloakingPolicy({"a": BOX, "b": BOX, "c": OTHER}, db)
+        policy.require_k_anonymous(1)
+        with pytest.raises(AnonymityBreachError, match="group of 1 users") as err:
+            policy.require_k_anonymous(2)
+        assert err.value.breached_users == ("c",)
+
+    def test_equal_cloaks_count_as_one_group(self):
+        db = LocationDatabase([("a", 1, 1), ("b", 2, 2)])
+        policy = CloakingPolicy({"a": BOX, "b": Rect(0.0, 0.0, 4.0, 4.0)}, db)
+        assert len(policy.regions) == 2
+        assert policy.min_group_size() == 2
+        policy.require_k_anonymous(2)
+
+    def test_an_empty_policy_passes(self):
+        CloakingPolicy({}, LocationDatabase()).require_k_anonymous(5)
+
+    def test_a_sub_k_swap_is_void_and_the_epoch_keeps_serving(self, monkeypatch):
+        db = uniform_users(120, REGION, seed=47)
+        manager = EpochManager(REGION, K, db)
+        before = manager.active
+        monkeypatch.setattr(CloakingPolicy, "min_group_size", lambda self: 1)
+        report = manager.advance(random_moves(db, 0.05, REGION, seed=1))
+        assert not report.promoted and report.reason == "k-anonymity"
+        assert manager.active is before
+        assert manager.events[-1].reason == "k-anonymity"
+
+    def test_a_sub_k_adoption_raises_before_serving(self):
+        db = uniform_users(40, REGION, seed=48)
+        lonely = CloakingPolicy(
+            {uid: REGION for uid in db.user_ids()[1:]}
+            | {db.user_ids()[0]: Rect(*db.location_of(db.user_ids()[0]).as_tuple() * 2)},
+            db,
+        )
+        with pytest.raises(AnonymityBreachError):
+            EpochManager(REGION, K, policy=lonely)
+
+
+# -- the trajectory index's ledger map ----------------------------------------------
+
+
+def _classes_by_ledger_index(constraint, policy):
+    index = constraint._indexed(policy)
+    ledger = constraint.ledger
+    by_group = {}
+    for uid, cloak in policy.items():
+        by_group.setdefault(int(index.group_of[ledger.index(uid)]), set()).add(cloak)
+    return index, by_group
+
+
+@pytest.mark.parametrize("replace", ["take", "adopt_state"])
+def test_policy_index_ledger_map_is_rebuilt_when_the_intern_table_is(replace):
+    db = uniform_users(60, REGION, seed=49)
+    policy = PolicyAwareAnonymizer(REGION, K).fit(db).policy
+    constraint = ContinuityConstraint(K)
+    ledger = constraint.ledger
+    first, by_group = _classes_by_ledger_index(constraint, policy)
+    assert all(len(cloaks) == 1 for cloaks in by_group.values())
+    assert constraint._indexed(policy) is first  # cached per table
+    # Another ledger that interned the same ids in reverse order.
+    other = TrajectoryLedger()
+    other.intern(list(reversed(db.user_ids())))
+    if replace == "take":
+        ledger.take(other)
+    else:
+        ledger.adopt_state(other.to_state())
+        # adopt_state keeps this ledger's own indices: the map may be
+        # equal, but it is rebuilt.
+    index, by_group = _classes_by_ledger_index(constraint, policy)
+    assert index is not first and index.users is not first.users
+    assert list(index.users) == [ledger.index(u) for u in db.user_ids()]
+    assert all(len(cloaks) == 1 for cloaks in by_group.values())
+    assert len(by_group) == len(policy.groups())
+
+
+# -- fleet routing by cloak class ---------------------------------------------------
+
+
+def _dict_routing(dispatcher):
+    """The per-user dict algorithm the row routing replaced: group users
+    by cloak box, visit boxes in sorted order, bounded-load spill."""
+    groups = {}
+    for uid, cloak in dispatcher._cloaks.items():
+        groups.setdefault(cloak, []).append(uid)
+    workers = sorted(dispatcher.ring.workers)
+    total = sum(map(len, groups.values()))
+    heaviest = max(map(len, groups.values()), default=0)
+    cap = max(-(-total * 105 // (100 * len(workers))), heaviest)
+    load = {w: 0 for w in workers}
+    table = {}
+    for cloak in sorted(groups):
+        uids = groups[cloak]
+        chosen = next(
+            (
+                w for w in dispatcher.ring.candidates(repr(cloak).encode("utf-8"))
+                if load[w] + len(uids) <= cap
+            ),
+            None,
+        )
+        if chosen is None:
+            chosen = min(workers, key=lambda w: (load[w], w))
+        load[chosen] += len(uids)
+        table.update(dict.fromkeys(uids, chosen))
+    return table
+
+
+@pytest.mark.parametrize("n_workers", [2, 3, 4])
+def test_fleet_routing_equals_the_dict_algorithm_over_epochs(n_workers):
+    db = uniform_users(300, REGION, seed=50 + n_workers)
+    provider = LBSProvider(generate_pois(REGION, {"rest": 10}, seed=50))
+    config = FleetConfig(n_workers=n_workers, mode="simulated")
+    with FleetDispatcher(REGION, K, db, provider, config) as fleet:
+        for epoch in range(4):
+            if epoch:
+                fleet.advance_epoch(
+                    random_moves(fleet.db, 0.05, REGION, seed=60 + epoch)
+                )
+            expected = _dict_routing(fleet)
+            assert {u: fleet.route(u) for u in fleet.db.user_ids()} == expected
+            for index in range(n_workers):
+                assert sorted(fleet._routing.users(index)) == sorted(
+                    u for u, w in expected.items() if w == index
+                )

@@ -1114,8 +1114,17 @@ def _user_outside(arrays):
     arrays["policy/coords"][0] = (box[2] + 1.0, box[3])
 
 
+def _small_group(arrays):
+    """Row 0 alone in a point-sized box at its own location: masking
+    (Definition 4) still holds, Definition 6 does not."""
+    x, y = arrays["policy/coords"][0]
+    arrays["policy/boxes"] = np.vstack([arrays["policy/boxes"], [(x, y, x, y)]])
+    arrays["policy/group"][0] = len(arrays["policy/boxes"]) - 1
+
+
 #: forgeries of a policy's rows that keep every checksum intact.
 FORGERIES = {
+    "small-group": _small_group,
     "user-outside-cloak": _user_outside,
     "duplicate-id": lambda a: _set_ids(a, lambda ids: ids.__setitem__(1, ids[0])),
     "id-count": lambda a: _set_ids(a, lambda ids: ids.pop()),
@@ -1149,7 +1158,11 @@ class TestPolicyArrays:
     @pytest.mark.parametrize("seed", range(8))
     def test_round_trip_keeps_items_order_and_cloak_sharing(self, journal, seed):
         policy = _random_policy(seed)
-        journal.commit(policy, seed, FINGERPRINT)
+        # Random cloaks make groups of any size: commit under the
+        # policy's own level, which the Definition 6 gate accepts.
+        journal.commit(
+            policy, seed, {**FINGERPRINT, "k": policy.min_group_size()}
+        )
         restored = journal.recover().policy
         assert restored.name == policy.name
         assert list(restored.items()) == list(policy.items())
