@@ -36,7 +36,6 @@ __all__ = [
     "read_locations_csv",
     "canonical_dumps",
     "checksum_of",
-    "file_checksum",
     "atomic_write_json",
     "atomic_write_bytes",
     "encode_ids",
@@ -171,15 +170,6 @@ def checksum_of(data) -> str:
     return hashlib.blake2b(
         canonical_dumps(data).encode("utf-8"), digest_size=16
     ).hexdigest()
-
-
-def file_checksum(path: str) -> str:
-    """Checksum of a file's raw bytes (hex blake2b-128)."""
-    digest = hashlib.blake2b(digest_size=16)
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:

@@ -313,7 +313,7 @@ class CSP:
         recovered policy serves immediately on the "recovered" rung
         (bit-identical cloaks to the pre-crash CSP) and the next
         :meth:`advance_snapshot` repairs forward incrementally when the
-        DP sidecar validated, or re-solves once when it did not.
+        journal held DP vectors that fit, or re-solves once when not.
         ``current_serial`` (the world's present snapshot serial, e.g.
         from the MPC) enforces the stale bound at restore time —
         journalled state too far behind is rejected fail-closed.

@@ -49,8 +49,8 @@ def kill_current_process() -> None:
 def destroy_replica(root: str) -> None:
     """Remove a whole journal replica directory — media loss, not crash.
 
-    Unlike a process kill, nothing of the replica survives: journal log,
-    snapshots, and DP sidecars all vanish at once, exactly like a failed
+    Unlike a process kill, nothing of the replica survives: journal log
+    and committed files all vanish at once, exactly like a failed
     disk or a fat-fingered ``rm -rf``.  Idempotent (destroying an
     already-missing replica is a no-op), because chaos schedules may
     name the same replica at several phases.
@@ -61,7 +61,7 @@ def destroy_replica(root: str) -> None:
 #: Phases of one replica's local commit a destruction can target:
 #: ``"before"`` (media already gone when the commit reaches it),
 #: ``"intent"`` (after the intent record hit the replica's journal),
-#: ``"snapshot"`` (after the snapshot document was renamed into place,
+#: ``"snapshot"`` (after the commit's file was renamed into place,
 #: before the commit record), and ``"after"`` (the replica acked this
 #: commit, then its media died while the quorum round continued).
 REPLICA_KILL_PHASES = ("before", "intent", "snapshot", "after")

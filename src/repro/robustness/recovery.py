@@ -6,30 +6,30 @@ that policy *is* the CSP's state: losing it on a restart forces a full
 ``Bulk_dp`` re-run while requests queue.  This module makes the
 (policy, db-serial) pair durable with the classic write-ahead recipe:
 
-1. the commit's **arrays file** (and DP sidecar, if any) is written to a
-   temporary file and atomically renamed into place;
-2. an **intent** record is appended (and fsync'd) to an append-only
-   journal, naming the snapshot document and its content checksum;
-3. the snapshot document's bytes, encoded once per commit
-   (:meth:`PolicyJournal.encode`) and shared by every quorum replica,
-   are written and atomically renamed into place;
-4. a **commit** record is appended and fsync'd.
+1. an **intent** record is appended (and fsync'd) to an append-only
+   journal, naming the commit's file and its content checksum;
+2. the commit's file, encoded once per commit
+   (:meth:`PolicyJournal.encode`, :meth:`PolicyJournal.encode_delta`)
+   and shared by every quorum replica, is written to a temporary file
+   and atomically renamed into place;
+3. a **commit** record is appended and fsync'd.
 
-A reader therefore never observes a torn snapshot: a crash between (2)
-and (4) leaves an intent without a commit, which recovery skips, falling
+A reader therefore never observes a torn commit: a crash between (1)
+and (3) leaves an intent without a commit, which recovery skips, falling
 back to the previous committed serial.  Anything *else* that fails
 validation — a journal line corrupted in the middle of the history, a
-committed snapshot whose checksum no longer matches, an embedded serial
+committed file whose checksum no longer matches, an embedded serial
 disagreeing with the journal, an engine fingerprint from a different
 deployment — is storage corruption, not a crash, and recovery **fails
 closed** with :class:`~repro.core.errors.RecoveryError` rather than
 serve state it cannot prove it journalled.
 
-The document is a small canonical-JSON header: format, version, serial,
-engine fingerprint, policy name, the serving ``state`` block
-(``policy_age``, ``rung``), the ``dp`` sidecar block and the name and
-blake2b of the commit's ``snapshot-NNNNNN.arrays.npz``.  That file is
-an uncompressed ``np.savez`` of raw arrays, never unpickled:
+Every commit is one uncompressed ``np.savez`` file of raw arrays, never
+unpickled, and the intent's checksum covers all of it.  Its ``header``
+member is canonical JSON: format, version, serial, policy name and the
+serving ``state`` block (``policy_age``, ``rung``).  A **checkpoint**,
+``snapshot-NNNNNN.npz``, adds the engine fingerprint to its header and
+holds the whole state:
 
 * the policy as rows — ``policy/ids`` (the user ids as UTF-8 JSON bytes
   in a ``uint8`` array), ``policy/coords`` (``(n, 2)`` float64
@@ -38,7 +38,9 @@ an uncompressed ``np.savez`` of raw arrays, never unpickled:
   numbered by first use);
 * with the trajectory defense on, the ledger's
   :meth:`~repro.trajectory.ledger.TrajectoryLedger.to_state` arrays
-  under ``trajectory/`` keys.
+  under ``trajectory/`` keys;
+* for a flat-engine solution, its per-node cost vectors and flat layout
+  under ``dp/`` keys, and their structure digest in the header.
 
 Restore rebuilds the snapshot from the rows and the policy through
 :meth:`~repro.core.policy.CloakingPolicy.from_rows`, so Definition 4 is
@@ -53,15 +55,14 @@ cloak group under ``k`` is ``RecoveryError(reason="corrupt")``, so a
 quorum outvotes the replica holding it.
 
 A :class:`QuorumJournal` commit that repairs the previous commit's
-state with a batch of moves is written as a **delta** instead: one
-uncompressed ``snapshot-NNNNNN.delta.npz`` holding a canonical-JSON
-``header`` (serial, policy name, ``state`` block, the ``base`` commit's
-serial and checksum, and a ``digest`` of the repaired solution), the
-move batch (``moves/ids``, ``moves/coords``) and, with the trajectory
-defense on, the ledger rows folded since the base
+state with a batch of moves is written as a **delta** instead:
+``snapshot-NNNNNN.delta.npz``, whose header adds the ``base`` commit's
+serial and checksum and a ``digest`` of the repaired solution, holding
+the move batch (``moves/ids``, ``moves/coords``) and, with the
+trajectory defense on, the ledger rows folded since the base
 (:meth:`~repro.trajectory.ledger.TrajectoryLedger.delta_state`).  Its
 intent record names the base serial.  Recovery restores the chain's
-**checkpoint** (a full commit, as below) and replays each delta through
+checkpoint and replays each delta through
 :meth:`~repro.core.anonymizer.IncrementalAnonymizer.update`, merges its
 ledger rows and extracts the policy once; a chain with a gap, a delta
 that fails its checksum or names another base, and a replay whose
@@ -70,21 +71,21 @@ carries no moves, when its base did not reach every replica, and when
 the deltas since the last checkpoint would reach that checkpoint's
 size — so a replay never reads more than one checkpoint's bytes.
 
-Alongside the policy, a committed snapshot may carry a **DP sidecar**:
-the flat engine's per-node cost vectors (an uncompressed ``.npz``).  On
-restore the (deterministic) tree is rebuilt from the journalled
-locations, compiled to flat arrays, and — if the structural digest
-matches — the vectors are rehydrated into a full
-:class:`~repro.core.flat_dp.FlatTreeSolution`, so the next snapshot
-repairs forward through ``resolve_dirty_flat`` instead of re-running
-bulk anonymization.  The sidecar is a pure performance artifact: if it
-is missing or fails validation the restore proceeds *cold* (the
-recovered policy still serves; the first repair is one bulk solve) —
-privacy never depends on it.
+A checkpoint's ``dp/`` members make a restart warm: the
+(deterministic) tree is rebuilt from the journalled locations, compiled
+to flat arrays, and — if the structural digest matches — the vectors
+are rehydrated into a full :class:`~repro.core.flat_dp.FlatTreeSolution`,
+so the next snapshot repairs forward through ``resolve_dirty_flat``
+instead of re-running bulk anonymization.  They are checksummed with
+the rest of the file, so a damaged byte fails the restore closed like
+any other; a checkpoint without them, or whose layout does not match
+the rebuilt tree, restores *cold* (the recovered policy still serves;
+the first repair is one bulk solve) — privacy never depends on them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -100,6 +101,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -121,7 +123,6 @@ from ..core.serialization import (
     canonical_dumps,
     decode_ids,
     encode_ids,
-    file_checksum,
 )
 
 if TYPE_CHECKING:  # runtime import would cycle: trajectory imports epoch
@@ -146,11 +147,11 @@ __all__ = [
 SOLVER_FINGERPRINT: Dict[str, object] = {"engine": "flat", "prune": True}
 
 _FORMAT = "repro-snapshot"
-#: 3: the policy and the ledger are rows in one ``.arrays.npz`` (2: the
-#: policy as per-user JSON in the document, the ledger in ``.ledger.npz``).
-_VERSION = 3
+#: 4: a checkpoint is one ``.npz`` with a ``header`` member, like a delta
+#: (3: a JSON document naming an ``.arrays.npz`` and a DP sidecar).
+_VERSION = 4
 _JOURNAL_FILE = "journal.log"
-#: the arrays-file key prefix of the trajectory ledger's state.
+#: the key prefix of the trajectory ledger's state.
 _LEDGER_PREFIX = "trajectory/"
 #: the fingerprint entries a delta's replay rebuilds the solver from.
 _REPLAY_KEYS = ("region", "k", "max_depth")
@@ -160,7 +161,7 @@ _BOX = operator.attrgetter("x1", "y1", "x2", "y2")
 def flat_structure_digest(flat, k: int, prune: bool) -> str:
     """Digest of a flat tree's *structure* (shape, counts, areas).
 
-    Binds a DP sidecar to the exact tree it was computed for: a restored
+    Binds DP vectors to the exact tree they were computed for: a restored
     process recompiles the tree from the journalled locations and only
     adopts the persisted vectors when this digest matches, since vectors
     indexed against a different level-major layout would be garbage.
@@ -271,12 +272,85 @@ def _ledger_state(trajectory) -> Mapping[str, np.ndarray]:
     return trajectory if to_state is None else to_state()
 
 
-def _arrays_error(file: str, exc: Exception) -> RecoveryError:
-    return RecoveryError(
-        f"snapshot arrays {file!r}: {exc}; refusing to restore "
-        "a policy or served history it cannot prove",
-        reason="corrupt",
+def _state_block(state: Mapping[str, object]) -> Dict[str, object]:
+    """A header's ``state`` entry: the committer's staleness and rung."""
+    return {
+        "policy_age": int(state.get("policy_age", 0)),  # type: ignore[arg-type]
+        "rung": str(state.get("rung", "fresh")),
+    }
+
+
+def _dp_arrays(solution) -> Optional[Tuple[str, Dict[str, np.ndarray]]]:
+    """A flat solution's structure digest and its cost vectors and flat
+    layout as ``dp/`` arrays; ``None`` for any other solution."""
+    from ..core.flat_dp import FlatTreeSolution
+
+    if not isinstance(solution, FlatTreeSolution):
+        return None
+    flat = solution.flat
+    vecs = [
+        np.asarray(solution.solutions[int(i)].vec, dtype=np.float64)
+        for i in flat.ids
+    ]
+    return flat_structure_digest(flat, solution.k, solution.prune), {
+        "dp/offsets": np.cumsum([0] + [len(v) for v in vecs], dtype=np.int64),
+        "dp/data": np.concatenate(vecs) if vecs else np.empty(0),
+        "dp/ids": np.ascontiguousarray(flat.ids, dtype=np.int64),
+        "dp/left": np.ascontiguousarray(flat.left, dtype=np.int64),
+        "dp/right": np.ascontiguousarray(flat.right, dtype=np.int64),
+    }
+
+
+def _dp_state(structure: object, arrays: Mapping[str, np.ndarray]) -> Tuple[
+    Optional[List[np.ndarray]],
+    Optional[str],
+    Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+]:
+    """The cost vectors, structure digest and flat layout that
+    :func:`_dp_arrays` wrote; ``None``s for a checkpoint without them.
+    Raises ``ValueError``/``KeyError`` on members that disagree."""
+    if structure is None:
+        return None, None, None
+    offsets, ids, left, right = (
+        arrays[key].astype(np.int64)
+        for key in ("dp/offsets", "dp/ids", "dp/left", "dp/right")
     )
+    data = arrays["dp/data"].astype(np.float64)
+    if (
+        not isinstance(structure, str)
+        or not len(offsets) == len(ids) + 1 == len(left) + 1 == len(right) + 1
+        or offsets[-1] != len(data)
+    ):
+        raise ValueError("the DP members disagree")
+    return np.split(data, offsets[1:-1]), structure, (ids, left, right)
+
+
+def _pack(header: Mapping[str, object], arrays: Mapping[str, np.ndarray]) -> bytes:
+    """One commit's file: an uncompressed ``np.savez`` of the
+    canonical-JSON ``header`` (format and version added) and ``arrays``.
+    Raw arrays, so the bytes do not depend on the zlib build, and
+    deflating them would cost more than writing them."""
+    raw = canonical_dumps({"format": _FORMAT, "version": _VERSION, **header})
+    buffer = io.BytesIO()
+    np.savez(buffer, header=np.frombuffer(raw.encode("utf-8"), np.uint8), **arrays)
+    return buffer.getvalue()
+
+
+@contextlib.contextmanager
+def _refusing(link: "_Link") -> Iterator[None]:
+    """Fail closed on a committed file that does not decode: a decode
+    error becomes ``RecoveryError(reason="corrupt")`` naming the file."""
+    try:
+        yield
+    except (
+        KeyError, TypeError, ValueError, RecursionError, zipfile.BadZipFile,
+        ReproError,
+    ) as exc:
+        raise RecoveryError(
+            f"committed file {link.intent['file']!r}: {exc}; refusing to "
+            "restore a policy or served history it cannot prove",
+            reason="corrupt",
+        ) from exc
 
 
 def _state_ok(state: object) -> bool:
@@ -315,21 +389,15 @@ def _policy_from_arrays(arrays: Mapping[str, np.ndarray], name: str) -> Cloaking
 
 @dataclass(frozen=True)
 class EncodedCommit:
-    """One commit's bytes (:meth:`PolicyJournal.encode` for a checkpoint,
-    :meth:`PolicyJournal.encode_delta` for a delta), written as they are
-    to every journal that receives it."""
+    """One commit's file (:meth:`PolicyJournal.encode` for a checkpoint,
+    :meth:`PolicyJournal.encode_delta` for a delta), written as it is to
+    every journal that receives it."""
 
     serial: int
-    #: a checkpoint's snapshot document (its header) in canonical JSON,
-    #: or a delta's whole ``.delta.npz``.
-    document: bytes = field(repr=False)
-    #: digest of ``document`` — what the intent record names.
+    #: the file's bytes.
+    raw: bytes = field(repr=False)
+    #: digest of ``raw`` — what the intent record names.
     checksum: str
-    #: a checkpoint's ``.arrays.npz`` bytes: the policy's rows and, with
-    #: the trajectory defense on, the ledger's arrays.
-    arrays: Optional[bytes] = field(default=None, repr=False)
-    #: the DP sidecar's ``.npz`` bytes, ``None`` for a policy alone.
-    sidecar: Optional[bytes] = field(default=None, repr=False)
     #: a delta's base serial; ``None`` for a checkpoint.
     base: Optional[int] = None
 
@@ -337,17 +405,8 @@ class EncodedCommit:
     def file(self) -> str:
         """The name of the file the intent record names."""
         if self.base is None:
-            return PolicyJournal._snapshot_file(self.serial)
+            return PolicyJournal._checkpoint_file(self.serial)
         return PolicyJournal._delta_file(self.serial)
-
-    @property
-    def size(self) -> int:
-        """Bytes this commit writes (log records aside)."""
-        return sum(
-            len(part)
-            for part in (self.document, self.arrays, self.sidecar)
-            if part is not None
-        )
 
 
 @dataclass(frozen=True)
@@ -366,18 +425,18 @@ class _Head:
     def after(head: Optional["_Head"], encoded: EncodedCommit) -> "_Head":
         """The head once ``encoded`` is durable; a delta extends ``head``."""
         if encoded.base is None:
-            return _Head(encoded.serial, encoded.checksum, encoded.size)
+            return _Head(encoded.serial, encoded.checksum, len(encoded.raw))
         assert head is not None
         return _Head(
             encoded.serial, encoded.checksum, head.checkpoint,
-            head.deltas + encoded.size,
+            head.deltas + len(encoded.raw),
         )
 
 
 @dataclass(frozen=True)
 class _Link:
-    """One committed file of a chain: a checkpoint's document or a
-    delta, read and checked against its intent record."""
+    """One committed file of a chain, read and checked against its
+    intent record."""
 
     serial: int
     intent: Mapping[str, object]
@@ -396,10 +455,6 @@ class _Chain:
 
     #: checkpoint first, the newest commit last.
     links: List[_Link]
-    #: the checkpoint's header, format-checked.
-    document: Dict[str, object] = field(repr=False)
-    #: the checkpoint's arrays file, checksum-checked.
-    arrays: bytes = field(repr=False)
     torn_tail: bool
     #: every committed serial of the journal.
     serials: List[int]
@@ -409,6 +464,12 @@ class _Chain:
         """What quorum recovery votes on: equal identities name
         byte-identical chains."""
         return self.links[-1].serial, self.links[-1].checksum
+
+    @property
+    def head(self) -> _Head:
+        """The head a writer continues this chain from."""
+        sizes = [len(link.raw) for link in self.links]
+        return _Head(*self.identity, sizes[0], sum(sizes[1:]))
 
 
 @dataclass(frozen=True)
@@ -433,10 +494,10 @@ class RecoveredSnapshot:
     policy: CloakingPolicy
     serial: int
     fingerprint: Dict[str, object]
-    #: flat-engine cost vectors (level-major), when the DP sidecar
-    #: validated — ``None`` means cold restore (serving still works).
+    #: flat-engine cost vectors (level-major), when the checkpoint
+    #: holds them — ``None`` means cold restore (serving still works).
     dp_vecs: Optional[List[np.ndarray]] = field(default=None, repr=False)
-    #: structural digest the sidecar was computed against.
+    #: structural digest the vectors were computed against.
     dp_structure: Optional[str] = None
     #: the journalled flat layout ``(ids, left, right)`` — lets restore
     #: relabel the rebuilt tree's node ids to the pre-crash ids, since
@@ -522,15 +583,15 @@ def _relabel_tree(tree, ids, left, right) -> bool:
 
 
 def rehydrate_flat_solution(tree, snapshot: RecoveredSnapshot, k: int, prune: bool = True):
-    """Warm-start the DP from a recovered sidecar, or ``None`` to go cold.
+    """Warm-start the DP from recovered vectors, or ``None`` to go cold.
 
     ``tree`` is the object tree rebuilt from the recovered snapshot's
-    locations; when the sidecar carries the journalled layout the tree's
+    locations; when the snapshot carries the journalled layout the tree's
     node ids are relabelled in place to the pre-crash ids (see
     :func:`_relabel_tree`).  Returns a full
     :class:`~repro.core.flat_dp.FlatTreeSolution` (memo and fingerprints
     re-derived, so incremental repair behaves exactly as before the
-    crash) when the sidecar matches the rebuilt structure; ``None``
+    crash) when the vectors match the rebuilt structure; ``None``
     otherwise — a correctness-neutral fallback.
     """
     if snapshot.dp_vecs is None or snapshot.dp_structure is None:
@@ -552,29 +613,60 @@ def rehydrate_flat_solution(tree, snapshot: RecoveredSnapshot, k: int, prune: bo
     return rehydrate_solution(tree, flat, snapshot.dp_vecs, k, prune)
 
 
-def _parse_delta(link: _Link, base: _Link) -> _Delta:
-    """A delta file's header, moves and ledger rows, checked against
-    the ``base`` link it must extend; never unpickles."""
+def _unpack(link: _Link) -> Tuple[
+    Dict[str, object], Dict[str, np.ndarray], Optional[Dict[str, np.ndarray]]
+]:
+    """A committed file's header, arrays and ``trajectory/`` arrays, its
+    format, version, serial and ``state`` block checked; never unpickles.
+    Raises what :func:`_refusing` turns into :class:`RecoveryError`."""
     try:
-        with np.load(io.BytesIO(link.raw), allow_pickle=False) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        raw = arrays.pop("header")
-        if raw.dtype != np.uint8 or raw.ndim != 1:
-            raise ValueError("the header is not bytes")
-        header = json.loads(raw.tobytes().decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ValueError("the header is not a JSON object")
-        if header.get("format") != _FORMAT or header.get("version") != _VERSION:
-            raise ValueError("unknown format/version")
-        if header.get("serial") != link.serial:
-            raise ValueError(f"it embeds serial {header.get('serial')!r}")
+        archive = zipfile.ZipFile(io.BytesIO(link.raw))
+    except zipfile.BadZipFile:
+        raise ValueError("unknown format/version: not an .npz archive") from None
+    with archive:
+        arrays = {
+            name.removesuffix(".npy"): np.lib.format.read_array(
+                archive.open(name), allow_pickle=False
+            )
+            for name in archive.namelist()
+        }
+    raw = arrays.pop("header")
+    if raw.dtype != np.uint8 or raw.ndim != 1:
+        raise ValueError("the header is not bytes")
+    header = json.loads(raw.tobytes().decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("the header is not a JSON object")
+    if header.get("format") != _FORMAT or header.get("version") != _VERSION:
+        raise ValueError("unknown format/version")
+    if header.get("serial") != link.serial:
+        raise ValueError(
+            f"it embeds serial {header.get('serial')!r}, but the journal "
+            f"committed {link.serial}"
+        )
+    # A state block of the wrong shape must not silently reset the
+    # staleness.
+    if not _state_ok(header.get("state", {})):
+        raise ValueError("malformed header")
+    trajectory = {
+        key[len(_LEDGER_PREFIX):]: arrays.pop(key)
+        for key in list(arrays)
+        if key.startswith(_LEDGER_PREFIX)
+    }
+    return header, arrays, trajectory or None
+
+
+def _parse_delta(link: _Link, base: _Link) -> _Delta:
+    """A delta's header, moves and ledger rows, checked against the
+    ``base`` link it must extend."""
+    with _refusing(link):
+        header, arrays, trajectory = _unpack(link)
         if header.get("base") != {"serial": base.serial, "checksum": base.checksum}:
             raise ValueError(
                 f"it extends {header.get('base')!r}, not the committed "
                 f"serial {base.serial}"
             )
-        state, digest = header.get("state", {}), header.get("digest")
-        if not _state_ok(state) or not isinstance(digest, dict):
+        digest = header.get("digest")
+        if not isinstance(digest, dict):
             raise ValueError("malformed header")
         ids = decode_ids(arrays["moves/ids"], "the moves' ids")
         coords = arrays["moves/coords"]
@@ -589,22 +681,10 @@ def _parse_delta(link: _Link, base: _Link) -> _Delta:
         )
         order = None
         if "tree/ids" in arrays:
-            order = decode_ids(arrays.pop("tree/ids"), "the tree's row order")
-    except (
-        KeyError, ValueError, RecursionError, zipfile.BadZipFile, ReproError
-    ) as exc:
-        raise RecoveryError(
-            f"delta {link.intent['file']!r}: {exc}; refusing to replay it",
-            reason="corrupt",
-        ) from exc
-    trajectory = {
-        key[len(_LEDGER_PREFIX):]: value
-        for key, value in arrays.items()
-        if key.startswith(_LEDGER_PREFIX)
-    }
+            order = decode_ids(arrays["tree/ids"], "the tree's row order")
     return _Delta(
-        link.serial, str(header.get("name", "loaded")), state, digest,
-        moves, trajectory or None, order,
+        link.serial, str(header.get("name", "loaded")), header.get("state", {}),
+        digest, moves, trajectory, order,
     )
 
 
@@ -619,8 +699,8 @@ def resume_shadow(
     with the journal's region, ``k`` and depth) adopts the checkpoint:
     the tree is rebuilt from the recovered locations — ``db``, when
     given, holds them in the row order to build with — and the DP is
-    warm when the sidecar validates, cold (``solution`` ``None``)
-    otherwise.
+    warm when the checkpoint's DP vectors fit it, cold (``solution``
+    ``None``) otherwise.
     """
     if snapshot.shadow is not None:
         return snapshot.shadow
@@ -735,28 +815,12 @@ class PolicyJournal:
             os.fsync(handle.fileno())
 
     @staticmethod
-    def _snapshot_file(serial: int) -> str:
-        return f"snapshot-{serial:06d}.json"
-
-    @staticmethod
-    def _sidecar_file(serial: int) -> str:
+    def _checkpoint_file(serial: int) -> str:
         return f"snapshot-{serial:06d}.npz"
-
-    @staticmethod
-    def _arrays_file(serial: int) -> str:
-        return f"snapshot-{serial:06d}.arrays.npz"
 
     @staticmethod
     def _delta_file(serial: int) -> str:
         return f"snapshot-{serial:06d}.delta.npz"
-
-    def _artifacts(self, serial: int) -> Tuple[str, str, str, str]:
-        return (
-            self._snapshot_file(serial),
-            self._sidecar_file(serial),
-            self._arrays_file(serial),
-            self._delta_file(serial),
-        )
 
     def commit(
         self,
@@ -774,20 +838,13 @@ class PolicyJournal:
         a delta — written as it is.
         ``_chaos`` is the quorum layer's destruction hook: it is called
         with ``"intent"`` after the intent record is durable and with
-        ``"snapshot"`` after the snapshot document is renamed into
-        place, so a chaos schedule can destroy this replica's media at
-        exactly those points (see
-        :class:`~repro.robustness.chaos.ReplicaKillPlan`).
+        ``"snapshot"`` after the commit's file is renamed into place, so
+        a chaos schedule can destroy this replica's media at exactly
+        those points (see :class:`~repro.robustness.chaos.ReplicaKillPlan`).
         """
         encoded = policy if isinstance(policy, EncodedCommit) else self.encode(
             policy, serial, fingerprint, solution, state  # type: ignore[arg-type]
         )
-        for name, payload in (
-            (self._sidecar_file(encoded.serial), encoded.sidecar),
-            (self._arrays_file(encoded.serial), encoded.arrays),
-        ):
-            if payload is not None:
-                atomic_write_bytes(os.path.join(self.root, name), payload)
         intent: Dict[str, object] = {
             "op": "intent",
             "serial": encoded.serial,
@@ -799,9 +856,7 @@ class PolicyJournal:
         self._append(intent)
         if _chaos is not None:
             _chaos("intent")
-        atomic_write_bytes(
-            os.path.join(self.root, encoded.file), encoded.document
-        )
+        atomic_write_bytes(os.path.join(self.root, encoded.file), encoded.raw)
         if _chaos is not None:
             _chaos("snapshot")
         self._append({"op": "commit", "serial": encoded.serial})
@@ -809,69 +864,47 @@ class PolicyJournal:
             self.prune(self.keep_last)
         return encoded.checksum
 
-    @classmethod
+    @staticmethod
     def encode(
-        cls,
         policy: CloakingPolicy,
         serial: int,
         fingerprint: Mapping[str, object],
         solution=None,
         state: Optional[Mapping[str, object]] = None,
     ) -> EncodedCommit:
-        """Build one commit's bytes, once, for any number of journals.
+        """Build one checkpoint's bytes, once, for any number of journals.
 
-        The policy becomes rows in the ``.arrays.npz`` file the document
-        names with its checksum; a cloak that is not a ``Rect`` raises
-        :class:`ReproError` before any byte is written.  ``solution``
-        may be a flat-engine
-        :class:`~repro.core.flat_dp.FlatTreeSolution`, in which case its
-        cost vectors are persisted as the DP sidecar enabling warm
+        The policy becomes rows in the file (a cloak that is not a
+        ``Rect`` raises :class:`ReproError` before any byte is written).
+        ``solution`` may be a flat-engine
+        :class:`~repro.core.flat_dp.FlatTreeSolution`, whose cost vectors
+        and flat layout join the file under ``dp/`` keys, enabling warm
         restarts; any other value (or ``None``) commits the policy alone.
         ``state`` is the committer's serving state —
-        ``{"policy_age": int, "rung": str}`` — journalled inside the
-        checksummed document so a restore inherits accumulated staleness
-        instead of silently resetting to fresh.  Its ``"trajectory"``
-        entry, a ledger's :meth:`~repro.trajectory.ledger.TrajectoryLedger.
-        to_state` arrays (or the ledger itself), joins the arrays file
-        under ``trajectory/`` keys.
+        ``{"policy_age": int, "rung": str}`` — journalled in the header
+        so a restore inherits accumulated staleness instead of silently
+        resetting to fresh.  Its ``"trajectory"`` entry, a ledger's
+        :meth:`~repro.trajectory.ledger.TrajectoryLedger.to_state` arrays
+        (or the ledger itself), joins the file under ``trajectory/`` keys.
         """
         arrays = _policy_arrays(policy)
-        document: Dict[str, object] = {
-            "format": _FORMAT,
-            "version": _VERSION,
+        header: Dict[str, object] = {
             "serial": int(serial),
             "fingerprint": dict(fingerprint),
             "name": policy.name,
         }
         if state is not None:
-            document["state"] = {
-                "policy_age": int(state.get("policy_age", 0)),  # type: ignore[arg-type]
-                "rung": str(state.get("rung", "fresh")),
-            }
+            header["state"] = _state_block(state)
             trajectory = state.get("trajectory")
             if trajectory is not None:
                 for key, value in _ledger_state(trajectory).items():
                     arrays[_LEDGER_PREFIX + key] = value
-        # Raw arrays, uncompressed: deflating them costs more than
-        # writing them.  The document pins the bytes.
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        packed = buffer.getvalue()
-        document["arrays"] = {
-            "file": cls._arrays_file(serial),
-            "checksum": _digest(packed),
-        }
-        sidecar = cls._dp_payload(solution)
-        payload = None
-        if sidecar is not None:
-            payload, structure = sidecar
-            document["dp"] = {
-                "file": cls._sidecar_file(serial),
-                "checksum": _digest(payload),
-                "structure": structure,
-            }
-        raw = canonical_dumps(document).encode("utf-8")
-        return EncodedCommit(int(serial), raw, _digest(raw), packed, payload)
+        dp = _dp_arrays(solution)
+        if dp is not None:
+            header["dp"], dp_members = dp
+            arrays.update(dp_members)
+        raw = _pack(header, arrays)
+        return EncodedCommit(int(serial), raw, _digest(raw))
 
     @staticmethod
     def encode_delta(
@@ -896,23 +929,15 @@ class PolicyJournal:
         equal (serial, checksum) pairs name equal chains.
         """
         header: Dict[str, object] = {
-            "format": _FORMAT,
-            "version": _VERSION,
             "serial": int(serial),
             "name": policy.name,
             "base": {"serial": int(base[0]), "checksum": str(base[1])},
             "digest": _solution_digest(solution, policy),
         }
         if state is not None:
-            header["state"] = {
-                "policy_age": int(state.get("policy_age", 0)),  # type: ignore[arg-type]
-                "rung": str(state.get("rung", "fresh")),
-            }
+            header["state"] = _state_block(state)
         points = list(moves.values())
         arrays = {
-            "header": np.frombuffer(
-                canonical_dumps(header).encode("utf-8"), np.uint8
-            ),
             "moves/ids": encode_ids([str(uid) for uid in moves]),
             "moves/coords": np.array(
                 [(p.x, p.y) for p in points], dtype=np.float64
@@ -922,29 +947,26 @@ class PolicyJournal:
             arrays["tree/ids"] = encode_ids(list(order))
         for key, value in (ledger_rows or {}).items():
             arrays[_LEDGER_PREFIX + key] = value
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        raw = buffer.getvalue()
+        raw = _pack(header, arrays)
         return EncodedCommit(int(serial), raw, _digest(raw), base=int(base[0]))
 
     def prune(self, keep_last: int) -> Tuple[int, ...]:
         """Retain only the newest ``keep_last`` committed serials and the
         serials their delta chains replay from.
 
-        Three steps, ordered so a crash at any point leaves a journal
+        Two steps, ordered so a crash at any point leaves a journal
         that still recovers (pruning must never be the thing that loses
         state):
 
         1. the **compacted log** is written first, via atomic replace —
            only the surviving serials' intent/commit records remain, so
            the journal file stops growing one pair per commit;
-        2. then the dropped serials' snapshot documents are deleted;
-        3. then their DP sidecars and arrays files.
+        2. then the dropped serials' files are deleted.
 
         A crash between (1) and (2) merely leaves orphaned files that
         the next prune removes; the reverse order could leave a log
-        whose newest committed serial has no snapshot file — a fail-
-        closed (but needless) :class:`RecoveryError` at restart.
+        whose newest committed serial has no file — a fail-closed (but
+        needless) :class:`RecoveryError` at restart.
         Returns the serials that were pruned.
         """
         _check_keep_last(keep_last)
@@ -979,38 +1001,9 @@ class PolicyJournal:
         )
         atomic_write_bytes(self._journal_path, compacted.encode("utf-8"))
         for serial in dropped:
-            for name in self._artifacts(serial):
-                path = os.path.join(self.root, name)
-                try:
-                    os.remove(path)
-                except FileNotFoundError:
-                    pass
+            for name in self.files_for_serial(serial):
+                os.remove(os.path.join(self.root, name))
         return dropped
-
-    @staticmethod
-    def _dp_payload(solution) -> Optional[Tuple[bytes, str]]:
-        """Serialize a flat solution's vectors to uncompressed npz bytes
-        + structural digest."""
-        from ..core.flat_dp import FlatTreeSolution
-
-        if not isinstance(solution, FlatTreeSolution):
-            return None
-        flat = solution.flat
-        vecs = [
-            np.asarray(solution.solutions[int(i)].vec, dtype=np.float64)
-            for i in flat.ids
-        ]
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            offsets=np.cumsum([0] + [len(v) for v in vecs], dtype=np.int64),
-            data=np.concatenate(vecs) if vecs else np.empty(0),
-            ids=np.ascontiguousarray(flat.ids, dtype=np.int64),
-            left=np.ascontiguousarray(flat.left, dtype=np.int64),
-            right=np.ascontiguousarray(flat.right, dtype=np.int64),
-        )
-        structure = flat_structure_digest(flat, solution.k, solution.prune)
-        return buffer.getvalue(), structure
 
     # -- reading -------------------------------------------------------------
 
@@ -1105,8 +1098,7 @@ class PolicyJournal:
 
     def _read_chain(self) -> _Chain:
         """The newest committed serial's chain, each file read and
-        checked against its checksum, the checkpoint's header against
-        its format.  Nothing is decoded."""
+        checked against its checksum.  Nothing is decoded."""
         records, torn_tail = self._read_journal()
         serials = self._committed(records)
         if not serials:
@@ -1134,88 +1126,24 @@ class PolicyJournal:
                 )
             serial = base
         links.reverse()
-        document = self._read_document(links[0])
-        arrays = self._read_arrays(links[0].serial, document.get("arrays"))
-        return _Chain(links, document, arrays, torn_tail, serials)
-
-    def _chain_head(self, chain: _Chain) -> _Head:
-        """The head a writer continues ``chain`` from."""
-        sidecar = os.path.join(self.root, self._sidecar_file(chain.links[0].serial))
-        checkpoint = len(chain.links[0].raw) + len(chain.arrays)
-        if "dp" in chain.document and os.path.exists(sidecar):
-            checkpoint += os.path.getsize(sidecar)
-        return _Head(
-            *chain.identity,
-            checkpoint,
-            sum(len(link.raw) for link in chain.links[1:]),
-        )
+        return _Chain(links, torn_tail, serials)
 
     def _read_committed(self, intent: Mapping[str, object]) -> bytes:
         """The bytes of the file ``intent`` names, checksum-checked."""
         path = os.path.join(self.root, str(intent["file"]))
         if not os.path.exists(path):
             raise RecoveryError(
-                f"committed snapshot file {intent['file']!r} is missing",
+                f"committed file {intent['file']!r} is missing",
                 reason="corrupt",
             )
         with open(path, "rb") as handle:
             raw = handle.read()
         if _digest(raw) != intent["checksum"]:
             raise RecoveryError(
-                f"snapshot {intent['file']!r} fails its journalled checksum "
-                "(torn write or bit flip); refusing to serve it",
+                f"committed file {intent['file']!r} fails its journalled "
+                "checksum (torn write or bit flip); refusing to serve it",
                 reason="corrupt",
             )
-        return raw
-
-    @staticmethod
-    def _read_document(link: _Link) -> Dict[str, object]:
-        """A checkpoint's header, its format, serial and shape checked."""
-        name = repr(link.intent["file"])
-        try:
-            document = json.loads(link.raw)
-            if not isinstance(document, dict):
-                raise ValueError("not a JSON object")
-        except ValueError as exc:
-            raise RecoveryError(
-                f"committed snapshot {name} is unreadable: {exc}",
-                reason="corrupt",
-            ) from exc
-        if document.get("format") != _FORMAT or document.get("version") != _VERSION:
-            raise RecoveryError(
-                f"snapshot {name} has unknown format/version",
-                reason="corrupt",
-            )
-        if document.get("serial") != link.serial:
-            raise RecoveryError(
-                f"snapshot {name} embeds db-serial "
-                f"{document.get('serial')!r} but the journal committed "
-                f"{link.serial}; refusing stale/mismatched state",
-                reason="stale",
-            )
-        # A header of the wrong shape is forged or corrupt: the state
-        # block in particular must not silently reset the staleness.
-        if not isinstance(document.get("fingerprint"), dict) or not _state_ok(
-            document.get("state", {})
-        ):
-            raise RecoveryError(
-                f"snapshot {name} has a malformed header",
-                reason="corrupt",
-            )
-        return document
-
-    def _read_arrays(self, serial: int, meta: object) -> bytes:
-        """The bytes of the arrays file the document names and pins."""
-        file = self._arrays_file(serial)
-        try:
-            if not isinstance(meta, dict) or meta.get("file") != file:
-                raise ValueError("the snapshot names another file")
-            with open(os.path.join(self.root, file), "rb") as handle:
-                raw = handle.read()
-            if _digest(raw) != meta.get("checksum"):
-                raise ValueError("checksum mismatch (torn write or bit flip)")
-        except (OSError, ValueError) as exc:
-            raise _arrays_error(file, exc) from exc
         return raw
 
     def _decode(
@@ -1226,9 +1154,23 @@ class PolicyJournal:
         max_stale_snapshots: int,
     ) -> RecoveredSnapshot:
         """The state a :meth:`_read_chain` chain commits: the checkpoint
-        decoded, then every delta replayed."""
-        links, document = chain.links, chain.document
-        committed_fp = cast(Dict[str, object], document["fingerprint"])
+        decoded, then every delta replayed — fail closed on doubt.
+
+        The policy and the ledger are privacy state, so a policy that
+        does not rebuild (Definition 4 is re-checked by
+        :meth:`CloakingPolicy.from_rows`), a ledger state of another
+        version or with inconsistent arrays (checked by adopting it into
+        the ledger returned) and DP members that disagree raise
+        :class:`RecoveryError`.
+        """
+        from ..trajectory.ledger import TrajectoryLedger
+
+        links = chain.links
+        with _refusing(links[0]):
+            header, arrays, trajectory = _unpack(links[0])
+            committed_fp = header.get("fingerprint")
+            if not isinstance(committed_fp, dict):
+                raise ValueError("malformed header")
         if fingerprint is not None:
             for key, value in dict(fingerprint).items():
                 if committed_fp.get(key) != value:
@@ -1241,15 +1183,17 @@ class PolicyJournal:
         deltas = [
             _parse_delta(link, base) for base, link in zip(links, links[1:])
         ]
-        state = cast(Dict[str, object], document.get("state", {}))
+        state = cast(Dict[str, object], header.get("state", {}))
         policy_age = cast(int, (deltas[-1].state if deltas else state).get("policy_age", 0))
         _check_stale(
             policy_age, links[-1].serial, current_serial, max_stale_snapshots
         )
-        policy, trajectory, ledger = self._load_arrays(
-            links[0].serial, chain.arrays, str(document.get("name", "loaded"))
-        )
-        dp_vecs, dp_structure, dp_layout = self._load_sidecar(document)
+        with _refusing(links[0]):
+            policy = _policy_from_arrays(arrays, str(header.get("name", "loaded")))
+            ledger = None
+            if trajectory is not None:
+                ledger = TrajectoryLedger.from_state(trajectory)
+            dp_vecs, dp_structure, dp_layout = _dp_state(header.get("dp"), arrays)
         snapshot = RecoveredSnapshot(
             policy=policy,
             serial=links[0].serial,
@@ -1269,77 +1213,13 @@ class PolicyJournal:
         return recovered
 
     def files_for_serial(self, serial: int) -> List[str]:
-        """Names of the on-disk artifacts of one committed serial that
-        actually exist (snapshot document, DP sidecar, arrays file)."""
+        """Names of the files of one committed serial that actually
+        exist: its checkpoint or its delta."""
         return [
             name
-            for name in self._artifacts(serial)
+            for name in (self._checkpoint_file(serial), self._delta_file(serial))
             if os.path.exists(os.path.join(self.root, name))
         ]
-
-    def _load_arrays(
-        self, serial: int, raw: bytes, name: str
-    ) -> Tuple[
-        CloakingPolicy,
-        Optional[Dict[str, np.ndarray]],
-        Optional["TrajectoryLedger"],
-    ]:
-        """The policy, ledger state and checked ledger of a checkpoint's
-        arrays file (:meth:`_read_arrays`) — fail closed on doubt.
-
-        Both are privacy state, so a policy that does not rebuild
-        (Definition 4 is re-checked by :meth:`CloakingPolicy.from_rows`)
-        and a ledger state of another version or with inconsistent
-        arrays (checked by adopting it into the ledger returned) raise
-        :class:`RecoveryError`.  Never unpickles.
-        """
-        from ..trajectory.ledger import TrajectoryLedger
-
-        try:
-            with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
-                arrays = {key: archive[key] for key in archive.files}
-            policy = _policy_from_arrays(arrays, name)
-            trajectory = {
-                key[len(_LEDGER_PREFIX):]: value
-                for key, value in arrays.items()
-                if key.startswith(_LEDGER_PREFIX)
-            } or None
-            ledger = None
-            if trajectory is not None:
-                ledger = TrajectoryLedger.from_state(trajectory)
-        except (KeyError, ValueError, zipfile.BadZipFile, ReproError) as exc:
-            raise _arrays_error(self._arrays_file(serial), exc) from exc
-        return policy, trajectory, ledger
-
-    def _load_sidecar(
-        self, document: Mapping[str, object]
-    ) -> Tuple[
-        Optional[List[np.ndarray]],
-        Optional[str],
-        Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ]:
-        """Best-effort DP sidecar load — cold restore on any doubt."""
-        meta = document.get("dp")
-        if not isinstance(meta, dict):
-            return None, None, None
-        path = os.path.join(self.root, str(meta.get("file", "")))
-        try:
-            if file_checksum(path) != meta.get("checksum"):
-                return None, None, None
-            with np.load(path, allow_pickle=False) as archive:
-                offsets = archive["offsets"].astype(np.int64)
-                data = archive["data"].astype(np.float64)
-                ids = archive["ids"].astype(np.int64)
-                left = archive["left"].astype(np.int64)
-                right = archive["right"].astype(np.int64)
-        except (OSError, KeyError, ValueError):
-            return None, None, None
-        if len(offsets) < 1 or offsets[-1] != len(data):
-            return None, None, None
-        if not (len(ids) == len(left) == len(right) == len(offsets) - 1):
-            return None, None, None
-        vecs = np.split(data, offsets[1:-1])
-        return vecs, str(meta.get("structure")), (ids, left, right)
 
 
 # -- quorum replication --------------------------------------------------------
@@ -1536,7 +1416,7 @@ class QuorumJournal:
                 # The chain's first delta (its base is the checkpoint).
                 solution.tree.user_ids if head.deltas == 0 else None,
             )
-            if head.deltas + delta.size < head.checkpoint:
+            if head.deltas + len(delta.raw) < head.checkpoint:
                 return delta
         return PolicyJournal.encode(policy, serial, fingerprint, solution, state)
 
@@ -1728,7 +1608,7 @@ class QuorumJournal:
             repair_seconds=repair_seconds,
             replica_states=tuple(states),
         )
-        self._head = self.replicas[source]._chain_head(chains[source])
+        self._head = chains[source].head
         return snapshot
 
     def _repair_replica(self, index: int, source: int) -> None:

@@ -816,8 +816,8 @@ class EpochManager:
         )
         # Make the grown staleness durable: re-commit the *active*
         # policy at its own serial with the new age, so a crash-restart
-        # cannot restore believing the old policy is fresh.  DP sidecar
-        # is withheld — the shadow's may already be ahead of the active
+        # cannot restore believing the old policy is fresh.  The DP
+        # vectors are withheld — the shadow's may already be ahead of the active
         # policy after a voided swap, and a cold restore is the safe
         # default in a degraded window.
         self._commit(

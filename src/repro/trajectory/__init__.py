@@ -15,8 +15,8 @@ still holds ≥ k senders.
   the running full-history intersection the constraint actually needs
   (bounded memory, monotone non-increasing).  Its arrays are journalled
   with the policy's rows in every
-  :class:`~repro.robustness.recovery.PolicyJournal` commit's
-  ``.arrays.npz`` so restarts resume continuity state.
+  :class:`~repro.robustness.recovery.PolicyJournal` checkpoint's
+  ``.npz`` so restarts resume continuity state.
 * :class:`ContinuityConstraint` — the admissibility solver: fine cloak
   when it keeps the intersection ≥ k, else the smallest geometric
   ancestor (the same deterministic halving hierarchy the streaming

@@ -37,9 +37,8 @@ handful of plain numpy arrays (no object arrays, so it loads without
 pickle; the intern table is UTF-8 JSON bytes as ``uint8``, the way
 :class:`~repro.trees.flat.SharedFlatTree` ships user ids): the journal
 writes them under ``trajectory/`` keys into each checkpoint's raw
-``.arrays.npz``, whose checksum rides the checksummed snapshot
-document, and the fleet pickles them to a worker on respawn
-and epoch swaps.  A quorum journal's delta commits carry
+``.npz``, whose checksum the journal's intent record carries, and the
+fleet pickles them to a worker on respawn and epoch swaps.  A quorum journal's delta commits carry
 :meth:`delta_state` instead — the rows of the users folded since the
 previous delta and the intern table's new tail — which
 :meth:`merge_delta` applies on restore.

@@ -95,7 +95,7 @@ class BinaryTree(SpatialTree):
         # Rows are the snapshot's own: the id table is shared with it
         # (and with every snapshot apply_moves derives from it), the
         # coordinates are copied because apply_moves mutates them.
-        self.user_ids, self.user_row = db.index()
+        self.user_ids = db.id_column()
         self.coords = db.coords_array()
         self._next_id = 0
         self.nodes: Dict[int, SpatialNode] = {}
@@ -105,6 +105,12 @@ class BinaryTree(SpatialTree):
         #: row index → leaf node currently holding that point.
         self._leaf_of: List[SpatialNode] = [self.root] * len(self.user_ids)
         self._materialize(self.root)
+
+    @property
+    def user_row(self) -> Dict[str, int]:
+        """User id → row: the id table's map, built on first use (a
+        bulk solve never looks a user up)."""
+        return self.db.index()[1]
 
     # -- construction ----------------------------------------------------------
 
@@ -284,8 +290,9 @@ class BinaryTree(SpatialTree):
         :class:`TreeError` before any user has moved.
         """
         rows = []
+        user_row = self.user_row
         for user_id, new_point in moves.items():
-            row = self.user_row.get(str(user_id))
+            row = user_row.get(str(user_id))
             if row is None:
                 raise TreeError(f"cannot move unknown user {user_id!r}")
             if not self.region.contains(new_point):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.core.serialization import (
     canonical_dumps,
     decode_ids,
     encode_ids,
-    file_checksum,
 )
 from repro.data import uniform_users
 from repro.lbs.mobility import random_moves
@@ -161,7 +161,7 @@ class TestPolicyJournal:
 
     def test_bit_flipped_snapshot_fails_closed(self, journal):
         journal.commit(build_policy(), 0, FINGERPRINT)
-        path = os.path.join(journal.root, journal._snapshot_file(0))
+        path = os.path.join(journal.root, journal._checkpoint_file(0))
         raw = bytearray(open(path, "rb").read())
         raw[len(raw) // 2] ^= 0x01
         with open(path, "wb") as handle:
@@ -172,7 +172,7 @@ class TestPolicyJournal:
 
     def test_truncated_snapshot_fails_closed(self, journal):
         journal.commit(build_policy(), 0, FINGERPRINT)
-        path = os.path.join(journal.root, journal._snapshot_file(0))
+        path = os.path.join(journal.root, journal._checkpoint_file(0))
         raw = open(path, "rb").read()
         with open(path, "wb") as handle:
             handle.write(raw[: len(raw) // 2])
@@ -182,7 +182,7 @@ class TestPolicyJournal:
 
     def test_missing_snapshot_file_fails_closed(self, journal):
         journal.commit(build_policy(), 0, FINGERPRINT)
-        os.remove(os.path.join(journal.root, journal._snapshot_file(0)))
+        os.remove(os.path.join(journal.root, journal._checkpoint_file(0)))
         with pytest.raises(RecoveryError) as err:
             journal.recover()
         assert err.value.reason == "corrupt"
@@ -201,7 +201,7 @@ class TestJournalRetention:
             journal.commit(policy, serial, FINGERPRINT)
         assert journal.committed_serials() == [3, 4]
         for serial in range(3):
-            path = os.path.join(journal.root, journal._snapshot_file(serial))
+            path = os.path.join(journal.root, journal._checkpoint_file(serial))
             assert not os.path.exists(path)
         snapshot = journal.recover()
         assert snapshot.serial == 4
@@ -245,7 +245,7 @@ class TestJournalRetention:
             journal.commit(build_policy(seed=serial), serial, FINGERPRINT)
         # Simulate an over-aggressive prune that also removed the one
         # snapshot the compacted log still references.
-        os.remove(os.path.join(journal.root, journal._snapshot_file(2)))
+        os.remove(os.path.join(journal.root, journal._checkpoint_file(2)))
         with pytest.raises(RecoveryError) as err:
             journal.recover()
         assert err.value.reason == "corrupt"
@@ -258,10 +258,8 @@ class TestJournalRetention:
         kept = journal.committed_serials()
         assert len(kept) == 1
         npz = [f for f in os.listdir(journal.root) if f.endswith(".npz")]
-        assert sorted(npz) == [
-            journal._arrays_file(kept[0]), journal._sidecar_file(kept[0])
-        ]
-        # The surviving sidecar still enables a warm restore.
+        assert npz == [journal._checkpoint_file(kept[0])]
+        # The surviving checkpoint's DP members still enable a warm restore.
         del csp
         assert CSP.restore(provider, journal).manager._shadow.solution is not None
 
@@ -329,7 +327,7 @@ class TestCSPRestart:
         del csp
 
         restored = CSP.restore(provider, journal)
-        # The DP sidecar validated: repairs go through resolve_dirty
+        # The DP members validated: repairs go through resolve_dirty
         # instead of a bulk re-solve.
         assert restored.manager._shadow.solution is not None
         moves = random_moves(
@@ -354,12 +352,12 @@ class TestCSPRestart:
         expected = {uid: cloak for uid, cloak in csp.policy.items()}
         serial = csp.manager.world_serial
         del csp
-        # Corrupt the DP sidecar: restore must fall back cold, never fail.
-        sidecar = os.path.join(journal.root, journal._sidecar_file(serial))
-        raw = bytearray(open(sidecar, "rb").read())
-        raw[len(raw) // 2] ^= 0xFF
-        with open(sidecar, "wb") as handle:
-            handle.write(bytes(raw))
+        # A DP layout that does not fit the rebuilt tree, its checksum
+        # redone: the relabelling rejects it and the restore goes cold.
+        _forge(
+            journal.root, serial,
+            members=lambda a: a["dp/left"].__setitem__(0, -1),
+        )
 
         restored = CSP.restore(provider, journal)
         assert restored.manager._shadow.solution is None  # cold
@@ -376,6 +374,29 @@ class TestCSPRestart:
         assert audit_policy(
             restored.effective_policy, K
         ).policy_aware_level >= K
+
+    def test_checkpoint_without_dp_restores_cold(self, journal):
+        """A checkpoint of a policy alone has no ``dp/`` members: the
+        restore serves that policy and its first repair is a bulk solve."""
+        from repro.streaming import EpochManager
+
+        db = uniform_users(90, REGION, seed=11)
+        policy = solve_flat(BinaryTree.build(REGION, db, K), K).policy()
+        fingerprint = {
+            **SOLVER, "k": K, "max_depth": 40, "region": list(REGION.as_tuple())
+        }
+        journal.commit(policy, 0, fingerprint)
+        path = os.path.join(journal.root, journal._checkpoint_file(0))
+        with np.load(path, allow_pickle=False) as archive:
+            assert not [key for key in archive.files if key.startswith("dp/")]
+        restored = EpochManager.restore(journal)
+        assert restored._shadow.solution is None  # cold
+        assert_bit_identical(policy, restored.active.policy)
+        swap = restored.advance(
+            random_moves(restored.active.db, 0.05, REGION, max_distance=80.0, seed=3)
+        )
+        assert swap.promoted
+        assert restored._shadow.solution is not None
 
     def test_restore_too_stale_rejected(self, provider, journal):
         csp = self.make_csp(provider, journal)
@@ -911,12 +932,12 @@ LEDGER_FORGERIES = {
 
 
 class TestLedgerFile:
-    """The ``.arrays.npz`` holding the ledger is privacy state: recovery
+    """The checkpoint holding the ledger is privacy state: recovery
     fails closed without it, quorum repair and retention carry it, and
     it is never unpickled."""
 
     FP = FINGERPRINT
-    ARRAYS = "snapshot-000000.arrays.npz"
+    ARRAYS = "snapshot-000000.npz"
 
     def _commit(self, journal, serial=0):
         ledger = TrajectoryLedger(window=2)
@@ -976,13 +997,13 @@ class TestLedgerFile:
         )
 
     def test_a_valid_ledger_of_another_commit_is_refused(self, journal):
-        """The document pins the file's bytes, not just its format:
-        an intact ledger file from another commit does not restore."""
+        """The intent pins the file's bytes, not just its format: an
+        intact checkpoint from another commit does not restore."""
         self._commit(journal, serial=0)
         older = open(os.path.join(journal.root, self.ARRAYS), "rb").read()
         self._commit(journal, serial=1)
         with open(
-            os.path.join(journal.root, "snapshot-000001.arrays.npz"), "wb"
+            os.path.join(journal.root, "snapshot-000001.npz"), "wb"
         ) as handle:
             handle.write(older)
         with pytest.raises(RecoveryError) as err:
@@ -996,7 +1017,7 @@ class TestLedgerFile:
         ledger on load."""
         mutate, why = LEDGER_FORGERIES[forgery]
         self._commit(journal)
-        _forge_arrays(journal.root, 0, mutate)
+        _forge(journal.root, 0, members=mutate)
         with pytest.raises(RecoveryError) as err:
             journal.recover()
         assert err.value.reason == "corrupt"
@@ -1007,7 +1028,7 @@ class TestLedgerFile:
         roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
         quorum = QuorumJournal(roots)
         state = self._commit(quorum)
-        _forge_arrays(roots[0], 0, LEDGER_FORGERIES[forgery][0])
+        _forge(roots[0], 0, members=LEDGER_FORGERIES[forgery][0])
         snapshot = quorum.recover()
         assert same_ledger_state(snapshot.trajectory, state)
         assert quorum.last_recovery.repaired == (0,)
@@ -1019,11 +1040,9 @@ class TestLedgerFile:
         self._commit(journal, serial=0)
         state = self._commit(journal, serial=1)
         assert sorted(os.listdir(journal.root)) == [
-            "journal.log", "snapshot-000001.arrays.npz", "snapshot-000001.json"
+            "journal.log", "snapshot-000001.npz"
         ]
-        assert journal.files_for_serial(1) == [
-            "snapshot-000001.json", "snapshot-000001.arrays.npz"
-        ]
+        assert journal.files_for_serial(1) == ["snapshot-000001.npz"]
         assert same_ledger_state(journal.recover().trajectory, state)
 
     def test_ledger_file_is_never_unpickled(self, journal):
@@ -1067,40 +1086,28 @@ def _random_policy(seed, n=40):
     return CloakingPolicy(cloaks, LocationDatabase(rows), name=f"random-{seed}")
 
 
-def _forge_document(root, serial, edit):
-    """Rewrite one commit's document through ``edit`` and checksum it
+def _forge(root, serial, header=None, members=None):
+    """Rewrite one commit's file — its ``header`` through ``header``,
+    its other members in place through ``members`` — and checksum it
     again in the journal's intent record."""
-    journal = PolicyJournal(root)
-    path = os.path.join(root, journal._snapshot_file(serial))
-    raw = canonical_dumps(edit(json.load(open(path)))).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(raw)
-    records = [json.loads(line) for line in open(journal._journal_path)]
-    for record in records:
-        if record["op"] == "intent" and record["serial"] == serial:
-            record["checksum"] = recovery._digest(raw)
-    with open(journal._journal_path, "w", encoding="utf-8") as handle:
-        handle.write("".join(canonical_dumps(r) + "\n" for r in records))
-
-
-def _forge_arrays(root, serial, mutate):
-    """Rewrite one commit's arrays file through ``mutate`` and checksum
-    it again all the way up: the document names the forged file's digest
-    and the journal's intent the forged document's."""
-    path = os.path.join(root, PolicyJournal._arrays_file(serial))
+    log = os.path.join(root, "journal.log")
+    records = [json.loads(line) for line in open(log)]
+    intent = [r for r in records if r["op"] == "intent" and r["serial"] == serial][-1]
+    path = os.path.join(root, intent["file"])
     with np.load(path, allow_pickle=False) as archive:
         arrays = {key: archive[key] for key in archive.files}
-    mutate(arrays)
+    if header is not None:
+        edited = header(json.loads(arrays["header"].tobytes()))
+        arrays["header"] = np.frombuffer(canonical_dumps(edited).encode(), np.uint8)
+    if members is not None:
+        members(arrays)
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     with open(path, "wb") as handle:
         handle.write(buffer.getvalue())
-
-    def rename(document):
-        document["arrays"]["checksum"] = recovery._digest(buffer.getvalue())
-        return document
-
-    _forge_document(root, serial, rename)
+    intent["checksum"] = recovery._digest(buffer.getvalue())
+    with open(log, "w", encoding="utf-8") as handle:
+        handle.write("".join(canonical_dumps(r) + "\n" for r in records))
 
 
 def _set_ids(arrays, edit):
@@ -1151,7 +1158,7 @@ FORGERIES = {
 
 
 class TestPolicyArrays:
-    """The policy is journalled as rows in ``.arrays.npz`` and restored
+    """The policy is journalled as rows in its checkpoint and restored
     through ``CloakingPolicy.from_rows``: it round-trips item for item,
     and a forged file fails closed even with every checksum intact."""
 
@@ -1191,7 +1198,7 @@ class TestPolicyArrays:
     @pytest.mark.parametrize("forgery", sorted(FORGERIES))
     def test_forged_arrays_fail_closed(self, journal, forgery):
         journal.commit(build_policy(), 0, FINGERPRINT)
-        _forge_arrays(journal.root, 0, FORGERIES[forgery])
+        _forge(journal.root, 0, members=FORGERIES[forgery])
         with pytest.raises(RecoveryError) as err:
             journal.recover()
         assert err.value.reason == "corrupt"
@@ -1202,7 +1209,7 @@ class TestPolicyArrays:
         quorum = QuorumJournal(roots)
         policy = build_policy()
         quorum.commit(policy, 0, FINGERPRINT)
-        _forge_arrays(roots[0], 0, FORGERIES[forgery])
+        _forge(roots[0], 0, members=FORGERIES[forgery])
         snapshot = quorum.recover()
         assert_bit_identical(policy, snapshot.policy)
         assert quorum.last_recovery.repaired == (0,)
@@ -1210,7 +1217,7 @@ class TestPolicyArrays:
         assert _journal_files(roots[0]) == _journal_files(roots[1])
 
 
-#: document headers of the wrong shape, checksummed as if committed.
+#: checkpoint headers of the wrong shape, checksummed as if committed.
 FORGED_HEADERS = {
     "not-an-object": lambda doc: [doc],
     "version-not-an-int": lambda doc: dict(doc, version="three"),
@@ -1223,7 +1230,7 @@ FORGED_HEADERS = {
 
 
 class TestForgedHeader:
-    """A document header of the wrong shape fails closed as corrupt, so
+    """A checkpoint header of the wrong shape fails closed as corrupt, so
     on a quorum the healthy replicas outvote and repair it instead of
     the error escaping recovery."""
 
@@ -1232,7 +1239,7 @@ class TestForgedHeader:
     @pytest.mark.parametrize("forgery", sorted(FORGED_HEADERS))
     def test_single_journal_fails_closed(self, journal, forgery):
         journal.commit(build_policy(), 0, FINGERPRINT, state=self.STATE)
-        _forge_document(journal.root, 0, FORGED_HEADERS[forgery])
+        _forge(journal.root, 0, header=FORGED_HEADERS[forgery])
         with pytest.raises(RecoveryError) as err:
             journal.recover()
         assert err.value.reason == "corrupt"
@@ -1243,9 +1250,55 @@ class TestForgedHeader:
         quorum = QuorumJournal(roots)
         policy = build_policy()
         quorum.commit(policy, 0, FINGERPRINT, state=self.STATE)
-        _forge_document(roots[0], 0, FORGED_HEADERS[forgery])
+        _forge(roots[0], 0, header=FORGED_HEADERS[forgery])
         assert_bit_identical(policy, quorum.recover().policy)
         assert quorum.last_recovery.repaired == (0,)
+
+
+def _flip_member(path, member):
+    """Flip one data byte of ``member`` inside a committed file, leaving
+    the journalled checksum as it was."""
+    raw = bytearray(open(path, "rb").read())
+    with zipfile.ZipFile(path) as archive:
+        data = archive.read(member + ".npy")
+    raw[bytes(raw).index(data) + len(data) - 1] ^= 0x01
+    with open(path, "wb") as handle:
+        handle.write(bytes(raw))
+
+
+class TestDPMembers:
+    """The DP vectors are checksummed with the checkpoint they warm: a
+    flipped byte among them fails the restore closed, and on a quorum
+    the healthy replicas outvote and repair it."""
+
+    @staticmethod
+    def _commit(journal):
+        db = uniform_users(60, REGION, seed=7)
+        solution = solve_flat(BinaryTree.build(REGION, db, K), K)
+        journal.commit(solution.policy(), 0, FINGERPRINT, solution=solution)
+        return solution
+
+    def test_single_journal_fails_closed(self, journal):
+        self._commit(journal)
+        _flip_member(os.path.join(journal.root, journal._checkpoint_file(0)), "dp/data")
+        with pytest.raises(RecoveryError) as err:
+            journal.recover()
+        assert err.value.reason == "corrupt"
+
+    def test_flipped_replica_is_outvoted_and_repaired(self, tmp_path):
+        roots = [str(tmp_path / f"replica-{i}") for i in range(3)]
+        quorum = QuorumJournal(roots)
+        solution = self._commit(quorum)
+        _flip_member(os.path.join(roots[1], PolicyJournal._checkpoint_file(0)), "dp/data")
+        snapshot = quorum.recover()
+        assert quorum.last_recovery.replica_states == ("ok", "corrupt", "ok")
+        assert quorum.last_recovery.repaired == (1,)
+        assert _journal_files(roots[1]) == _journal_files(roots[0])
+        assert snapshot.dp_structure == flat_structure_digest(solution.flat, K, True)
+        assert all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(snapshot.dp_vecs, _flat_vectors(solution))
+        )
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "journal_golden")
@@ -1254,7 +1307,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "journal_golden")
 def write_golden_commits(journal):
     """The two fixed commits behind ``tests/data/journal_golden``.
 
-    A 60-user flat-engine policy with its DP sidecar and a trajectory
+    A 60-user flat-engine policy with its DP vectors and a trajectory
     ledger; every ``.npz`` is uncompressed, so the bytes do not depend
     on the zlib build.  Returns the policy, the last committed ledger
     state and the solution.
@@ -1304,13 +1357,7 @@ class TestEncodedBytes:
     def test_golden_bytes_single_and_quorum(self, tmp_path, roots):
         expected = _journal_files(os.path.join(GOLDEN, "single"))
         assert sorted(expected) == [
-            "journal.log",
-            "snapshot-000000.arrays.npz",
-            "snapshot-000000.json",
-            "snapshot-000000.npz",
-            "snapshot-000001.arrays.npz",
-            "snapshot-000001.json",
-            "snapshot-000001.npz",
+            "journal.log", "snapshot-000000.npz", "snapshot-000001.npz",
         ]
         write_golden_commits(PolicyJournal(str(tmp_path / "single")))
         assert _journal_files(str(tmp_path / "single")) == expected
@@ -1384,9 +1431,15 @@ class TestEncodedBytes:
         (state version 3) in its own ``.ledger.npz``."""
         self._assert_refused(tmp_path, "v2-ledger3", "unknown format/version")
 
+    def test_previous_journal_version_is_never_misread(self, tmp_path):
+        """``v3/`` holds the same two commits in journal version 3: a
+        JSON document per serial naming an ``.arrays.npz`` and a DP
+        sidecar by their checksums."""
+        self._assert_refused(tmp_path, "v3", "unknown format/version")
+
     def test_quorum_commit_encodes_once(self, provider, roots, monkeypatch):
         """One CSP tick is one 3-replica delta commit: the move batch is
-        encoded once, no policy rows or DP sidecar are, and every
+        encoded once, no policy rows or DP vectors are, and every
         replica holds the delta's bytes."""
         db = uniform_users(90, REGION, seed=11)
         csp = CSP(REGION, K, db, provider, journal=QuorumJournal(roots))
@@ -1422,8 +1475,7 @@ class TestEncodedBytes:
         assert len(copies) == 1
         for root in roots:
             assert sorted(os.listdir(root)) == [
-                "journal.log", "snapshot-000000.arrays.npz",
-                "snapshot-000000.json", "snapshot-000000.npz", name,
+                "journal.log", "snapshot-000000.npz", name,
             ]
             records = [
                 json.loads(line)
@@ -1432,7 +1484,8 @@ class TestEncodedBytes:
             intent = [r for r in records if r["op"] == "intent"][-1]
             assert (intent["serial"], intent["file"]) == (serial, name)
             assert intent["base"] == serial - 1
-            assert file_checksum(os.path.join(root, name)) == intent["checksum"]
+            raw = open(os.path.join(root, name), "rb").read()
+            assert recovery._digest(raw) == intent["checksum"]
 
 
 def write_golden_chain(journal):
@@ -1462,27 +1515,6 @@ def write_golden_chain(journal):
 
 def _flat_vectors(solution):
     return [solution.solutions[int(i)].vec for i in solution.flat.ids]
-
-
-def _forge_delta(root, serial, edit):
-    """Rewrite one delta's header through ``edit`` and checksum the file
-    again in the journal's intent record."""
-    path = os.path.join(root, PolicyJournal._delta_file(serial))
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {key: archive[key] for key in archive.files}
-    header = edit(json.loads(arrays["header"].tobytes()))
-    arrays["header"] = np.frombuffer(canonical_dumps(header).encode(), np.uint8)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    with open(path, "wb") as handle:
-        handle.write(buffer.getvalue())
-    log = os.path.join(root, "journal.log")
-    records = [json.loads(line) for line in open(log)]
-    for record in records:
-        if record["op"] == "intent" and record["serial"] == serial:
-            record["checksum"] = recovery._digest(buffer.getvalue())
-    with open(log, "w", encoding="utf-8") as handle:
-        handle.write("".join(canonical_dumps(r) + "\n" for r in records))
 
 
 class TestDeltaChain:
@@ -1637,9 +1669,9 @@ class TestDeltaChain:
             raw[len(raw) // 2] ^= 0x01
             open(path, "wb").write(bytes(raw))
         else:
-            _forge_delta(
+            _forge(
                 root, 5,
-                lambda h: dict(h, digest=dict(h["digest"], cost=h["digest"]["cost"] + 1.0)),
+                header=lambda h: dict(h, digest=dict(h["digest"], cost=h["digest"]["cost"] + 1.0)),
             )
         with pytest.raises(RecoveryError) as err:
             PolicyJournal(root).recover()
@@ -1647,9 +1679,9 @@ class TestDeltaChain:
 
     def test_forged_delta_replica_is_outvoted_and_repaired(self, provider, roots):
         csp = self.run(provider, QuorumJournal(roots), ticks=5)
-        _forge_delta(
+        _forge(
             roots[0], 5,
-            lambda h: dict(h, digest=dict(h["digest"], groups=h["digest"]["groups"] + 1)),
+            header=lambda h: dict(h, digest=dict(h["digest"], groups=h["digest"]["groups"] + 1)),
         )
         quorum = QuorumJournal(roots)
         snapshot = quorum.recover()
@@ -1698,8 +1730,7 @@ class TestDeltaChain:
         # Serial 7 is a checkpoint: nothing older is kept.
         assert quorum.committed_serials() == [7]
         assert sorted(os.listdir(roots[0])) == [
-            "journal.log", "snapshot-000007.arrays.npz",
-            "snapshot-000007.json", "snapshot-000007.npz",
+            "journal.log", "snapshot-000007.npz",
         ]
         self.assert_restores(provider, roots, csp)
         csp.advance_snapshot(
@@ -1749,8 +1780,6 @@ class TestChainGolden:
         expected = _journal_files(self.CHAIN)
         assert sorted(expected) == [
             "journal.log",
-            "snapshot-000000.arrays.npz",
-            "snapshot-000000.json",
             "snapshot-000000.npz",
             "snapshot-000001.delta.npz",
             "snapshot-000002.delta.npz",
@@ -1812,7 +1841,7 @@ class TestRecoverOnce:
         decodes = self._spy(monkeypatch, PolicyJournal, "_decode")
         quorum.recover()
         assert decodes == ["_decode"]
-        _forge_arrays(roots[0], 0, FORGERIES["user-outside-cloak"])
+        _forge(roots[0], 0, members=FORGERIES["user-outside-cloak"])
         decodes.clear()
         assert_bit_identical(policy, quorum.recover().policy)
         assert decodes == ["_decode", "_decode"]
